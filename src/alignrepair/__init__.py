@@ -19,12 +19,10 @@ from .formats import (
     write_ontology_file,
 )
 from .fragments import (
-    Checkset,
     CoreFragments,
     FragmentError,
     compute_checkset,
     extract_core_fragments,
-    fragment_entails,
     fragments_incoherent,
 )
 from .generator import GeneratorError, GeneratorParams, generate_instance
@@ -39,8 +37,6 @@ from .model import (
     OntologyError,
     Relation,
     build_ontology,
-    direct_superclasses,
-    entails_subclass,
     merged_view,
 )
 from .oracle import (
@@ -49,6 +45,7 @@ from .oracle import (
     exhaustive_incoherence,
     precision_recall_fmeasure,
 )
+from .pipeline import Analysis, analyze
 from .repair import (
     RemovalCause,
     RemovedMapping,
@@ -67,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Alignment",
     "AlignmentError",
-    "Checkset",
+    "Analysis",
     "ClassId",
     "Cluster",
     "ConflictList",
@@ -90,18 +87,16 @@ __all__ = [
     "RepairConfig",
     "RepairResult",
     "RepairStats",
+    "analyze",
     "brute_force_min_hitting_set",
     "build_ontology",
     "compute_checkset",
     "count_incoherent_classes",
-    "direct_superclasses",
     "disjoint_conflict_clusters",
-    "entails_subclass",
     "exhaustive_incoherence",
     "extract_core_fragments",
     "filter_conflicts",
     "find_conflict_sets",
-    "fragment_entails",
     "fragments_incoherent",
     "generate_instance",
     "merged_view",

@@ -14,9 +14,9 @@ import time
 from pathlib import Path
 
 from .conflicts import (
+    EnumerationCapExceeded,
     conflict_statistics,
     count_incoherent_classes,
-    find_conflict_sets,
 )
 from .formats import (
     FormatError,
@@ -25,10 +25,11 @@ from .formats import (
     write_alignment_tsv,
     write_ontology_file,
 )
-from .fragments import compute_checkset, extract_core_fragments
+from .fragments import extract_core_fragments
 from .generator import GeneratorError, GeneratorParams, generate_instance
 from .model import ModelError, merged_view
 from .oracle import precision_recall_fmeasure
+from .pipeline import analyze
 from .repair import RemovalCause, RepairConfig, repair
 
 SCHEMA_VERSION = 1
@@ -43,6 +44,11 @@ class _Timer:
         now = time.perf_counter()
         self.phases.append((name, now - self._last))
         self._last = now
+
+    def add(self, phases: dict[str, float]) -> None:
+        """Record phases timed elsewhere, in order, ending now."""
+        self.phases.extend(phases.items())
+        self._last = time.perf_counter()
 
     def report(self) -> None:
         for name, seconds in self.phases:
@@ -69,14 +75,14 @@ def _input_section(o1, o2, align) -> dict:
     }
 
 
-def _fragment_section(o1, o2, fragments, checkset) -> dict:
+def _fragment_section(o1, o2, fragments) -> dict:
     total = len(o1) + len(o2)
     return {
         "total_classes": total,
         "core_classes": len(fragments.core_classes),
         "core_pct": _pct(len(fragments.core_classes), total),
-        "checkset": len(checkset),
-        "checkset_pct": _pct(len(checkset), total),
+        "checkset": len(fragments.checkset),
+        "checkset_pct": _pct(len(fragments.checkset), total),
     }
 
 
@@ -92,20 +98,14 @@ def _cmd_repair(args) -> int:
     timer = _Timer()
     o1, o2, align = _load_inputs(args)
     timer.mark("load")
-    view = merged_view(o1, o2, align)
-    incoherent_before, _ = count_incoherent_classes(view)
-    timer.mark("merge")
-    fragments = extract_core_fragments(o1, o2, align, view=view)
-    checkset = compute_checkset(view)
-    timer.mark("fragments")
-    conflicts = find_conflict_sets(fragments, checkset, align)
-    timer.mark("conflicts")
+    analysis = analyze(o1, o2, align)
+    timer.add(analysis.phases)
     config = RepairConfig(
         epsilon=args.epsilon,
         search_depth=args.search_depth,
         use_clusters=not args.no_clusters,
     )
-    result = repair(conflicts, align, config)
+    result = repair(analysis.conflicts, align, config)
     timer.mark("repair")
     incoherent_after, _ = count_incoherent_classes(merged_view(o1, o2, result.kept))
     timer.mark("verify")
@@ -116,8 +116,8 @@ def _cmd_repair(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "task": "repair",
         "inputs": _input_section(o1, o2, align),
-        "fragments": _fragment_section(o1, o2, fragments, checkset),
-        "conflicts": conflict_statistics(conflicts),
+        "fragments": _fragment_section(o1, o2, analysis.fragments),
+        "conflicts": conflict_statistics(analysis.conflicts),
         "repair": {
             "removed": len(result.removed),
             "removed_filtered": filtered,
@@ -126,7 +126,10 @@ def _cmd_repair(args) -> int:
             "clusters_processed": result.stats.clusters_processed,
             "lookahead_tiebreaks": result.stats.lookahead_tiebreaks,
         },
-        "incoherent": {"before": incoherent_before, "after": incoherent_after},
+        "incoherent": {
+            "before": analysis.incoherent_before,
+            "after": incoherent_after,
+        },
         "config": {
             "epsilon": config.epsilon,
             "search_depth": config.search_depth,
@@ -151,14 +154,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_fragments(args) -> int:
     o1, o2, align = _load_inputs(args)
-    view = merged_view(o1, o2, align)
-    fragments = extract_core_fragments(o1, o2, align, view=view)
-    checkset = compute_checkset(view)
+    fragments = extract_core_fragments(o1, o2, align)
     report = {
         "schema_version": SCHEMA_VERSION,
         "task": "fragments",
         "inputs": _input_section(o1, o2, align),
-        "fragments": _fragment_section(o1, o2, fragments, checkset),
+        "fragments": _fragment_section(o1, o2, fragments),
     }
     _emit(report, None)
     return 0
@@ -166,10 +167,7 @@ def _cmd_fragments(args) -> int:
 
 def _cmd_conflicts(args) -> int:
     o1, o2, align = _load_inputs(args)
-    view = merged_view(o1, o2, align)
-    fragments = extract_core_fragments(o1, o2, align, view=view)
-    checkset = compute_checkset(view)
-    conflicts = find_conflict_sets(fragments, checkset, align)
+    conflicts = analyze(o1, o2, align).conflicts
     report = {
         "schema_version": SCHEMA_VERSION,
         "task": "conflicts",
@@ -300,10 +298,8 @@ def cli_dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FormatError, ModelError, GeneratorError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FormatError, ModelError, GeneratorError, ValueError, OSError,
+            EnumerationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

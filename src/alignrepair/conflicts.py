@@ -15,9 +15,9 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .fragments import Checkset, CoreFragments
+from .fragments import CoreFragments
 from .graphs import iter_bits
-from .model import Alignment, ClassId, Mapping, MergedGraph, Relation
+from .model import Alignment, ClassId, Mapping, MergedGraph
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -130,15 +130,16 @@ def _insert_minimal(masks: list[int], new: int) -> bool:
 
 def find_conflict_sets(
     fragments: CoreFragments,
-    checkset: Checkset,
+    checkset: Sequence[ClassId],
     alignment: Alignment,
     *,
     max_work: int = 1_000_000,
 ) -> ConflictList:
     """Enumerate every minimal conflict set of the alignment.
 
-    Witnesses are the fragment start classes, the given checkset, and the
-    disjointness endpoints.  One backward label search per endpoint
+    Witnesses are the fragment start classes, the given checkset (pass
+    `fragments.checkset`, which the start classes already contain), and
+    the disjointness endpoints.  One backward label search per endpoint
     yields the minimal label sets from every node to that endpoint; a
     witness's conflict candidates are then unions over its entries for
     the two members of a pair.  `max_work` caps, per witness, both the
@@ -159,17 +160,13 @@ def find_conflict_sets(
     for e in fragments.reduced_edges:
         radj[node_of[e.parent]].append((node_of[e.child], -1))
     for mi, m in enumerate(mappings):
-        s = node_of.get(m.source)
-        t = node_of.get(m.target)
-        if s is None or t is None:
+        if m.source not in node_of or m.target not in node_of:
             raise ValueError(
                 f"alignment mapping {m.describe()!r} has a non-core endpoint; "
                 "fragments were extracted from a different alignment"
             )
-        if m.relation in (Relation.EQUIVALENCE, Relation.SUBSUMED_BY):
-            radj[t].append((s, mi))
-        if m.relation in (Relation.EQUIVALENCE, Relation.SUBSUMES):
-            radj[s].append((t, mi))
+        for sub, sup in m.edges():
+            radj[node_of[sup]].append((node_of[sub], mi))
 
     endpoint_nodes = sorted(
         {node_of[c] for pair in fragments.disjoint_pairs for c in pair}
@@ -181,7 +178,7 @@ def find_conflict_sets(
 
     start_classes = sorted(
         set(fragments.start_classes)
-        | set(checkset.classes)
+        | set(checkset)
         | {c for pair in fragments.disjoint_pairs for c in pair}
     )
 

@@ -23,31 +23,12 @@ from .model import (
     MergedGraph,
     ModelError,
     Ontology,
-    Relation,
     merged_view,
 )
 
 
 class FragmentError(ModelError):
     pass
-
-
-@dataclass(frozen=True)
-class Checkset:
-    """Classes whose incoherence checks suffice alongside the disjointness
-    endpoints: multi-parent classes with no multi-parent class strictly
-    below them."""
-
-    classes: tuple[ClassId, ...]
-
-    def __iter__(self):
-        return iter(self.classes)
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-    def __contains__(self, c: ClassId) -> bool:
-        return c in self.classes
 
 
 class ReducedEdge(NamedTuple):
@@ -63,21 +44,20 @@ class CoreFragments:
     `reduced_edges` carry no mapping edges; conflict search re-adds the
     edges of each candidate mapping subset.  `start_classes` are the
     entry points for conflict enumeration (checkset plus divergence
-    classes; see extract_core_fragments).
+    classes; see extract_core_fragments), so `checkset` is a subset of
+    them.
     """
 
     core_classes: tuple[ClassId, ...]
     reduced_edges: tuple[ReducedEdge, ...]
     disjoint_pairs: tuple[tuple[ClassId, ClassId], ...]
     start_classes: tuple[ClassId, ...]
+    checkset: tuple[ClassId, ...]
 
     @property
     def edge_provenance(self) -> dict[tuple[ClassId, ClassId], bool]:
         """(child, parent) -> whether the edge abbreviates a longer path."""
         return {(e.child, e.parent): e.via_path for e in self.reduced_edges}
-
-    def core_by_side(self, side: int) -> tuple[ClassId, ...]:
-        return tuple(c for c in self.core_classes if c.side == side)
 
     def __contains__(self, c: ClassId) -> bool:
         return c in self._node_index
@@ -85,14 +65,6 @@ class CoreFragments:
     @cached_property
     def _node_index(self) -> dict[ClassId, int]:
         return {c: i for i, c in enumerate(self.core_classes)}
-
-    @cached_property
-    def _ontology_adj(self) -> list[list[int]]:
-        idx = self._node_index
-        adj: list[list[int]] = [[] for _ in self.core_classes]
-        for e in self.reduced_edges:
-            adj[idx[e.child]].append(idx[e.parent])
-        return adj
 
     @cached_property
     def _ontology_radj(self) -> list[list[int]]:
@@ -110,24 +82,21 @@ class CoreFragments:
 
     def subset_edges(self, subset: Iterable[Mapping]) -> list[tuple[int, int]]:
         """Directed node-index edges contributed by a mapping subset."""
-        edges = []
-        for m in subset:
-            s = self._require(m.source)
-            t = self._require(m.target)
-            if m.relation in (Relation.EQUIVALENCE, Relation.SUBSUMED_BY):
-                edges.append((s, t))
-            if m.relation in (Relation.EQUIVALENCE, Relation.SUBSUMES):
-                edges.append((t, s))
-        return edges
+        return [
+            (self._require(sub), self._require(sup))
+            for m in subset
+            for sub, sup in m.edges()
+        ]
 
 
-def compute_checkset(view: MergedGraph) -> Checkset:
-    """Subsumption-minimal multi-parent classes of the merged graph.
+def compute_checkset(view: MergedGraph) -> tuple[ClassId, ...]:
+    """Subsumption-minimal multi-parent classes of the merged graph, sorted.
 
     A class is multi-parent when its component has at least two covering
     components; it is kept only if no class in a strictly lower component
     is itself multi-parent.  All members of a qualifying component are
-    included.
+    included.  Incoherence checks on these classes suffice alongside the
+    disjointness endpoints.
     """
     multi = [
         c
@@ -138,8 +107,7 @@ def compute_checkset(view: MergedGraph) -> Checkset:
     for c in multi:
         blocked |= view.component_ancestor_mask(c) & ~(1 << c)
     kept = [c for c in multi if not (blocked >> c) & 1]
-    classes = sorted(cid for c in kept for cid in view.component_members(c))
-    return Checkset(tuple(classes))
+    return tuple(sorted(cid for c in kept for cid in view.component_members(c)))
 
 
 def _divergence_starts(view: MergedGraph, o1: Ontology, o2: Ontology) -> list[ClassId]:
@@ -209,7 +177,7 @@ def extract_core_fragments(
     if view is None:
         view = merged_view(o1, o2, alignment)
     checkset = compute_checkset(view)
-    starts = sorted(set(checkset.classes) | set(_divergence_starts(view, o1, o2)))
+    starts = sorted(set(checkset) | set(_divergence_starts(view, o1, o2)))
 
     core: set[ClassId] = set(starts)
     for a, b in view.disjoint_pairs:
@@ -231,41 +199,8 @@ def extract_core_fragments(
         reduced_edges=tuple(edges),
         disjoint_pairs=view.disjoint_pairs,
         start_classes=tuple(starts),
+        checkset=checkset,
     )
-
-
-def fragment_entails(
-    fragments: CoreFragments,
-    subset: Iterable[Mapping],
-    a: ClassId,
-    b: ClassId,
-) -> bool:
-    """Reachability over reduced edges plus a mapping subset's edges."""
-    src = fragments._require(a)
-    dst = fragments._require(b)
-    if src == dst:
-        return True
-    extra: dict[int, list[int]] = {}
-    for u, v in fragments.subset_edges(subset):
-        extra.setdefault(u, []).append(v)
-    adj = fragments._ontology_adj
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v == dst:
-                return True
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-        for v in extra.get(u, ()):
-            if v == dst:
-                return True
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return False
 
 
 def fragments_incoherent(

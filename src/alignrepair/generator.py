@@ -136,14 +136,14 @@ def _sample_disjoint_pairs(
     rng: random.Random,
     n: int,
     edges: list[tuple[int, int]],
-    children_of: list[list[int]],
+    children: list[list[int]],
     count: int,
 ) -> list[tuple[int, int]]:
     """Sibling/cousin pairs whose descendant cones do not overlap."""
     if count == 0:
         return []
     desc = _descendant_sets(n, edges)
-    parents_with_kids = [v for v in range(n) if len(children_of[v]) >= 2]
+    parents_with_kids = [v for v in range(n) if len(children[v]) >= 2]
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for _ in range(count * 50 + PLACEMENT_ATTEMPTS):
@@ -151,7 +151,7 @@ def _sample_disjoint_pairs(
             break
         if parents_with_kids and rng.random() < 0.8:
             w = rng.choice(parents_with_kids)
-            a, b = rng.sample(children_of[w], 2)
+            a, b = rng.sample(children[w], 2)
         else:
             a = rng.randrange(n)
             b = rng.randrange(n)
@@ -185,17 +185,17 @@ def _build_side(
     names = [f"{prefix}{i:0{width}d}" for i in range(n)]
     edges = [(i, parents[i]) for i in range(1, n)]
     edges += _cross_links(rng, n, parents)
-    children_of: list[list[int]] = [[] for _ in range(n)]
+    children: list[list[int]] = [[] for _ in range(n)]
     for child, parent in edges:
-        children_of[parent].append(child)
-    pair_indices = _sample_disjoint_pairs(rng, n, edges, children_of, disjoint_count)
+        children[parent].append(child)
+    pair_indices = _sample_disjoint_pairs(rng, n, edges, children, disjoint_count)
     ontology = build_ontology(
         side,
         names,
         [(names[c], names[p]) for c, p in edges],
         [(names[a], names[b]) for a, b in pair_indices],
     )
-    return _Side(ontology, children_of, pair_indices)
+    return _Side(ontology, children, pair_indices)
 
 
 def _targeted_endpoints(

@@ -86,6 +86,17 @@ class Mapping:
     def describe(self) -> str:
         return f"{self.source.id} {self.relation.value} {self.target.id}"
 
+    def edges(self) -> tuple[tuple[ClassId, ClassId], ...]:
+        """The (subclass, superclass) edges the mapping adds to a merged
+        graph: two for an equivalence, one for a subsumption."""
+        forward = (self.source, self.target)
+        backward = (self.target, self.source)
+        if self.relation is Relation.SUBSUMED_BY:
+            return (forward,)
+        if self.relation is Relation.SUBSUMES:
+            return (backward,)
+        return (forward, backward)
+
 
 class Alignment:
     """An immutable set of mappings with canonical iteration order."""
@@ -124,17 +135,13 @@ class Alignment:
     def __repr__(self) -> str:
         return f"Alignment({len(self._mappings)} mappings)"
 
-    def without(self, mapping: Mapping) -> "Alignment":
-        """A copy with one mapping removed (identity match)."""
-        return Alignment(m for m in self._mappings if m.key != mapping.key)
-
 
 class Ontology:
     """One side's class hierarchy plus disjointness axioms.
 
     Construct via :func:`build_ontology`, which validates that the input
     is acyclic and coherent on its own.  Internal indices give constant
-    time parent/child/disjointness lookups.
+    time class and reachability lookups.
     """
 
     __slots__ = (
@@ -143,8 +150,6 @@ class Ontology:
         "subclass_edges",
         "disjointness",
         "_index",
-        "_parents",
-        "_children",
         "_order",
         "_anc",
     )
@@ -156,8 +161,6 @@ class Ontology:
         subclass_edges: tuple[tuple[ClassId, ClassId], ...],
         disjointness: tuple[tuple[ClassId, ClassId], ...],
         index: dict[str, int],
-        parents: list[list[int]],
-        children: list[list[int]],
         order: list[int],
         anc: list[int],
     ):
@@ -166,8 +169,6 @@ class Ontology:
         self.subclass_edges = subclass_edges
         self.disjointness = disjointness
         self._index = index
-        self._parents = parents
-        self._children = children
         self._order = order
         self._anc = anc
 
@@ -187,14 +188,6 @@ class Ontology:
         if name not in self._index:
             raise OntologyError(f"unknown class {name!r} in ontology side {self.side}")
         return self.classes[self._index[name]]
-
-    def parents_of(self, c: ClassId) -> tuple[ClassId, ...]:
-        i = self._local(c)
-        return tuple(self.classes[p] for p in self._parents[i])
-
-    def children_of(self, c: ClassId) -> tuple[ClassId, ...]:
-        i = self._local(c)
-        return tuple(self.classes[p] for p in self._children[i])
 
     def reaches(self, a: ClassId, b: ClassId) -> bool:
         """Reflexive-transitive subclass relation inside this ontology."""
@@ -260,10 +253,8 @@ def build_ontology(
         disjoint_set.add((min(ia, ib), max(ia, ib)))
 
     parents: list[list[int]] = [[] for _ in range(n)]
-    children: list[list[int]] = [[] for _ in range(n)]
     for ic, ip in sorted(edge_set):
         parents[ic].append(ip)
-        children[ip].append(ic)
 
     order = dag_order_roots_first(n, parents)
     if order is None:
@@ -290,9 +281,7 @@ def build_ontology(
         tuple(sorted((class_ids[ia], class_ids[ib])))
         for ia, ib in sorted(disjoint_set)
     )
-    return Ontology(
-        side, class_ids, edges, disjoint_pairs, index, parents, children, order, anc
-    )
+    return Ontology(side, class_ids, edges, disjoint_pairs, index, order, anc)
 
 
 def _some_cycle_member(n: int, parents: list[list[int]]) -> int:
@@ -337,7 +326,6 @@ class MergedGraph:
         "alignment",
         "classes",
         "disjoint_pairs",
-        "mapping_edges",
         "_index",
         "_adj",
         "_comp",
@@ -372,7 +360,6 @@ class MergedGraph:
             for child, parent in onto.subclass_edges:
                 adj[self._index[child.id]].add(self._index[parent.id])
 
-        mapping_edges: list[tuple[ClassId, ClassId, Mapping]] = []
         for m in alignment:
             if not o1.has_class(m.source.id):
                 raise AlignmentError(
@@ -382,14 +369,8 @@ class MergedGraph:
                 raise AlignmentError(
                     f"dangling mapping endpoint {m.target.id!r} (not in ontology 2)"
                 )
-            s, t = self._index[m.source.id], self._index[m.target.id]
-            if m.relation in (Relation.EQUIVALENCE, Relation.SUBSUMED_BY):
-                adj[s].add(t)
-                mapping_edges.append((m.source, m.target, m))
-            if m.relation in (Relation.EQUIVALENCE, Relation.SUBSUMES):
-                adj[t].add(s)
-                mapping_edges.append((m.target, m.source, m))
-        self.mapping_edges = tuple(mapping_edges)
+            for sub, sup in m.edges():
+                adj[self._index[sub.id]].add(self._index[sup.id])
 
         self._adj: list[list[int]] = [sorted(s) for s in adj]
         self._comp_count, self._comp = tarjan_scc(n, self._adj)
@@ -413,15 +394,6 @@ class MergedGraph:
         )
 
     # -- lookups ---------------------------------------------------------
-
-    def has_class(self, c: ClassId) -> bool:
-        i = self._index.get(c.id)
-        return i is not None and self.classes[i] == c
-
-    def class_by_id(self, name: str) -> ClassId:
-        if name not in self._index:
-            raise ModelError(f"unknown class {name!r}")
-        return self.classes[self._index[name]]
 
     def _node(self, c: ClassId) -> int:
         i = self._index.get(c.id)
@@ -506,13 +478,3 @@ class MergedGraph:
 def merged_view(o1: Ontology, o2: Ontology, alignment: Alignment) -> MergedGraph:
     """Build the merged subsumption graph of two ontologies and an alignment."""
     return MergedGraph(o1, o2, alignment)
-
-
-def entails_subclass(view: MergedGraph, a: ClassId, b: ClassId) -> bool:
-    """True iff the merged graph infers a to be a subclass of b."""
-    return view.entails(a, b)
-
-
-def direct_superclasses(view: MergedGraph, a: ClassId) -> tuple[ClassId, ...]:
-    """Direct superclasses of a in the merged graph, cycle-tolerant."""
-    return view.direct_superclasses(a)

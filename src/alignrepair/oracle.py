@@ -19,13 +19,11 @@ from .model import Alignment, ClassId, Mapping, Ontology, Relation
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Alignment quality measures plus optional repair context counts."""
+    """Alignment quality measures against a reference."""
 
     precision: float
     recall: float
     f_measure: float
-    incoherent_count: int = 0
-    removed_count: int = 0
 
 
 def _merged_adjacency(
@@ -120,13 +118,7 @@ def brute_force_min_hitting_set(
     return tuple(universe)  # unreachable: the full universe hits everything
 
 
-def precision_recall_fmeasure(
-    produced: Alignment,
-    reference: Alignment,
-    *,
-    incoherent_count: int = 0,
-    removed_count: int = 0,
-) -> EvalReport:
+def precision_recall_fmeasure(produced: Alignment, reference: Alignment) -> EvalReport:
     """Precision/recall/F-measure of one alignment against a reference.
 
     Mapping identity ignores confidence.  Empty denominators score 1.0.
@@ -141,10 +133,4 @@ def precision_recall_fmeasure(
         if precision + recall > 0
         else 0.0
     )
-    return EvalReport(
-        precision=precision,
-        recall=recall,
-        f_measure=f_measure,
-        incoherent_count=incoherent_count,
-        removed_count=removed_count,
-    )
+    return EvalReport(precision=precision, recall=recall, f_measure=f_measure)

@@ -59,12 +59,7 @@ class RepairStats:
 class RepairResult:
     kept: Alignment
     removed: tuple[RemovedMapping, ...]
-    resolved_conflicts: int
     stats: RepairStats
-
-    @property
-    def removed_mappings(self) -> tuple[Mapping, ...]:
-        return tuple(r.mapping for r in self.removed)
 
 
 def filter_conflicts(
@@ -201,14 +196,11 @@ def repair(
     identical results including removal order.
     """
     removed: list[RemovedMapping] = []
-    kept = set_maps
     work = conflicts
 
     if config.epsilon >= 0:
         work, filtered = filter_conflicts(work, config.epsilon)
-        for m in filtered:
-            removed.append(RemovedMapping(m, RemovalCause.FILTERED))
-            kept = kept.without(m)
+        removed.extend(RemovedMapping(m, RemovalCause.FILTERED) for m in filtered)
 
     pending: list[tuple[ConflictSet, ...]]
     if config.use_clusters:
@@ -226,7 +218,6 @@ def repair(
         if used_lookahead:
             lookahead_tiebreaks += 1
         removed.append(RemovedMapping(worst, RemovalCause.GREEDY))
-        kept = kept.without(worst)
         residue = remove_mapping(sets, worst)
         if residue:
             if config.use_clusters:
@@ -234,10 +225,10 @@ def repair(
             else:
                 pending.append(residue)
 
+    removed_keys = {r.mapping.key for r in removed}
     return RepairResult(
-        kept=kept,
+        kept=Alignment(m for m in set_maps if m.key not in removed_keys),
         removed=tuple(removed),
-        resolved_conflicts=len(conflicts),
         stats=RepairStats(
             input_mappings=len(set_maps),
             clusters_processed=clusters_processed,

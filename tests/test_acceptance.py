@@ -20,13 +20,12 @@ from alignrepair import (
     GeneratorParams,
     RemovalCause,
     RepairConfig,
+    analyze,
     brute_force_min_hitting_set,
-    compute_checkset,
     count_incoherent_classes,
     exhaustive_incoherence,
     extract_core_fragments,
     filter_conflicts,
-    find_conflict_sets,
     fragments_incoherent,
     generate_instance,
     merged_view,
@@ -61,9 +60,8 @@ def batch():
     out = []
     for i in range(N_INSTANCES):
         o1, o2, produced, reference = generate_instance(_params(i))
-        view = merged_view(o1, o2, produced)
-        frags = extract_core_fragments(o1, o2, produced, view=view)
-        conflicts = find_conflict_sets(frags, compute_checkset(view), produced)
+        analysis = analyze(o1, o2, produced)
+        frags, conflicts = analysis.fragments, analysis.conflicts
         maps = list(produced)
         if len(maps) <= ALL_SUBSETS_UP_TO:
             subsets = [
@@ -228,9 +226,8 @@ def test_criterion_6_fragment_reduction_at_scale():
     )
     o1, o2, produced, _ = generate_instance(params)
     start = time.perf_counter()
-    view = merged_view(o1, o2, produced)
-    frags = extract_core_fragments(o1, o2, produced, view=view)
-    checkset = compute_checkset(view)
+    frags = extract_core_fragments(o1, o2, produced)
+    checkset = frags.checkset
     elapsed = time.perf_counter() - start
     total = len(o1) + len(o2)
     core_pct = 100 * len(frags.core_classes) / total
@@ -256,9 +253,7 @@ def test_criterion_7_engineering_budget():
     )
     o1, o2, produced, _ = generate_instance(params)
     start = time.perf_counter()
-    view = merged_view(o1, o2, produced)
-    frags = extract_core_fragments(o1, o2, produced, view=view)
-    conflicts = find_conflict_sets(frags, compute_checkset(view), produced)
+    conflicts = analyze(o1, o2, produced).conflicts
     result = repair(conflicts, produced, RepairConfig())
     after, _ = count_incoherent_classes(merged_view(o1, o2, result.kept))
     elapsed = time.perf_counter() - start

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from alignrepair import EnumerationCapExceeded, pipeline
 from alignrepair.cli import cli_dispatch
 
 F1_ONTO1 = """\
@@ -175,6 +176,17 @@ class TestErrorsAndExitCodes:
         )
         assert status == 1
         assert "undeclared" in capsys.readouterr().err
+
+    def test_enumeration_cap_is_error_not_crash(self, f1_files, capsys, monkeypatch):
+        def over_budget(*args, **kwargs):
+            raise EnumerationCapExceeded("label-set search exceeded 1 steps")
+
+        monkeypatch.setattr(pipeline, "find_conflict_sets", over_budget)
+        out = f1_files / "repaired.tsv"
+        status = cli_dispatch(["repair", *_inputs(f1_files), "--out", str(out)])
+        assert status == 1
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestByteDeterminism:

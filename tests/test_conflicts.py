@@ -13,7 +13,6 @@ from alignrepair import (
     Mapping,
     Relation,
     build_ontology,
-    compute_checkset,
     count_incoherent_classes,
     disjoint_conflict_clusters,
     exhaustive_incoherence,
@@ -26,9 +25,8 @@ from conftest import mk_mapping, mk_set
 
 
 def _enumerate(o1, o2, align, **kw):
-    view = merged_view(o1, o2, align)
-    frags = extract_core_fragments(o1, o2, align, view=view)
-    return find_conflict_sets(frags, compute_checkset(view), align, **kw)
+    frags = extract_core_fragments(o1, o2, align)
+    return find_conflict_sets(frags, frags.checkset, align, **kw)
 
 
 class TestFindConflictSets:

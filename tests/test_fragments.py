@@ -4,6 +4,7 @@ subset) that everything downstream relies on."""
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -15,12 +16,30 @@ from alignrepair import (
     build_ontology,
     compute_checkset,
     extract_core_fragments,
-    fragment_entails,
     fragments_incoherent,
     merged_view,
 )
 
 from conftest import brute_entails
+
+
+def fragment_entails(frags, subset, a, b):
+    """Reachability over the reduced edges plus a mapping subset's edges."""
+    src, dst = frags._require(a), frags._require(b)
+    up = {}
+    for e in frags.reduced_edges:
+        up.setdefault(frags._require(e.child), []).append(frags._require(e.parent))
+    for u, v in frags.subset_edges(subset):
+        up.setdefault(u, []).append(v)
+    seen = {src}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in up.get(u, ()):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return dst in seen
 
 
 class TestComputeCheckset:
@@ -80,7 +99,9 @@ class TestExtractCoreFragments:
         for m in f1.alignment:
             assert m.source in core and m.target in core
         view = merged_view(f1.o1, f1.o2, f1.alignment)
-        for c in compute_checkset(view):
+        assert frags.checkset == compute_checkset(view)
+        assert set(frags.checkset) <= set(frags.start_classes)
+        for c in frags.checkset:
             assert c in core
 
 

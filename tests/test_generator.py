@@ -6,13 +6,9 @@ import pytest
 from alignrepair import (
     GeneratorParams,
     RepairConfig,
-    compute_checkset,
-    count_incoherent_classes,
+    analyze,
     exhaustive_incoherence,
-    extract_core_fragments,
-    find_conflict_sets,
     generate_instance,
-    merged_view,
     precision_recall_fmeasure,
     repair,
     write_alignment_tsv,
@@ -88,19 +84,16 @@ class TestPinnedRegression:
 
     def test_repair_removes_at_least_one(self, instance):
         o1, o2, produced, reference = instance
-        view = merged_view(o1, o2, produced)
-        frags = extract_core_fragments(o1, o2, produced, view=view)
-        conflicts = find_conflict_sets(frags, compute_checkset(view), produced)
+        conflicts = analyze(o1, o2, produced).conflicts
         result = repair(conflicts, produced, RepairConfig())
         assert len(result.removed) >= 1
 
     def test_frozen_trace(self, instance):
         o1, o2, produced, reference = instance
         assert len(produced) == 13
-        view = merged_view(o1, o2, produced)
-        assert count_incoherent_classes(view)[0] == 5
-        frags = extract_core_fragments(o1, o2, produced, view=view)
-        conflicts = find_conflict_sets(frags, compute_checkset(view), produced)
+        analysis = analyze(o1, o2, produced)
+        assert analysis.incoherent_before == 5
+        conflicts = analysis.conflicts
         assert len(conflicts) == 2
         result = repair(conflicts, produced, RepairConfig())
         assert [r.mapping.key for r in result.removed] == [

@@ -13,6 +13,7 @@ from alignrepair import (
     brute_force_min_hitting_set,
     filter_conflicts,
     remove_mapping,
+    analyze,
     repair,
     resolved_conflicts,
     worst_mapping,
@@ -120,16 +121,9 @@ class TestRemoveMapping:
 
 class TestRepair:
     def test_f1_removes_lower_confidence(self, f1):
-        from alignrepair import (
-            compute_checkset,
-            extract_core_fragments,
-            find_conflict_sets,
-            merged_view,
-        )
+        from alignrepair import merged_view
 
-        view = merged_view(f1.o1, f1.o2, f1.alignment)
-        frags = extract_core_fragments(f1.o1, f1.o2, f1.alignment, view=view)
-        conflicts = find_conflict_sets(frags, compute_checkset(view), f1.alignment)
+        conflicts = analyze(f1.o1, f1.o2, f1.alignment).conflicts
         result = repair(conflicts, f1.alignment, RepairConfig(-1.0, 0, True))
         assert [r.mapping for r in result.removed] == [f1.m2]
         assert list(result.kept) == [f1.m1]
@@ -193,7 +187,6 @@ class TestRepair:
         result = repair(f2.conflicts, f2.alignment)
         assert result.stats.input_mappings == 5
         assert result.stats.clusters_processed == 2
-        assert result.resolved_conflicts == 3
 
 
 def test_cluster_decomposition_preserves_per_cluster_optimality():
