@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .fragments import CoreFragments
@@ -33,7 +34,7 @@ class ConflictSet:
     witness_class: ClassId
     witness_pair: tuple[ClassId, ClassId]
 
-    @property
+    @cached_property
     def key(self) -> tuple[tuple[str, str, str], ...]:
         return tuple(sorted(m.key for m in self.mappings))
 
@@ -52,7 +53,14 @@ class ConflictSet:
 
 
 class ConflictList:
-    """Deduplicated, canonically ordered antichain of conflict sets."""
+    """Deduplicated, canonically ordered antichain of conflict sets.
+
+    Of sets with equal mappings, the one with the smallest witness is
+    kept.  The rest are visited by ascending size, and a set is dropped
+    when a set kept before it is a strict subset; such a subset shares a
+    mapping with it, so only the kept sets holding one of its mappings
+    are compared.  An empty set is a subset of every other one.
+    """
 
     __slots__ = ("sets",)
 
@@ -62,14 +70,18 @@ class ConflictList:
             sets, key=lambda s: (s.key, s.witness_class, s.witness_pair)
         ):
             by_key.setdefault(s.key, s)
-        candidates = list(by_key.values())
         kept: list[ConflictSet] = []
-        for s in candidates:
-            if any(
-                other.mappings < s.mappings for other in candidates if other is not s
+        holders: dict[tuple, list[ConflictSet]] = {}
+        for s in sorted(by_key.values(), key=len):
+            if (kept and not kept[0].mappings) or any(
+                other.mappings < s.mappings
+                for m in s.mappings
+                for other in holders.get(m.key, ())
             ):
                 continue
             kept.append(s)
+            for m in s.mappings:
+                holders.setdefault(m.key, []).append(s)
         kept.sort(key=lambda s: s.key)
         self.sets: tuple[ConflictSet, ...] = tuple(kept)
 
@@ -142,9 +154,10 @@ def find_conflict_sets(
     the disjointness endpoints.  One backward label search per endpoint
     yields the minimal label sets from every node to that endpoint; a
     witness's conflict candidates are then unions over its entries for
-    the two members of a pair.  `max_work` caps, per witness, both the
-    label antichain growth and the number of path-pair combinations;
-    exceeding it raises EnumerationCapExceeded.
+    the two members of a pair.  `max_work` caps the total work of the
+    call: every label set the searches insert and every path pair a
+    witness combines spend one step of one shared budget; exhausting it
+    raises EnumerationCapExceeded.
     """
     if not fragments.disjoint_pairs or not len(alignment):
         return ConflictList()
@@ -172,9 +185,10 @@ def find_conflict_sets(
         {node_of[c] for pair in fragments.disjoint_pairs for c in pair}
     )
     # states_to[e][v] = antichain of minimal label sets of walks v -> e
-    states_to = {
-        e: _pareto_label_search(radj, e, max_work) for e in endpoint_nodes
-    }
+    budget = max_work
+    states_to: dict[int, dict[int, list[int]]] = {}
+    for e in endpoint_nodes:
+        states_to[e], budget = _pareto_label_search(radj, e, budget)
 
     start_classes = sorted(
         set(fragments.start_classes)
@@ -192,10 +206,11 @@ def find_conflict_sets(
             sets_b = states_to[node_of[pair[1]]].get(s_idx)
             if not sets_b:
                 continue
-            if len(sets_a) * len(sets_b) > max_work:
+            budget -= len(sets_a) * len(sets_b)
+            if budget < 0:
                 raise EnumerationCapExceeded(
-                    f"witness ({start.id}, {pair[0].id}|{pair[1].id}) exceeds "
-                    f"{max_work} path pairs"
+                    f"witness ({start.id}, {pair[0].id}|{pair[1].id}) exhausts "
+                    f"the budget of {max_work} steps with its path pairs"
                 )
             witness_masks: list[int] = []
             for ma in sets_a:
@@ -219,16 +234,17 @@ def find_conflict_sets(
 def _pareto_label_search(
     adj: list[list[tuple[int, int]]],
     start: int,
-    max_work: int,
-) -> dict[int, list[int]]:
-    """Minimal mapping-label sets of walks from `start` to every node.
+    budget: int,
+) -> tuple[dict[int, list[int]], int]:
+    """Minimal mapping-label sets of walks from `start` to every node,
+    and the budget left after one step per inserted label set.
 
     states[v] is an antichain of bitmasks; each mask is the label set of
     some walk start->v, and every minimal label set appears.
     """
+    given = budget
     states: dict[int, list[int]] = {start: [0]}
     queue: deque[tuple[int, int]] = deque([(start, 0)])
-    budget = max_work
     while queue:
         u, mask = queue.popleft()
         live = states.get(u)
@@ -241,10 +257,11 @@ def _pareto_label_search(
                 budget -= 1
                 if budget < 0:
                     raise EnumerationCapExceeded(
-                        f"label-set search from node {start} exceeded {max_work} steps"
+                        f"label-set search from node {start} exceeds the "
+                        f"{given} steps left of the work budget"
                     )
                 queue.append((v, nm))
-    return states
+    return states, budget
 
 
 def disjoint_conflict_clusters(conflicts: Sequence[ConflictSet]) -> tuple[Cluster, ...]:

@@ -137,29 +137,42 @@ def _divergence_starts(view: MergedGraph, o1: Ontology, o2: Ontology) -> list[Cl
 def _reduced_edges_for_side(
     onto: Ontology, core_side: list[ClassId]
 ) -> list[ReducedEdge]:
-    """Covering relation of ontology-only reachability restricted to core."""
+    """Covering relation of ontology-only reachability restricted to core.
+
+    One roots-first pass gives every class its nearest core ancestors:
+    the candidates are its core parents plus the nearest core ancestors
+    of its other parents, minus any candidate that is a strict ancestor
+    of another.  A core class's nearest core ancestors are its covers.
+    """
     if not core_side:
         return []
-    rank = onto.roots_first_rank()
-    locals_ = [(onto.local_index(c.id), c) for c in core_side]
-    # Ancestors get smaller roots-first ranks; iterate nearest (deepest) first.
-    by_rank_desc = sorted(locals_, key=lambda t: -rank[t[0]])
-    strict_anc = {i: onto.ancestor_mask(i) & ~(1 << i) for i, _ in locals_}
-    direct = set()
+    core = {onto.local_index(c.id): c for c in core_side}
+    parents: list[list[int]] = [[] for _ in range(len(onto))]
     for child, parent in onto.subclass_edges:
-        direct.add((onto.local_index(child.id), onto.local_index(parent.id)))
+        parents[onto.local_index(child.id)].append(onto.local_index(parent.id))
 
+    nearest: list[tuple[int, ...]] = [()] * len(onto)
     edges: list[ReducedEdge] = []
-    for i, child in locals_:
-        anc_i = strict_anc[i]
-        covered = 0
-        for j, parent in by_rank_desc:
-            if j == i or not (anc_i >> j) & 1:
-                continue
-            if (covered >> j) & 1:
-                continue
-            edges.append(ReducedEdge(child, parent, (i, j) not in direct))
-            covered |= strict_anc[j]
+    for v in onto.roots_first_order():
+        candidates: set[int] = set()
+        for p in parents[v]:
+            if p in core:
+                candidates.add(p)
+            else:
+                candidates.update(nearest[p])
+        # One parent's contribution is already an antichain.
+        if len(parents[v]) > 1 and len(candidates) > 1:
+            blocked = 0
+            for c in candidates:
+                blocked |= onto.ancestor_mask(c) & ~(1 << c)
+            candidates = {c for c in candidates if not (blocked >> c) & 1}
+        nearest[v] = tuple(candidates)
+        child = core.get(v)
+        if child is not None:
+            edges.extend(
+                ReducedEdge(child, onto.classes[j], j not in parents[v])
+                for j in candidates
+            )
     return edges
 
 

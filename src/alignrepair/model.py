@@ -57,13 +57,15 @@ class Mapping:
     """A weighted correspondence from a side-1 class to a side-2 class.
 
     Equality and hashing ignore the confidence: the canonical identity of
-    a mapping is (source, target, relation).
+    a mapping is (source, target, relation).  `key` spells that identity
+    out as strings, for deterministic ordering; it is computed once.
     """
 
     source: ClassId
     target: ClassId
     relation: Relation
     confidence: float = field(default=1.0, compare=False)
+    key: tuple[str, str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.source.side != 1 or self.target.side != 2:
@@ -77,11 +79,9 @@ class Mapping:
                 f"confidence {self.confidence!r} outside [0, 1] for "
                 f"{self.source.id} {self.relation.value} {self.target.id}"
             )
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        """Canonical identity, used for deterministic ordering."""
-        return (self.source.id, self.target.id, self.relation.value)
+        object.__setattr__(
+            self, "key", (self.source.id, self.target.id, self.relation.value)
+        )
 
     def describe(self) -> str:
         return f"{self.source.id} {self.relation.value} {self.target.id}"
@@ -161,7 +161,7 @@ class Ontology:
         subclass_edges: tuple[tuple[ClassId, ClassId], ...],
         disjointness: tuple[tuple[ClassId, ClassId], ...],
         index: dict[str, int],
-        order: list[int],
+        order: tuple[int, ...],
         anc: list[int],
     ):
         self.side = side
@@ -205,11 +205,9 @@ class Ontology:
     def local_index(self, name: str) -> int:
         return self._index[name]
 
-    def roots_first_rank(self) -> list[int]:
-        rank = [0] * len(self.classes)
-        for pos, v in enumerate(self._order):
-            rank[v] = pos
-        return rank
+    def roots_first_order(self) -> tuple[int, ...]:
+        """Local indices with every superclass before its subclasses."""
+        return self._order
 
 
 def build_ontology(
@@ -263,15 +261,7 @@ def build_ontology(
             f"subclass cycle in ontology side {side} (involves {names[in_cycle]!r})"
         )
     anc = ancestor_masks(n, parents, order)
-
-    for ia, ib in sorted(disjoint_set):
-        for v in range(n):
-            m = anc[v]
-            if (m >> ia) & 1 and (m >> ib) & 1:
-                raise OntologyError(
-                    f"input ontology incoherent: class {names[v]!r} is subsumed by "
-                    f"disjoint classes {names[ia]!r} and {names[ib]!r}"
-                )
+    _check_coherent(names, parents, disjoint_set)
 
     class_ids = tuple(ClassId(name, side) for name in names)
     edges = tuple(
@@ -281,7 +271,46 @@ def build_ontology(
         tuple(sorted((class_ids[ia], class_ids[ib])))
         for ia, ib in sorted(disjoint_set)
     )
-    return Ontology(side, class_ids, edges, disjoint_pairs, index, order, anc)
+    return Ontology(side, class_ids, edges, disjoint_pairs, index, tuple(order), anc)
+
+
+def _check_coherent(
+    names: list[str], parents: list[list[int]], disjoint_set: set[tuple[int, int]]
+) -> None:
+    """Reject the first disjoint pair, in sorted order, with a common
+    subclass, naming its smallest one.
+
+    Each pair intersects the two members' descendant sets; a class can
+    sit in several pairs, so its set is computed once.
+    """
+    if not disjoint_set:
+        return
+    children: list[list[int]] = [[] for _ in names]
+    for v, ps in enumerate(parents):
+        for p in ps:
+            children[p].append(v)
+    below: dict[int, set[int]] = {}
+
+    def descendants(x: int) -> set[int]:
+        seen = below.get(x)
+        if seen is None:
+            seen = {x}
+            stack = [x]
+            while stack:
+                for c in children[stack.pop()]:
+                    if c not in seen:
+                        seen.add(c)
+                        stack.append(c)
+            below[x] = seen
+        return seen
+
+    for ia, ib in sorted(disjoint_set):
+        both = descendants(ia) & descendants(ib)
+        if both:
+            raise OntologyError(
+                f"input ontology incoherent: class {names[min(both)]!r} is subsumed by "
+                f"disjoint classes {names[ia]!r} and {names[ib]!r}"
+            )
 
 
 def _some_cycle_member(n: int, parents: list[list[int]]) -> int:
@@ -443,12 +472,15 @@ class MergedGraph:
         """Components that cover `comp` in the condensation order.
 
         A parent component q is a cover unless another parent sits
-        strictly between comp and q.
+        strictly between comp and q, so with fewer than two parents the
+        parents are the covers.
         """
+        parents = self._cond_parents[comp]
+        if len(parents) < 2:
+            return tuple(parents)
         cached = self._covers_cache.get(comp)
         if cached is not None:
             return cached
-        parents = self._cond_parents[comp]
         blocked = 0
         for q in parents:
             blocked |= self._anc[q] & ~(1 << q)

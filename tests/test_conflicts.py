@@ -5,10 +5,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignrepair import (
     Alignment,
+    ClassId,
     ConflictList,
+    ConflictSet,
     EnumerationCapExceeded,
     Mapping,
     Relation,
@@ -21,7 +25,7 @@ from alignrepair import (
     merged_view,
 )
 
-from conftest import mk_mapping, mk_set
+from conftest import PAIR, mk_mapping, mk_set
 
 
 def _enumerate(o1, o2, align, **kw):
@@ -42,12 +46,17 @@ class TestFindConflictSets:
         conflicts = _enumerate(f1.o1, f1.o2, Alignment([f1.m1]))
         assert len(conflicts) == 0
 
-    def test_two_routes_two_sets(self):
+    @pytest.fixture
+    def two_routes(self):
         o1 = build_ontology(1, ["B1", "C1"], [], [("B1", "C1")])
         o2 = build_ontology(2, ["A2", "Y2"], [("A2", "Y2")])
         m1 = Mapping(o1.class_id("B1"), o2.class_id("A2"), Relation.SUBSUMES, 0.9)
         m2 = Mapping(o1.class_id("C1"), o2.class_id("A2"), Relation.SUBSUMES, 0.8)
         m3 = Mapping(o1.class_id("C1"), o2.class_id("Y2"), Relation.SUBSUMES, 0.7)
+        return o1, o2, (m1, m2, m3)
+
+    def test_two_routes_two_sets(self, two_routes):
+        o1, o2, (m1, m2, m3) = two_routes
         align = Alignment([m1, m2, m3])
         conflicts = _enumerate(o1, o2, align)
         contents = {frozenset(m.key for m in s.mappings) for s in conflicts}
@@ -65,6 +74,17 @@ class TestFindConflictSets:
     def test_cap_is_enforced(self, f1):
         with pytest.raises(EnumerationCapExceeded):
             _enumerate(f1.o1, f1.o2, f1.alignment, max_work=1)
+
+    def test_cap_bounds_the_total_work(self, two_routes):
+        # The search into B1 inserts 1 label set, the one into C1 inserts
+        # 3, and witness A2 pairs 1 x 2 of them: 6 steps in all.  Each
+        # part fits in 3 steps, their sum does not.
+        o1, o2, mappings = two_routes
+        align = Alignment(mappings)
+        for max_work in (3, 5):
+            with pytest.raises(EnumerationCapExceeded):
+                _enumerate(o1, o2, align, max_work=max_work)
+        assert len(_enumerate(o1, o2, align, max_work=6)) == 2
 
 
 class TestConflictListInvariants:
@@ -85,6 +105,39 @@ class TestConflictListInvariants:
         m1, m2, m3 = mk_mapping(1), mk_mapping(2), mk_mapping(3)
         cl = ConflictList([mk_set(m2, m3), mk_set(m1, m3)])
         assert [s.key for s in cl] == sorted(s.key for s in cl)
+
+
+def _pairwise_conflict_list(sets):
+    """Reference pruning: keep the smallest-witness set of each mapping
+    set, drop every set that another one strictly contains, then order
+    by key."""
+    by_key = {}
+    for s in sorted(sets, key=lambda s: (s.key, s.witness_class, s.witness_pair)):
+        by_key.setdefault(s.key, s)
+    candidates = list(by_key.values())
+    kept = [
+        s for s in candidates if not any(o.mappings < s.mappings for o in candidates)
+    ]
+    return tuple(sorted(kept, key=lambda s: s.key))
+
+
+_MAPPINGS = [mk_mapping(i) for i in range(6)]
+_WITNESSES = [ClassId(f"w{i}", 1) for i in range(3)]
+_conflict_sets = st.builds(
+    lambda members, w: ConflictSet(
+        frozenset(_MAPPINGS[i] for i in members), _WITNESSES[w], PAIR
+    ),
+    st.sets(st.integers(0, len(_MAPPINGS) - 1), max_size=4),
+    st.integers(0, len(_WITNESSES) - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_conflict_sets, max_size=14))
+def test_pruning_matches_pairwise_reference(sets):
+    """Duplicates (with other witnesses) and nested sets are frequent in
+    families of up to 14 sets over 6 mappings."""
+    assert ConflictList(sets).sets == _pairwise_conflict_list(sets)
 
 
 class TestClusters:

@@ -7,20 +7,26 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from alignrepair import (
     Alignment,
     FragmentError,
+    GeneratorError,
+    GeneratorParams,
     Mapping,
     Relation,
     build_ontology,
     compute_checkset,
     extract_core_fragments,
     fragments_incoherent,
+    generate_instance,
     merged_view,
 )
+from alignrepair.fragments import ReducedEdge
 
-from conftest import brute_entails
+from conftest import brute_entails, brute_reachable
 
 
 def fragment_entails(frags, subset, a, b):
@@ -272,3 +278,53 @@ def test_fragment_reachability_equals_full_for_every_subset():
                 assert fragment_entails(frags, subset, a, b) == reach(a, b)
                 checked += 1
     assert checked > 1000
+
+
+# -- reduced edges against the quadratic covering relation -------------------
+
+
+def _covering_edges(onto, core):
+    """Every (a, b) of core classes of one side with a strictly below b
+    and no core class strictly between, found by comparing all pairs."""
+    closure = brute_reachable(list(onto.subclass_edges))
+    direct = set(onto.subclass_edges)
+    side_core = [c for c in core if c.side == onto.side]
+
+    def below(a, b):
+        return a != b and b in closure.get(a, ())
+
+    return [
+        ReducedEdge(a, b, (a, b) not in direct)
+        for a in side_core
+        for b in side_core
+        if below(a, b) and not any(below(a, k) and below(k, b) for k in side_core)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    classes=st.integers(2, 60),
+    mapped_share=st.floats(0.0, 1.0),
+    disjoints=st.integers(0, 6),
+    noise=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10_000),
+    max_depth=st.integers(1, 12),
+    branching=st.sampled_from([1.0, 1.15, 2.0, 3.0]),
+)
+def test_reduced_edges_equal_the_covering_relation(
+    classes, mapped_share, disjoints, noise, seed, max_depth, branching
+):
+    params = GeneratorParams(
+        classes, int(classes * mapped_share), disjoints, noise, seed, max_depth,
+        branching,
+    )
+    try:
+        o1, o2, produced, _ = generate_instance(params)
+    except GeneratorError:
+        assume(False)
+    frags = extract_core_fragments(o1, o2, produced)
+    expected = sorted(
+        _covering_edges(o1, frags.core_classes) + _covering_edges(o2, frags.core_classes),
+        key=lambda e: (e.child, e.parent),
+    )
+    assert list(frags.reduced_edges) == expected

@@ -19,7 +19,7 @@ from alignrepair import (
 )
 from alignrepair.oracle import _merged_adjacency
 
-from conftest import brute_direct_superclasses, brute_entails
+from conftest import brute_direct_superclasses, brute_entails, brute_reachable
 
 
 class TestBuildOntology:
@@ -49,6 +49,23 @@ class TestBuildOntology:
             build_ontology(
                 1, ["A", "B", "C"], [("A", "B"), ("A", "C")], [("B", "C")]
             )
+
+    def test_incoherence_error_names_first_pair_and_smallest_class(self):
+        # X, Y and Z are under both B and C, A under both D and E.  (B, C)
+        # sorts first; X is its smallest common subclass, though the
+        # deepest.
+        with pytest.raises(OntologyError) as info:
+            build_ontology(
+                1,
+                ["A", "B", "C", "D", "E", "X", "Y", "Z"],
+                [("Y", "B"), ("Y", "C"), ("Z", "Y"), ("X", "Z"),
+                 ("A", "D"), ("A", "E")],
+                [("E", "D"), ("C", "B")],
+            )
+        assert str(info.value) == (
+            "input ontology incoherent: class 'X' is subsumed by disjoint "
+            "classes 'B' and 'C'"
+        )
 
     def test_disjoint_pair_with_subclass_between_rejected(self):
         # B <= C makes B itself incoherent under disjoint(B, C)
@@ -205,6 +222,39 @@ def _random_instance(rng: random.Random):
         seen.add((s.id, t.id, rel.value))
         mappings.append(Mapping(s, t, rel, round(rng.random(), 3)))
     return o1, o2, Alignment(mappings)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_coherence_check_matches_brute_closure(seed):
+    """build_ontology accepts a coherent input, and otherwise names the
+    first disjoint pair in sorted order with its smallest common
+    subclass."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 16)
+    names = [f"c{i:02d}" for i in range(n)]
+    edges = [
+        (names[i], names[rng.randrange(i)])
+        for i in range(1, n)
+        for _ in range(rng.randint(0, 2))
+    ]
+    disjoint = [tuple(rng.sample(names, 2)) for _ in range(rng.randint(1, 4))]
+    closure = brute_reachable(edges)
+    expected = None
+    for a, b in sorted({tuple(sorted(p)) for p in disjoint}):
+        common = [v for v in names if {a, b} <= closure.get(v, {v})]
+        if common:
+            expected = (
+                f"input ontology incoherent: class {min(common)!r} is subsumed "
+                f"by disjoint classes {a!r} and {b!r}"
+            )
+            break
+    if expected is None:
+        build_ontology(1, names, edges, disjoint)  # coherent: must not raise
+    else:
+        with pytest.raises(OntologyError) as info:
+            build_ontology(1, names, edges, disjoint)
+        assert str(info.value) == expected
 
 
 @settings(max_examples=40, deadline=None)
