@@ -220,15 +220,28 @@ def find_conflict_sets(
                 if mask and mask not in found:
                     found[mask] = (start, pair)
 
-    conflict_sets = [
+    # Only minimal masks become ConflictSets.  Visited by popcount, a mask
+    # is dropped when a kept mask is a subset of it; such a mask shares a
+    # bit with it, so only the kept masks holding one of its bits are
+    # compared.  The first witness recorded per mask is its smallest one,
+    # the one ConflictList would keep.
+    minimal: list[int] = []
+    holders: dict[int, list[int]] = {}
+    for mask in sorted(found, key=int.bit_count):
+        bits = list(iter_bits(mask))
+        if any(k & mask == k for i in bits for k in holders.get(i, ())):
+            continue
+        minimal.append(mask)
+        for i in bits:
+            holders.setdefault(i, []).append(mask)
+    return ConflictList(
         ConflictSet(
             mappings=frozenset(mappings[i] for i in iter_bits(mask)),
-            witness_class=witness,
-            witness_pair=pair,
+            witness_class=found[mask][0],
+            witness_pair=found[mask][1],
         )
-        for mask, (witness, pair) in found.items()
-    ]
-    return ConflictList(conflict_sets)
+        for mask in minimal
+    )
 
 
 def _pareto_label_search(

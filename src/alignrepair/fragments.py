@@ -97,16 +97,22 @@ def compute_checkset(view: MergedGraph) -> tuple[ClassId, ...]:
     is itself multi-parent.  All members of a qualifying component are
     included.  Incoherence checks on these classes suffice alongside the
     disjointness endpoints.
+
+    Component ids put every parent before its children, so one pass over
+    descending ids passes "a multi-parent component lies below" from
+    each component to its parents after all its children are done.
     """
-    multi = [
-        c
-        for c in range(view.component_count)
-        if len(view.component_covers(c)) >= 2
-    ]
-    blocked = 0
-    for c in multi:
-        blocked |= view.component_ancestor_mask(c) & ~(1 << c)
-    kept = [c for c in multi if not (blocked >> c) & 1]
+    parents = view.component_parents()
+    multi_below = bytearray(len(parents))
+    kept: list[int] = []
+    for c in range(len(parents) - 1, -1, -1):
+        ps = parents[c]
+        multi = len(ps) >= 2 and len(view.component_covers(c)) >= 2
+        if multi or multi_below[c]:
+            if not multi_below[c]:
+                kept.append(c)
+            for p in ps:
+                multi_below[p] = 1
     return tuple(sorted(cid for c in kept for cid in view.component_members(c)))
 
 
@@ -119,18 +125,23 @@ def _divergence_starts(view: MergedGraph, o1: Ontology, o2: Ontology) -> list[Cl
     elsewhere can mask.  Candidates are pruned to the ontology-minimal
     ones: a candidate below another via pure subclass edges inherits all
     of its incoherences, so only the lower one needs to be searched.
+    One leaves-first pass per ontology marks every class with a
+    candidate strictly below it.
     """
     candidates = [c for c in view.classes if len(view.out_neighbors(c)) >= 2]
     kept: list[ClassId] = []
     for onto in (o1, o2):
         side_cands = [c for c in candidates if c.side == onto.side]
-        blocked = 0
+        is_candidate = bytearray(len(onto))
         for c in side_cands:
-            i = onto.local_index(c.id)
-            blocked |= onto.ancestor_mask(i) & ~(1 << i)
-        for c in side_cands:
-            if not (blocked >> onto.local_index(c.id)) & 1:
-                kept.append(c)
+            is_candidate[onto.local_index(c.id)] = 1
+        below = bytearray(len(onto))
+        parents = onto.local_parents()
+        for v in reversed(onto.roots_first_order()):
+            if is_candidate[v] or below[v]:
+                for p in parents[v]:
+                    below[p] = 1
+        kept.extend(c for c in side_cands if not below[onto.local_index(c.id)])
     return kept
 
 
@@ -143,20 +154,23 @@ def _reduced_edges_for_side(
     the candidates are its core parents plus the nearest core ancestors
     of its other parents, minus any candidate that is a strict ancestor
     of another.  A core class's nearest core ancestors are its covers.
+
+    The strict-ancestor test uses bitmasks over core rank only: a core
+    class's strict core ancestors are its covers plus their own strict
+    core ancestors, known once the pass reaches it.
     """
     if not core_side:
         return []
-    core = {onto.local_index(c.id): c for c in core_side}
-    parents: list[list[int]] = [[] for _ in range(len(onto))]
-    for child, parent in onto.subclass_edges:
-        parents[onto.local_index(child.id)].append(onto.local_index(parent.id))
+    rank = {onto.local_index(c.id): r for r, c in enumerate(core_side)}
+    parents = onto.local_parents()
+    above = [0] * len(core_side)  # strict core ancestors, by core rank
 
     nearest: list[tuple[int, ...]] = [()] * len(onto)
     edges: list[ReducedEdge] = []
     for v in onto.roots_first_order():
         candidates: set[int] = set()
         for p in parents[v]:
-            if p in core:
+            if p in rank:
                 candidates.add(p)
             else:
                 candidates.update(nearest[p])
@@ -164,11 +178,16 @@ def _reduced_edges_for_side(
         if len(parents[v]) > 1 and len(candidates) > 1:
             blocked = 0
             for c in candidates:
-                blocked |= onto.ancestor_mask(c) & ~(1 << c)
-            candidates = {c for c in candidates if not (blocked >> c) & 1}
+                blocked |= above[rank[c]]
+            candidates = {c for c in candidates if not (blocked >> rank[c]) & 1}
         nearest[v] = tuple(candidates)
-        child = core.get(v)
-        if child is not None:
+        r = rank.get(v)
+        if r is not None:
+            mask = 0
+            for j in candidates:
+                mask |= above[rank[j]] | (1 << rank[j])
+            above[r] = mask
+            child = core_side[r]
             edges.extend(
                 ReducedEdge(child, onto.classes[j], j not in parents[v])
                 for j in candidates

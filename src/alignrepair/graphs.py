@@ -1,13 +1,15 @@
-"""Directed-graph primitives: SCC condensation and bitset reachability.
+"""Directed-graph primitives: SCC condensation, topological order and
+upward reachability.
 
 All functions work on integer node ids 0..n-1 with adjacency lists.
-Reachability sets are represented as arbitrary-precision int bitmasks,
-which keeps membership tests and unions at C speed.
+No all-pairs closure is built: reachability is answered by searches or
+by passes over these orders, whose cost grows with the edges visited.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Sequence
 
 
 def tarjan_scc(n: int, adj: list[list[int]]) -> tuple[int, list[int]]:
@@ -15,8 +17,9 @@ def tarjan_scc(n: int, adj: list[list[int]]) -> tuple[int, list[int]]:
 
     Returns (count, comp) where comp[v] is the component id of node v.
     Component ids follow Tarjan's emission order: if a node of component
-    x has an edge into a different component y, then y < x.  A single
-    forward pass over component ids can therefore accumulate closures.
+    x has an edge into a different component y, then y < x.  A pass
+    over descending ids therefore meets every component before its
+    successors, and an ascending pass meets successors first.
     """
     UNVISITED = -1
     index = [UNVISITED] * n
@@ -81,21 +84,6 @@ def condensation_edges(
     return [sorted(s) for s in succ]
 
 
-def closure_masks(count: int, cond_adj: list[list[int]]) -> list[int]:
-    """Reachability bitmasks over a condensation in Tarjan emission order.
-
-    masks[c] has bit d set iff component d is reachable from c (reflexive).
-    Relies on every successor id being smaller than its predecessor's id.
-    """
-    masks: list[int] = []
-    for c in range(count):
-        m = 1 << c
-        for t in cond_adj[c]:
-            m |= masks[t]
-        masks.append(m)
-    return masks
-
-
 def dag_order_roots_first(n: int, parents: list[list[int]]) -> list[int] | None:
     """Topological order with every parent before its children.
 
@@ -123,15 +111,26 @@ def dag_order_roots_first(n: int, parents: list[list[int]]) -> list[int] | None:
     return order
 
 
-def ancestor_masks(n: int, parents: list[list[int]], order: list[int]) -> list[int]:
-    """Reflexive ancestor bitmasks of a DAG given a roots-first order."""
-    anc = [0] * n
-    for v in order:
-        m = 1 << v
-        for p in parents[v]:
-            m |= anc[p]
-        anc[v] = m
-    return anc
+def reaches_upward(
+    parents: Sequence[Sequence[int]], source: int, target: int, floor: int = 0
+) -> bool:
+    """True iff `target` is `source` or one of its ancestors.
+
+    Searches the parent lists upward without entering ids below `floor`.
+    Where every parent has a smaller id than its children, pass the
+    target as the floor: nothing below it can reach back up to it.
+    """
+    seen = {source}
+    stack = [source]
+    while stack:
+        u = stack.pop()
+        if u == target:
+            return True
+        for p in parents[u]:
+            if p >= floor and p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return False
 
 
 def iter_bits(mask: int):

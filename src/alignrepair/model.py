@@ -2,8 +2,9 @@
 
 The merged graph combines the subclass edges of two ontologies with the
 directed edges contributed by an alignment.  Equivalence mappings create
-cycles, so subsumption queries run on the SCC condensation; after
-construction every query costs one bit test.
+cycles, so subsumption queries run on the SCC condensation.  Neither an
+ontology nor the merged graph stores an all-pairs closure: both keep
+parent lists, and queries search upward from them.
 
 All types are immutable once built; any number of threads may query a
 MergedGraph concurrently.
@@ -16,10 +17,9 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .graphs import (
-    ancestor_masks,
-    closure_masks,
     condensation_edges,
     dag_order_roots_first,
+    reaches_upward,
     tarjan_scc,
 )
 
@@ -141,7 +141,7 @@ class Ontology:
 
     Construct via :func:`build_ontology`, which validates that the input
     is acyclic and coherent on its own.  Internal indices give constant
-    time class and reachability lookups.
+    time class lookups; reachability searches the parent lists upward.
     """
 
     __slots__ = (
@@ -151,7 +151,7 @@ class Ontology:
         "disjointness",
         "_index",
         "_order",
-        "_anc",
+        "_parents",
     )
 
     def __init__(
@@ -162,7 +162,7 @@ class Ontology:
         disjointness: tuple[tuple[ClassId, ClassId], ...],
         index: dict[str, int],
         order: tuple[int, ...],
-        anc: list[int],
+        parents: tuple[tuple[int, ...], ...],
     ):
         self.side = side
         self.classes = classes
@@ -170,7 +170,7 @@ class Ontology:
         self.disjointness = disjointness
         self._index = index
         self._order = order
-        self._anc = anc
+        self._parents = parents
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -191,16 +191,12 @@ class Ontology:
 
     def reaches(self, a: ClassId, b: ClassId) -> bool:
         """Reflexive-transitive subclass relation inside this ontology."""
-        ia, ib = self._local(a), self._local(b)
-        return bool((self._anc[ia] >> ib) & 1)
+        return reaches_upward(self._parents, self._local(a), self._local(b))
 
     def _local(self, c: ClassId) -> int:
         if c.side != self.side or c.id not in self._index:
             raise OntologyError(f"class {c.id!r} not in ontology side {self.side}")
         return self._index[c.id]
-
-    def ancestor_mask(self, local_index: int) -> int:
-        return self._anc[local_index]
 
     def local_index(self, name: str) -> int:
         return self._index[name]
@@ -208,6 +204,10 @@ class Ontology:
     def roots_first_order(self) -> tuple[int, ...]:
         """Local indices with every superclass before its subclasses."""
         return self._order
+
+    def local_parents(self) -> tuple[tuple[int, ...], ...]:
+        """Direct superclasses of every class, as sorted local indices."""
+        return self._parents
 
 
 def build_ontology(
@@ -260,7 +260,6 @@ def build_ontology(
         raise OntologyError(
             f"subclass cycle in ontology side {side} (involves {names[in_cycle]!r})"
         )
-    anc = ancestor_masks(n, parents, order)
     _check_coherent(names, parents, disjoint_set)
 
     class_ids = tuple(ClassId(name, side) for name in names)
@@ -271,7 +270,15 @@ def build_ontology(
         tuple(sorted((class_ids[ia], class_ids[ib])))
         for ia, ib in sorted(disjoint_set)
     )
-    return Ontology(side, class_ids, edges, disjoint_pairs, index, tuple(order), anc)
+    return Ontology(
+        side,
+        class_ids,
+        edges,
+        disjoint_pairs,
+        index,
+        tuple(order),
+        tuple(tuple(ps) for ps in parents),
+    )
 
 
 def _check_coherent(
@@ -345,8 +352,9 @@ class MergedGraph:
     Nodes are all classes of both sides; edges are the ontology subclass
     edges plus the directed edges induced by each mapping (two for an
     equivalence, one for a subsumption).  Queries run on the SCC
-    condensation, whose reachability closure is precomputed as bitmasks.
-    Lazy caches are filled idempotently, so concurrent readers are safe.
+    condensation, whose component ids put every parent before its
+    children (smaller id), so upward searches can skip lower ids.  Lazy
+    caches are filled idempotently, so concurrent readers are safe.
     """
 
     __slots__ = (
@@ -360,7 +368,6 @@ class MergedGraph:
         "_comp",
         "_comp_count",
         "_comp_members",
-        "_anc",
         "_cond_parents",
         "_cond_children",
         "_covers_cache",
@@ -403,9 +410,9 @@ class MergedGraph:
 
         self._adj: list[list[int]] = [sorted(s) for s in adj]
         self._comp_count, self._comp = tarjan_scc(n, self._adj)
-        cond = condensation_edges(n, self._adj, self._comp, self._comp_count)
-        self._anc = closure_masks(self._comp_count, cond)
-        self._cond_parents = cond
+        self._cond_parents = condensation_edges(
+            n, self._adj, self._comp, self._comp_count
+        )
 
         members: list[list[ClassId]] = [[] for _ in range(self._comp_count)]
         for i, c in enumerate(self.classes):
@@ -446,9 +453,11 @@ class MergedGraph:
     def component_members(self, comp: int) -> tuple[ClassId, ...]:
         return self._comp_members[comp]
 
-    def component_ancestor_mask(self, comp: int) -> int:
-        """Bitmask of components reachable from `comp` (reflexive)."""
-        return self._anc[comp]
+    def component_parents(self) -> list[list[int]]:
+        """Direct successors of every component in the condensation, in
+        ascending order; each has a smaller id than its component.  The
+        lists are shared: do not modify them."""
+        return self._cond_parents
 
     def components_below(self, comp: int) -> frozenset[int]:
         """Components from which `comp` is reachable (reflexive)."""
@@ -473,7 +482,10 @@ class MergedGraph:
 
         A parent component q is a cover unless another parent sits
         strictly between comp and q, so with fewer than two parents the
-        parents are the covers.
+        parents are the covers.  Otherwise one upward search from the
+        parents' parents finds the parents that lie above another one;
+        it skips ids below the smallest parent, since nothing there
+        reaches back up to a parent.
         """
         parents = self._cond_parents[comp]
         if len(parents) < 2:
@@ -481,10 +493,19 @@ class MergedGraph:
         cached = self._covers_cache.get(comp)
         if cached is not None:
             return cached
-        blocked = 0
-        for q in parents:
-            blocked |= self._anc[q] & ~(1 << q)
-        covers = tuple(q for q in parents if not (blocked >> q) & 1)
+        cond_parents = self._cond_parents
+        floor = parents[0]
+        seen: set[int] = set()
+        stack = [g for q in parents for g in cond_parents[q] if g >= floor]
+        while stack:
+            u = stack.pop()
+            if u in seen:
+                continue
+            seen.add(u)
+            stack.extend(
+                g for g in cond_parents[u] if g >= floor and g not in seen
+            )
+        covers = tuple(q for q in parents if q not in seen)
         self._covers_cache[comp] = covers
         return covers
 
@@ -494,7 +515,7 @@ class MergedGraph:
         """True iff a is (reflexively, transitively) subsumed by b."""
         ca = self._comp[self._node(a)]
         cb = self._comp[self._node(b)]
-        return bool((self._anc[ca] >> cb) & 1)
+        return reaches_upward(self._cond_parents, ca, cb, floor=cb)
 
     def direct_superclasses(self, a: ClassId) -> tuple[ClassId, ...]:
         """Representatives of the components covering a's component.

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .conflicts import ConflictList, count_incoherent_classes, find_conflict_sets
 from .fragments import CoreFragments, extract_core_fragments
-from .model import Alignment, MergedGraph, Ontology, merged_view
+from .model import Alignment, Ontology, merged_view
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,6 @@ class Analysis:
     seconds; "merge" includes counting the incoherent classes.
     """
 
-    view: MergedGraph
     incoherent_before: int
     fragments: CoreFragments
     conflicts: ConflictList
@@ -39,7 +38,6 @@ def analyze(o1: Ontology, o2: Ontology, alignment: Alignment) -> Analysis:
     conflicts = find_conflict_sets(fragments, fragments.checkset, alignment)
     done = time.perf_counter()
     return Analysis(
-        view=view,
         incoherent_before=incoherent_before,
         fragments=fragments,
         conflicts=conflicts,

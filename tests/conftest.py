@@ -13,15 +13,20 @@ from collections import deque
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from alignrepair import (
     Alignment,
     ClassId,
     ConflictList,
     ConflictSet,
+    GeneratorError,
+    GeneratorParams,
     Mapping,
     Relation,
     build_ontology,
+    generate_instance,
 )
 
 
@@ -98,6 +103,27 @@ def f3():
         list("ABCDEF"),
         [("B", "A"), ("C", "A"), ("D", "B"), ("D", "C"), ("E", "D"), ("E", "F")],
     )
+
+
+@st.composite
+def generated_instances(draw):
+    """(o1, o2, produced) of a small generator instance; parameter draws
+    the generator cannot satisfy are rejected."""
+    classes = draw(st.integers(2, 60))
+    params = GeneratorParams(
+        classes,
+        int(classes * draw(st.floats(0.0, 1.0))),
+        draw(st.integers(0, 6)),
+        draw(st.floats(0.0, 1.0)),
+        draw(st.integers(0, 10_000)),
+        draw(st.integers(1, 12)),
+        draw(st.sampled_from([1.0, 1.15, 2.0, 3.0])),
+    )
+    try:
+        o1, o2, produced, _ = generate_instance(params)
+    except GeneratorError:
+        assume(False)
+    return o1, o2, produced
 
 
 # -- brute-force oracles ---------------------------------------------------

@@ -7,26 +7,27 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from alignrepair import (
     Alignment,
     FragmentError,
-    GeneratorError,
-    GeneratorParams,
     Mapping,
     Relation,
     build_ontology,
     compute_checkset,
     extract_core_fragments,
     fragments_incoherent,
-    generate_instance,
     merged_view,
 )
 from alignrepair.fragments import ReducedEdge
 
-from conftest import brute_entails, brute_reachable
+from conftest import (
+    brute_entails,
+    brute_reachable,
+    generated_instances,
+    merged_edge_list,
+)
 
 
 def fragment_entails(frags, subset, a, b):
@@ -302,29 +303,80 @@ def _covering_edges(onto, core):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    classes=st.integers(2, 60),
-    mapped_share=st.floats(0.0, 1.0),
-    disjoints=st.integers(0, 6),
-    noise=st.floats(0.0, 1.0),
-    seed=st.integers(0, 10_000),
-    max_depth=st.integers(1, 12),
-    branching=st.sampled_from([1.0, 1.15, 2.0, 3.0]),
-)
-def test_reduced_edges_equal_the_covering_relation(
-    classes, mapped_share, disjoints, noise, seed, max_depth, branching
-):
-    params = GeneratorParams(
-        classes, int(classes * mapped_share), disjoints, noise, seed, max_depth,
-        branching,
-    )
-    try:
-        o1, o2, produced, _ = generate_instance(params)
-    except GeneratorError:
-        assume(False)
+@given(generated_instances())
+def test_reduced_edges_equal_the_covering_relation(instance):
+    o1, o2, produced = instance
     frags = extract_core_fragments(o1, o2, produced)
     expected = sorted(
         _covering_edges(o1, frags.core_classes) + _covering_edges(o2, frags.core_classes),
         key=lambda e: (e.child, e.parent),
     )
     assert list(frags.reduced_edges) == expected
+
+
+# -- checkset and start classes against their definitions -------------------
+
+
+def _brute_checkset(o1, o2, mappings):
+    """Multi-cover classes of the merged graph with no multi-cover class
+    strictly below them, found by comparing all pairs.
+
+    Two classes share a component iff they reach the same classes, so a
+    class's covering components are its covers grouped by that set.
+    """
+    closure = brute_reachable(merged_edge_list(o1, o2, mappings))
+    classes = list(o1.classes) + list(o2.classes)
+
+    def up(a):
+        return closure.get(a, {a})
+
+    def strictly_below(a, b):
+        return b in up(a) and a not in up(b)
+
+    multi = set()
+    for a in classes:
+        above = [b for b in up(a) if strictly_below(a, b)]
+        covers = [
+            b for b in above if not any(strictly_below(c, b) for c in above)
+        ]
+        if len({frozenset(up(b)) for b in covers}) >= 2:
+            multi.add(a)
+    return sorted(
+        a for a in multi if not any(strictly_below(x, a) for x in multi)
+    )
+
+
+def _brute_divergence_starts(o1, o2, mappings):
+    """Classes with two distinct merged-graph successors, minus those
+    with another such class strictly below them in their own ontology."""
+    successors = {}
+    for a, b in merged_edge_list(o1, o2, mappings):
+        successors.setdefault(a, set()).add(b)
+    kept = []
+    for onto in (o1, o2):
+        closure = brute_reachable(list(onto.subclass_edges))
+        candidates = [c for c in onto.classes if len(successors.get(c, ())) >= 2]
+        kept.extend(
+            c
+            for c in candidates
+            if not any(d != c and c in closure.get(d, ()) for d in candidates)
+        )
+    return kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_instances())
+def test_checkset_matches_its_definition(instance):
+    o1, o2, produced = instance
+    view = merged_view(o1, o2, produced)
+    assert list(compute_checkset(view)) == _brute_checkset(o1, o2, produced)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_instances())
+def test_start_classes_match_the_divergence_pruning(instance):
+    o1, o2, produced = instance
+    frags = extract_core_fragments(o1, o2, produced)
+    expected = set(_brute_checkset(o1, o2, produced))
+    expected.update(_brute_divergence_starts(o1, o2, produced))
+    assert list(frags.start_classes) == sorted(expected)

@@ -3,8 +3,6 @@
 import random
 
 from alignrepair.graphs import (
-    ancestor_masks,
-    closure_masks,
     condensation_edges,
     dag_order_roots_first,
     iter_bits,
@@ -39,7 +37,10 @@ def test_tarjan_two_cycles_and_bridge():
     assert comp[2] < comp[0]
 
 
-def test_closure_matches_naive_on_random_graphs():
+def test_condensation_reachability_matches_naive_on_random_graphs():
+    """Reachability over the condensation equals node reachability, and
+    every condensation edge points to a smaller component id, which the
+    single-pass queries over component ids rely on."""
     rng = random.Random(42)
     for _ in range(30):
         n = rng.randint(1, 40)
@@ -48,12 +49,14 @@ def test_closure_matches_naive_on_random_graphs():
             adj[rng.randrange(n)].append(rng.randrange(n))
         count, comp = tarjan_scc(n, adj)
         cond = condensation_edges(n, adj, comp, count)
-        masks = closure_masks(count, cond)
+        for c, succ in enumerate(cond):
+            assert all(d < c for d in succ), (c, succ)
+        comp_reach = naive_reachable(count, cond)
         reach = naive_reachable(n, adj)
         for u in range(n):
             for v in range(n):
                 expected = v in reach[u]
-                got = bool((masks[comp[u]] >> comp[v]) & 1)
+                got = comp[v] in comp_reach[comp[u]]
                 assert got == expected, (u, v)
 
 
@@ -61,15 +64,6 @@ def test_dag_order_detects_cycles():
     assert dag_order_roots_first(2, [[1], [0]]) is None
     order = dag_order_roots_first(3, [[], [0], [1]])
     assert order == [0, 1, 2]
-
-
-def test_ancestor_masks_reflexive_and_transitive():
-    parents = [[], [0], [1], [1]]
-    order = dag_order_roots_first(4, parents)
-    anc = ancestor_masks(4, parents, order)
-    assert anc[0] == 0b0001
-    assert anc[2] == 0b0111
-    assert anc[3] == 0b1011
 
 
 def test_iter_bits():

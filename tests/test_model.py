@@ -19,7 +19,12 @@ from alignrepair import (
 )
 from alignrepair.oracle import _merged_adjacency
 
-from conftest import brute_direct_superclasses, brute_entails, brute_reachable
+from conftest import (
+    brute_direct_superclasses,
+    brute_entails,
+    brute_reachable,
+    generated_instances,
+)
 
 
 class TestBuildOntology:
@@ -255,6 +260,17 @@ def test_coherence_check_matches_brute_closure(seed):
         with pytest.raises(OntologyError) as info:
             build_ontology(1, names, edges, disjoint)
         assert str(info.value) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_instances())
+def test_ontology_reaches_matches_brute_closure(instance):
+    for onto in instance[:2]:
+        closure = brute_reachable(list(onto.subclass_edges))
+        for a in onto.classes:
+            for b in onto.classes:
+                expected = a == b or b in closure.get(a, ())
+                assert onto.reaches(a, b) == expected, (a, b)
 
 
 @settings(max_examples=40, deadline=None)
