@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .conflicts import (
@@ -79,10 +80,10 @@ def _fragment_section(o1, o2, fragments) -> dict:
     total = len(o1) + len(o2)
     return {
         "total_classes": total,
-        "core_classes": len(fragments.core_classes),
-        "core_pct": _pct(len(fragments.core_classes), total),
-        "checkset": len(fragments.checkset),
-        "checkset_pct": _pct(len(fragments.checkset), total),
+        "core_classes": len(fragments.core),
+        "core_pct": _pct(len(fragments.core), total),
+        "checkset": len(fragments.checkset_ranks),
+        "checkset_pct": _pct(len(fragments.checkset_ranks), total),
     }
 
 
@@ -215,15 +216,7 @@ def _cmd_gen(args) -> int:
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "task": "gen",
-        "params": {
-            "classes_per_side": params.classes_per_side,
-            "mapping_count": params.mapping_count,
-            "disjoint_pairs": params.disjoint_pairs,
-            "noise_rate": params.noise_rate,
-            "seed": params.seed,
-            "max_depth": params.max_depth,
-            "branching": params.branching,
-        },
+        "params": asdict(params),
         "files": ["onto1.txt", "onto2.txt", "produced.tsv", "reference.tsv"],
     }
     (out / "params.json").write_text(

@@ -154,71 +154,66 @@ def find_conflict_sets(
     the disjointness endpoints.  One backward label search per endpoint
     yields the minimal label sets from every node to that endpoint; a
     witness's conflict candidates are then unions over its entries for
-    the two members of a pair.  `max_work` caps the total work of the
-    call: every label set the searches insert and every path pair a
-    witness combines spend one step of one shared budget; exhausting it
-    raises EnumerationCapExceeded.
+    the two members of a pair, so only nodes in both endpoints' label
+    maps are tried.  `max_work` caps the total work of the call: every
+    label set the searches insert and every path pair a witness combines
+    spend one step of one shared budget; exhausting it raises
+    EnumerationCapExceeded.
     """
-    if not fragments.disjoint_pairs or not len(alignment):
+    if not fragments.pairs or not len(alignment):
         return ConflictList()
 
     mappings = sorted(alignment, key=lambda m: m.key)
-    node_of = fragments._node_index
-    n = len(fragments.core_classes)
 
-    # Reverse labeled graph: reduced edges carry no label (-1), mapping
-    # edges the mapping's index.  Parallel edges with distinct labels all
-    # matter.
-    radj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e in fragments.reduced_edges:
-        radj[node_of[e.parent]].append((node_of[e.child], -1))
+    # Reverse labeled graph on core ranks: reduced edges carry no label
+    # (-1), mapping edges the mapping's index.  Parallel edges with
+    # distinct labels all matter.
+    radj: list[list[tuple[int, int]]] = [[] for _ in fragments.core]
+    for child, parent, _ in fragments.edges:
+        radj[parent].append((child, -1))
     for mi, m in enumerate(mappings):
-        if m.source not in node_of or m.target not in node_of:
+        if m.source not in fragments or m.target not in fragments:
             raise ValueError(
                 f"alignment mapping {m.describe()!r} has a non-core endpoint; "
                 "fragments were extracted from a different alignment"
             )
         for sub, sup in m.edges():
-            radj[node_of[sup]].append((node_of[sub], mi))
+            radj[fragments.rank(sup)].append((fragments.rank(sub), mi))
 
-    endpoint_nodes = sorted(
-        {node_of[c] for pair in fragments.disjoint_pairs for c in pair}
-    )
     # states_to[e][v] = antichain of minimal label sets of walks v -> e
     budget = max_work
     states_to: dict[int, dict[int, list[int]]] = {}
-    for e in endpoint_nodes:
+    for e in sorted({r for pair in fragments.pairs for r in pair}):
         states_to[e], budget = _pareto_label_search(radj, e, budget)
 
-    start_classes = sorted(
-        set(fragments.start_classes)
-        | set(checkset)
-        | {c for pair in fragments.disjoint_pairs for c in pair}
+    starts = set(fragments.starts).union(r for pair in fragments.pairs for r in pair)
+    if checkset is not fragments.checkset:  # that one is in the starts
+        starts.update(map(fragments._require, checkset))
+    # Witnesses in (start, pair) order, so each mask keeps the first, and
+    # smallest, witness that yields it.
+    witnesses = sorted(
+        (s, pi, a, b)
+        for pi, (a, b) in enumerate(fragments.pairs)
+        for s in starts.intersection(states_to[a].keys() & states_to[b].keys())
     )
-
-    found: dict[int, tuple[ClassId, tuple[ClassId, ClassId]]] = {}
-    for start in start_classes:
-        s_idx = node_of[start]
-        for pair in fragments.disjoint_pairs:
-            sets_a = states_to[node_of[pair[0]]].get(s_idx)
-            if not sets_a:
-                continue
-            sets_b = states_to[node_of[pair[1]]].get(s_idx)
-            if not sets_b:
-                continue
-            budget -= len(sets_a) * len(sets_b)
-            if budget < 0:
-                raise EnumerationCapExceeded(
-                    f"witness ({start.id}, {pair[0].id}|{pair[1].id}) exhausts "
-                    f"the budget of {max_work} steps with its path pairs"
-                )
-            witness_masks: list[int] = []
-            for ma in sets_a:
-                for mb in sets_b:
-                    _insert_minimal(witness_masks, ma | mb)
-            for mask in witness_masks:
-                if mask and mask not in found:
-                    found[mask] = (start, pair)
+    name, core = fragments.ids.names, fragments.core
+    found: dict[int, tuple[int, int, int]] = {}
+    for s, _, a, b in witnesses:
+        sets_a = states_to[a][s]
+        sets_b = states_to[b][s]
+        budget -= len(sets_a) * len(sets_b)
+        if budget < 0:
+            raise EnumerationCapExceeded(
+                f"witness ({name[core[s]]}, {name[core[a]]}|{name[core[b]]}) "
+                f"exhausts the budget of {max_work} steps with its path pairs"
+            )
+        witness_masks: list[int] = []
+        for ma in sets_a:
+            for mb in sets_b:
+                _insert_minimal(witness_masks, ma | mb)
+        for mask in witness_masks:
+            if mask and mask not in found:
+                found[mask] = (s, a, b)
 
     # Only minimal masks become ConflictSets.  Visited by popcount, a mask
     # is dropped when a kept mask is a subset of it; such a mask shares a
@@ -234,11 +229,12 @@ def find_conflict_sets(
         minimal.append(mask)
         for i in bits:
             holders.setdefault(i, []).append(mask)
+    at = fragments.ids.class_at
     return ConflictList(
         ConflictSet(
             mappings=frozenset(mappings[i] for i in iter_bits(mask)),
-            witness_class=found[mask][0],
-            witness_pair=found[mask][1],
+            witness_class=at(core[found[mask][0]]),
+            witness_pair=(at(core[found[mask][1]]), at(core[found[mask][2]])),
         )
         for mask in minimal
     )
@@ -315,16 +311,11 @@ def disjoint_conflict_clusters(conflicts: Sequence[ConflictSet]) -> tuple[Cluste
 
 def count_incoherent_classes(view: MergedGraph) -> tuple[int, tuple[ClassId, ...]]:
     """All classes entailed to sit under both members of a disjoint pair."""
-    bad_comps: set[int] = set()
-    for a, b in view.disjoint_pairs:
-        below_a = view.components_below(view.component_of(a))
-        below_b = view.components_below(view.component_of(b))
-        bad_comps |= below_a & below_b
-    bad: list[ClassId] = []
-    for comp in bad_comps:
-        bad.extend(view.component_members(comp))
-    ordered = tuple(sorted(bad))
-    return len(ordered), ordered
+    bad: set[int] = set()
+    for a, b in view.ids.disjoint:
+        bad |= view.nodes_below(a) & view.nodes_below(b)
+    ordered = sorted(bad)
+    return len(ordered), tuple(map(view.ids.class_at, ordered))
 
 
 def conflict_statistics(conflicts: ConflictList) -> dict:

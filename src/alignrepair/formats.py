@@ -39,33 +39,34 @@ def parse_ontology_file(text: str, side: int) -> Ontology:
     edges: list[tuple[str, str]] = []
     disjoint: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        tokens = line.split()
         keyword = tokens[0]
-        args = tokens[1:]
-        if keyword == "CLASS":
-            if len(args) != 1:
-                raise FormatError(f"line {lineno}: CLASS takes one id")
-            classes.append(args[0])
+        arity = len(tokens)
+        if keyword == "SUBCLASS" and arity == 3:
+            edges.append((tokens[1], tokens[2]))
+        elif keyword == "CLASS" and arity == 2:
+            classes.append(tokens[1])
+        elif keyword == "DISJOINT" and arity == 3:
+            disjoint.append((tokens[1], tokens[2]))
+        elif keyword == "CLASS":
+            raise FormatError(f"line {lineno}: CLASS takes one id")
         elif keyword == "SUBCLASS":
-            if len(args) != 2:
-                raise FormatError(f"line {lineno}: SUBCLASS takes child and parent")
-            edges.append((args[0], args[1]))
+            raise FormatError(f"line {lineno}: SUBCLASS takes child and parent")
         elif keyword == "DISJOINT":
-            if len(args) != 2:
-                raise FormatError(f"line {lineno}: DISJOINT takes two ids")
-            disjoint.append((args[0], args[1]))
+            raise FormatError(f"line {lineno}: DISJOINT takes two ids")
         else:
             raise FormatError(f"line {lineno}: unknown statement {keyword!r}")
     return build_ontology(side, classes, edges, disjoint)
 
 
 def write_ontology_file(onto: Ontology) -> str:
-    lines = [f"CLASS {c.id}" for c in onto.classes]
-    lines += [f"SUBCLASS {child.id} {parent.id}" for child, parent in onto.subclass_edges]
-    lines += [f"DISJOINT {a.id} {b.id}" for a, b in onto.disjointness]
+    names = onto.names
+    lines = [f"CLASS {name}" for name in names]
+    lines += [f"SUBCLASS {names[c]} {names[p]}"
+              for c, ps in enumerate(onto.parents) for p in ps]
+    lines += [f"DISJOINT {names[a]} {names[b]}" for a, b in onto.disjoint]
     return "\n".join(lines) + "\n"
 
 

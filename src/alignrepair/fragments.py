@@ -6,19 +6,22 @@ the checkset (subsumption-minimal multi-parent classes), and the conflict
 search entry points.  Reduced edges compress mapping-free paths between
 core classes of one side, so that for every alignment subset M' the
 fragment graph plus M' infers exactly the same subsumptions between core
-classes as the full merged graph plus M'.
+classes as the full merged graph plus M'.  Extraction runs on the merged
+view's global ids and the ontologies' local ids.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
+from .graphs import reachable
 from .model import (
     Alignment,
     ClassId,
+    GlobalIds,
     Mapping,
     MergedGraph,
     ModelError,
@@ -41,47 +44,76 @@ class ReducedEdge(NamedTuple):
 class CoreFragments:
     """Reduced per-side hierarchies over the core classes.
 
-    `reduced_edges` carry no mapping edges; conflict search re-adds the
-    edges of each candidate mapping subset.  `start_classes` are the
-    entry points for conflict enumeration (checkset plus divergence
-    classes; see extract_core_fragments), so `checkset` is a subset of
-    them.
+    The engine fields hold ints.  `core` lists the core classes' global
+    ids in ascending (name) order; the other fields name a core class by
+    its rank in `core`.  `edges` are (child, parent, via_path) and carry
+    no mapping edges; conflict search re-adds the edges of each candidate
+    mapping subset.  `starts` are the entry points for conflict
+    enumeration (checkset plus divergence classes; see
+    extract_core_fragments), so they contain `checkset_ranks`.  The
+    ClassId views of these fields are built on first use.
     """
 
-    core_classes: tuple[ClassId, ...]
-    reduced_edges: tuple[ReducedEdge, ...]
-    disjoint_pairs: tuple[tuple[ClassId, ClassId], ...]
-    start_classes: tuple[ClassId, ...]
-    checkset: tuple[ClassId, ...]
+    ids: GlobalIds
+    core: tuple[int, ...]
+    edges: tuple[tuple[int, int, bool], ...]
+    pairs: tuple[tuple[int, int], ...]
+    starts: tuple[int, ...]
+    checkset_ranks: tuple[int, ...]
+
+    @cached_property
+    def core_classes(self) -> tuple[ClassId, ...]:
+        return tuple(map(self.ids.class_at, self.core))
+
+    @cached_property
+    def reduced_edges(self) -> tuple[ReducedEdge, ...]:
+        cls = self.core_classes
+        return tuple(ReducedEdge(cls[c], cls[p], via) for c, p, via in self.edges)
+
+    @cached_property
+    def disjoint_pairs(self) -> tuple[tuple[ClassId, ClassId], ...]:
+        cls = self.core_classes
+        return tuple((cls[a], cls[b]) for a, b in self.pairs)
+
+    @cached_property
+    def start_classes(self) -> tuple[ClassId, ...]:
+        return tuple(self.core_classes[r] for r in self.starts)
+
+    @cached_property
+    def checkset(self) -> tuple[ClassId, ...]:
+        return tuple(self.core_classes[r] for r in self.checkset_ranks)
 
     @property
     def edge_provenance(self) -> dict[tuple[ClassId, ClassId], bool]:
         """(child, parent) -> whether the edge abbreviates a longer path."""
         return {(e.child, e.parent): e.via_path for e in self.reduced_edges}
 
-    def __contains__(self, c: ClassId) -> bool:
-        return c in self._node_index
+    def rank(self, c: ClassId) -> int | None:
+        """Position of a class in `core`, or None for a non-core class."""
+        try:
+            r = bisect_left(self.core, g := self.ids.node(c))
+        except ModelError:
+            return None
+        return r if r < len(self.core) and self.core[r] == g else None
 
-    @cached_property
-    def _node_index(self) -> dict[ClassId, int]:
-        return {c: i for i, c in enumerate(self.core_classes)}
+    def __contains__(self, c: ClassId) -> bool:
+        return self.rank(c) is not None
 
     @cached_property
     def _ontology_radj(self) -> list[list[int]]:
-        idx = self._node_index
-        radj: list[list[int]] = [[] for _ in self.core_classes]
-        for e in self.reduced_edges:
-            radj[idx[e.parent]].append(idx[e.child])
+        radj: list[list[int]] = [[] for _ in self.core]
+        for child, parent, _ in self.edges:
+            radj[parent].append(child)
         return radj
 
     def _require(self, c: ClassId) -> int:
-        i = self._node_index.get(c)
-        if i is None:
+        r = self.rank(c)
+        if r is None:
             raise FragmentError(f"class {c.id!r} is not a core class")
-        return i
+        return r
 
     def subset_edges(self, subset: Iterable[Mapping]) -> list[tuple[int, int]]:
-        """Directed node-index edges contributed by a mapping subset."""
+        """Directed core-rank edges contributed by a mapping subset."""
         return [
             (self._require(sub), self._require(sup))
             for m in subset
@@ -97,6 +129,12 @@ def compute_checkset(view: MergedGraph) -> tuple[ClassId, ...]:
     is itself multi-parent.  All members of a qualifying component are
     included.  Incoherence checks on these classes suffice alongside the
     disjointness endpoints.
+    """
+    return tuple(map(view.ids.class_at, _checkset_ids(view)))
+
+
+def _checkset_ids(view: MergedGraph) -> list[int]:
+    """The checkset as ascending global ids.
 
     Component ids put every parent before its children, so one pass over
     descending ids passes "a multi-parent component lies below" from
@@ -104,20 +142,20 @@ def compute_checkset(view: MergedGraph) -> tuple[ClassId, ...]:
     """
     parents = view.component_parents()
     multi_below = bytearray(len(parents))
-    kept: list[int] = []
+    kept: set[int] = set()
     for c in range(len(parents) - 1, -1, -1):
         ps = parents[c]
         multi = len(ps) >= 2 and len(view.component_covers(c)) >= 2
         if multi or multi_below[c]:
             if not multi_below[c]:
-                kept.append(c)
+                kept.add(c)
             for p in ps:
                 multi_below[p] = 1
-    return tuple(sorted(cid for c in kept for cid in view.component_members(c)))
+    return view.members_of(kept)
 
 
-def _divergence_starts(view: MergedGraph, o1: Ontology, o2: Ontology) -> list[ClassId]:
-    """Conflict-search entry points beyond the checkset.
+def _divergence_starts(view: MergedGraph, o1: Ontology, o2: Ontology) -> list[int]:
+    """Conflict-search entry points beyond the checkset, as global ids.
 
     Any class where two upward walks can split has at least two distinct
     out-neighbors in the merged graph; that property survives restriction
@@ -128,27 +166,23 @@ def _divergence_starts(view: MergedGraph, o1: Ontology, o2: Ontology) -> list[Cl
     One leaves-first pass per ontology marks every class with a
     candidate strictly below it.
     """
-    candidates = [c for c in view.classes if len(view.out_neighbors(c)) >= 2]
-    kept: list[ClassId] = []
-    for onto in (o1, o2):
-        side_cands = [c for c in candidates if c.side == onto.side]
-        is_candidate = bytearray(len(onto))
-        for c in side_cands:
-            is_candidate[onto.local_index(c.id)] = 1
+    kept: list[int] = []
+    for onto, glob in zip((o1, o2), view.ids.glob):
+        is_candidate = [len(view.adj[g]) >= 2 for g in glob]
         below = bytearray(len(onto))
-        parents = onto.local_parents()
-        for v in reversed(onto.roots_first_order()):
+        for v in reversed(onto.order):
             if is_candidate[v] or below[v]:
-                for p in parents[v]:
+                for p in onto.parents[v]:
                     below[p] = 1
-        kept.extend(c for c in side_cands if not below[onto.local_index(c.id)])
+        kept.extend(g for g, c, b in zip(glob, is_candidate, below) if c and not b)
     return kept
 
 
 def _reduced_edges_for_side(
-    onto: Ontology, core_side: list[ClassId]
-) -> list[ReducedEdge]:
-    """Covering relation of ontology-only reachability restricted to core.
+    onto: Ontology, core_side: list[int]
+) -> list[tuple[int, int, bool]]:
+    """Covering relation of ontology-only reachability restricted to core,
+    as (child, parent, via_path) over the ascending local ids `core_side`.
 
     One roots-first pass gives every class its nearest core ancestors:
     the candidates are its core parents plus the nearest core ancestors
@@ -161,13 +195,13 @@ def _reduced_edges_for_side(
     """
     if not core_side:
         return []
-    rank = {onto.local_index(c.id): r for r, c in enumerate(core_side)}
-    parents = onto.local_parents()
+    rank = {v: r for r, v in enumerate(core_side)}
+    parents = onto.parents
     above = [0] * len(core_side)  # strict core ancestors, by core rank
 
     nearest: list[tuple[int, ...]] = [()] * len(onto)
-    edges: list[ReducedEdge] = []
-    for v in onto.roots_first_order():
+    edges: list[tuple[int, int, bool]] = []
+    for v in onto.order:
         candidates: set[int] = set()
         for p in parents[v]:
             if p in rank:
@@ -187,11 +221,7 @@ def _reduced_edges_for_side(
             for j in candidates:
                 mask |= above[rank[j]] | (1 << rank[j])
             above[r] = mask
-            child = core_side[r]
-            edges.extend(
-                ReducedEdge(child, onto.classes[j], j not in parents[v])
-                for j in candidates
-            )
+            edges.extend((v, j, j not in parents[v]) for j in candidates)
     return edges
 
 
@@ -208,30 +238,33 @@ def extract_core_fragments(
     """
     if view is None:
         view = merged_view(o1, o2, alignment)
-    checkset = compute_checkset(view)
-    starts = sorted(set(checkset) | set(_divergence_starts(view, o1, o2)))
+    ids = view.ids
+    checkset = _checkset_ids(view)
+    starts = set(checkset).union(_divergence_starts(view, o1, o2))
 
-    core: set[ClassId] = set(starts)
-    for a, b in view.disjoint_pairs:
-        core.add(a)
-        core.add(b)
-    for m in alignment:
-        core.add(m.source)
-        core.add(m.target)
+    core = starts.union(g for pair in ids.disjoint for g in pair)
+    core.update(ids.node(c) for m in alignment for c in (m.source, m.target))
+    core_ids = sorted(core)
+    rank = {g: r for r, g in enumerate(core_ids)}
 
-    core_sorted = sorted(core)
-    edges: list[ReducedEdge] = []
-    for onto in (o1, o2):
-        side_core = [c for c in core_sorted if c.side == onto.side]
-        edges.extend(_reduced_edges_for_side(onto, side_core))
-    edges.sort(key=lambda e: (e.child, e.parent))
+    by_side: tuple[list[int], list[int]] = ([], [])
+    for g in core_ids:
+        side, local = ids.locate(g)
+        by_side[side - 1].append(local)
+    edges = [
+        (rank[glob[c]], rank[glob[p]], via)
+        for onto, side_core, glob in zip((o1, o2), by_side, ids.glob)
+        for c, p, via in _reduced_edges_for_side(onto, side_core)
+    ]
+    edges.sort()
 
     return CoreFragments(
-        core_classes=tuple(core_sorted),
-        reduced_edges=tuple(edges),
-        disjoint_pairs=view.disjoint_pairs,
-        start_classes=tuple(starts),
-        checkset=checkset,
+        ids=ids,
+        core=tuple(core_ids),
+        edges=tuple(edges),
+        pairs=tuple((rank[a], rank[b]) for a, b in ids.disjoint),
+        starts=tuple(sorted(rank[g] for g in starts)),
+        checkset_ranks=tuple(rank[g] for g in checkset),
     )
 
 
@@ -240,30 +273,13 @@ def fragments_incoherent(
 ) -> bool:
     """True iff some core class lands under both members of a disjoint pair
     when the subset's mapping edges are added to the reduced structure."""
-    if not fragments.disjoint_pairs:
+    if not fragments.pairs:
         return False
     extra_down: dict[int, list[int]] = {}
     for u, v in fragments.subset_edges(subset):
         extra_down.setdefault(v, []).append(u)
     radj = fragments._ontology_radj
-    idx = fragments._node_index
-
-    def descendants(start: int) -> set[int]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in radj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-            for v in extra_down.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
-
-    for a, b in fragments.disjoint_pairs:
-        if descendants(idx[a]) & descendants(idx[b]):
-            return True
-    return False
+    return any(
+        reachable(radj, a, extra_down) & reachable(radj, b, extra_down)
+        for a, b in fragments.pairs
+    )

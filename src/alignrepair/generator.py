@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .conflicts import count_incoherent_classes
+from .graphs import reachable
 from .model import (
     Alignment,
     Mapping,
@@ -69,15 +70,7 @@ class _Side:
     pair_indices: list[tuple[int, int]]
 
     def cone(self, node: int) -> list[int]:
-        seen = {node}
-        stack = [node]
-        while stack:
-            v = stack.pop()
-            for c in self.children[v]:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        return sorted(seen)
+        return sorted(reachable(self.children, node))
 
 
 def _tree_parents(rng: random.Random, params: GeneratorParams) -> list[int]:

@@ -12,7 +12,7 @@ from collections import deque
 from typing import Sequence
 
 
-def tarjan_scc(n: int, adj: list[list[int]]) -> tuple[int, list[int]]:
+def tarjan_scc(n: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     """Strongly connected components, iteratively (no recursion limit).
 
     Returns (count, comp) where comp[v] is the component id of node v.
@@ -33,69 +33,65 @@ def tarjan_scc(n: int, adj: list[list[int]]) -> tuple[int, list[int]]:
     for root in range(n):
         if index[root] != UNVISITED:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = 1
+        # Each frame keeps the iterator over its node's remaining edges.
+        work = [(root, iter(adj[root]))]
         while work:
-            v, edge_pos = work[-1]
-            if edge_pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            descended = False
-            neighbors = adj[v]
-            for i in range(edge_pos, len(neighbors)):
-                w = neighbors[i]
+            v, edges = work[-1]
+            for w in edges:
                 if index[w] == UNVISITED:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = 1
+                    work.append((w, iter(adj[w])))
                     break
                 if on_stack[w] and index[w] < low[v]:
                     low[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp[w] = count
-                    if w == v:
-                        break
-                count += 1
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     return count, comp
 
 
 def condensation_edges(
-    n: int, adj: list[list[int]], comp: list[int], count: int
+    n: int, adj: Sequence[Sequence[int]], comp: list[int], count: int
 ) -> list[list[int]]:
     """Deduplicated successor lists between components (self-loops dropped)."""
-    succ: list[set[int]] = [set() for _ in range(count)]
+    succ: list[list[int]] = [[] for _ in range(count)]
     for v in range(n):
         cv = comp[v]
         for w in adj[v]:
             cw = comp[w]
             if cw != cv:
-                succ[cv].add(cw)
-    return [sorted(s) for s in succ]
+                succ[cv].append(cw)
+    return [sorted(set(s)) if len(s) > 1 else s for s in succ]
 
 
-def dag_order_roots_first(n: int, parents: list[list[int]]) -> list[int] | None:
+def dag_order_roots_first(n: int, parents: Sequence[Sequence[int]]) -> list[int] | None:
     """Topological order with every parent before its children.
 
-    `parents[v]` lists the direct parents of v.  Returns None when the
-    parent relation is cyclic.
+    `parents[v]` lists the distinct direct parents of v.  Returns None
+    when the parent relation is cyclic.
     """
     children: list[list[int]] = [[] for _ in range(n)]
-    pending = [0] * n
-    for v in range(n):
-        seen = set(parents[v])
-        pending[v] = len(seen)
-        for p in seen:
+    pending = [len(ps) for ps in parents]
+    for v, ps in enumerate(parents):
+        for p in ps:
             children[p].append(v)
     queue = deque(v for v in range(n) if pending[v] == 0)
     order: list[int] = []
@@ -109,6 +105,23 @@ def dag_order_roots_first(n: int, parents: list[list[int]]) -> list[int] | None:
     if len(order) != n:
         return None
     return order
+
+
+def reachable(
+    adj: Sequence[Sequence[int]], start: int, extra: dict[int, list[int]] | None = None
+) -> set[int]:
+    """Nodes reachable from `start`, itself included, over the lists in
+    `adj` plus, for the nodes that have one, their list in `extra`."""
+    extra = extra or {}
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in [*adj[u], *extra[u]] if u in extra else adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 def reaches_upward(

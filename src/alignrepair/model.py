@@ -6,6 +6,10 @@ cycles, so subsumption queries run on the SCC condensation.  Neither an
 ontology nor the merged graph stores an all-pairs closure: both keep
 parent lists, and queries search upward from them.
 
+The engine runs on dense int ids: local ids inside an ontology, global
+ids (name order across both sides) in the merged graph.  `ClassId`s are
+built only for the public queries that take or return them.
+
 All types are immutable once built; any number of threads may query a
 MergedGraph concurrently.
 """
@@ -14,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     condensation_edges,
     dag_order_roots_first,
+    reachable,
     reaches_upward,
     tarjan_scc,
 )
@@ -140,74 +145,68 @@ class Ontology:
     """One side's class hierarchy plus disjointness axioms.
 
     Construct via :func:`build_ontology`, which validates that the input
-    is acyclic and coherent on its own.  Internal indices give constant
-    time class lookups; reachability searches the parent lists upward.
+    is acyclic and coherent on its own.  The engine reads the fields on
+    local ids, the positions of the classes in the sorted `names`:
+    `index` maps a name to its id, `parents` lists every class's direct
+    superclasses in ascending order, `order` puts every superclass
+    before its subclasses, and `disjoint` holds the sorted pairs in
+    sorted order.  They are read-only.  The ClassId views `classes`,
+    `subclass_edges` and `disjointness` are built on first use.
     """
 
-    __slots__ = (
-        "side",
-        "classes",
-        "subclass_edges",
-        "disjointness",
-        "_index",
-        "_order",
-        "_parents",
-    )
+    __slots__ = ("side", "names", "index", "order", "parents", "disjoint",
+                 "_classes", "_space")
 
-    def __init__(
-        self,
-        side: int,
-        classes: tuple[ClassId, ...],
-        subclass_edges: tuple[tuple[ClassId, ClassId], ...],
-        disjointness: tuple[tuple[ClassId, ClassId], ...],
-        index: dict[str, int],
-        order: tuple[int, ...],
-        parents: tuple[tuple[int, ...], ...],
-    ):
-        self.side = side
-        self.classes = classes
-        self.subclass_edges = subclass_edges
-        self.disjointness = disjointness
-        self._index = index
-        self._order = order
-        self._parents = parents
+    def __init__(self, side: int, names: list[str], index: dict[str, int],
+                 order: tuple[int, ...], parents: tuple[tuple[int, ...], ...],
+                 disjoint: tuple[tuple[int, int], ...]):
+        self.side, self.names, self.index = side, names, index
+        self.order, self.parents, self.disjoint = order, parents, disjoint
+        self._classes: tuple[ClassId, ...] | None = None
+        self._space: tuple[Ontology, GlobalIds] | None = None
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.names)
 
     def __repr__(self) -> str:
-        return (
-            f"Ontology(side={self.side}, classes={len(self.classes)}, "
-            f"edges={len(self.subclass_edges)}, disjoint={len(self.disjointness)})"
-        )
+        return (f"Ontology(side={self.side}, classes={len(self)}, edges="
+                f"{sum(map(len, self.parents))}, disjoint={len(self.disjoint)})")
+
+    @property
+    def classes(self) -> tuple[ClassId, ...]:
+        if self._classes is None:
+            self._classes = tuple(ClassId(name, self.side) for name in self.names)
+        return self._classes
+
+    @property
+    def subclass_edges(self) -> tuple[tuple[ClassId, ClassId], ...]:
+        """Direct (child, parent) edges, deduplicated, in sorted order."""
+        cls = self.classes
+        return tuple((cls[c], cls[p]) for c, ps in enumerate(self.parents) for p in ps)
+
+    @property
+    def disjointness(self) -> tuple[tuple[ClassId, ClassId], ...]:
+        """Disjoint pairs, each sorted, in sorted order."""
+        names, side = self.names, self.side
+        return tuple((ClassId(names[a], side), ClassId(names[b], side))
+                     for a, b in self.disjoint)
 
     def has_class(self, name: str) -> bool:
-        return name in self._index
+        return name in self.index
 
     def class_id(self, name: str) -> ClassId:
-        if name not in self._index:
+        if name not in self.index:
             raise OntologyError(f"unknown class {name!r} in ontology side {self.side}")
-        return self.classes[self._index[name]]
+        return ClassId(name, self.side)
 
     def reaches(self, a: ClassId, b: ClassId) -> bool:
         """Reflexive-transitive subclass relation inside this ontology."""
-        return reaches_upward(self._parents, self._local(a), self._local(b))
+        return reaches_upward(self.parents, self._local(a), self._local(b))
 
     def _local(self, c: ClassId) -> int:
-        if c.side != self.side or c.id not in self._index:
+        if c.side != self.side or c.id not in self.index:
             raise OntologyError(f"class {c.id!r} not in ontology side {self.side}")
-        return self._index[c.id]
-
-    def local_index(self, name: str) -> int:
-        return self._index[name]
-
-    def roots_first_order(self) -> tuple[int, ...]:
-        """Local indices with every superclass before its subclasses."""
-        return self._order
-
-    def local_parents(self) -> tuple[tuple[int, ...], ...]:
-        """Direct superclasses of every class, as sorted local indices."""
-        return self._parents
+        return self.index[c.id]
 
 
 def build_ontology(
@@ -229,26 +228,11 @@ def build_ontology(
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
 
-    def resolve(name: str, context: str) -> int:
-        if name not in index:
-            raise OntologyError(f"undeclared class {name!r} in {context}")
-        return index[name]
-
-    edge_set: set[tuple[int, int]] = set()
-    for child, parent in subclass_edges:
-        ic = resolve(child, f"SUBCLASS {child} {parent}")
-        ip = resolve(parent, f"SUBCLASS {child} {parent}")
-        if ic == ip:
-            raise OntologyError(f"subclass cycle: {child!r} declared under itself")
-        edge_set.add((ic, ip))
-
-    disjoint_set: set[tuple[int, int]] = set()
-    for a, b in disjointness:
-        ia = resolve(a, f"DISJOINT {a} {b}")
-        ib = resolve(b, f"DISJOINT {a} {b}")
-        if ia == ib:
-            raise OntologyError(f"class {a!r} declared disjoint with itself")
-        disjoint_set.add((min(ia, ib), max(ia, ib)))
+    edge_set = set(_resolve_pairs(index, list(subclass_edges), "SUBCLASS",
+                                  "subclass cycle: {!r} declared under itself"))
+    disjoint_set = {(min(p), max(p)) for p in _resolve_pairs(
+        index, list(disjointness), "DISJOINT", "class {!r} declared disjoint with itself"
+    )}
 
     parents: list[list[int]] = [[] for _ in range(n)]
     for ic, ip in sorted(edge_set):
@@ -261,24 +245,29 @@ def build_ontology(
             f"subclass cycle in ontology side {side} (involves {names[in_cycle]!r})"
         )
     _check_coherent(names, parents, disjoint_set)
+    return Ontology(side, names, index, tuple(order),
+                    tuple(map(tuple, parents)), tuple(sorted(disjoint_set)))
 
-    class_ids = tuple(ClassId(name, side) for name in names)
-    edges = tuple(
-        (class_ids[ic], class_ids[ip]) for ic, ip in sorted(edge_set)
-    )
-    disjoint_pairs = tuple(
-        tuple(sorted((class_ids[ia], class_ids[ib])))
-        for ia, ib in sorted(disjoint_set)
-    )
-    return Ontology(
-        side,
-        class_ids,
-        edges,
-        disjoint_pairs,
-        index,
-        tuple(order),
-        tuple(tuple(ps) for ps in parents),
-    )
+
+def _resolve_pairs(
+    index: dict[str, int], pairs: list[tuple[str, str]], keyword: str, same: str
+) -> list[tuple[int, int]]:
+    """Local ids of every (a, b) line.  On a bad line the lines are
+    scanned again in input order, and the first one raises: an undeclared
+    class names the line, a class paired with itself fills in `same`."""
+    try:
+        resolved = [(index[a], index[b]) for a, b in pairs]
+        if all(ia != ib for ia, ib in resolved):
+            return resolved
+    except KeyError:
+        pass
+    for a, b in pairs:
+        for name in (a, b):
+            if name not in index:
+                raise OntologyError(f"undeclared class {name!r} in {keyword} {a} {b}")
+        if a == b:
+            raise OntologyError(same.format(a))
+    raise AssertionError("unreachable: some line failed to resolve")
 
 
 def _check_coherent(
@@ -296,23 +285,10 @@ def _check_coherent(
     for v, ps in enumerate(parents):
         for p in ps:
             children[p].append(v)
-    below: dict[int, set[int]] = {}
-
-    def descendants(x: int) -> set[int]:
-        seen = below.get(x)
-        if seen is None:
-            seen = {x}
-            stack = [x]
-            while stack:
-                for c in children[stack.pop()]:
-                    if c not in seen:
-                        seen.add(c)
-                        stack.append(c)
-            below[x] = seen
-        return seen
-
+    members = {x for pair in disjoint_set for x in pair}
+    below = {x: reachable(children, x) for x in members}
     for ia, ib in sorted(disjoint_set):
-        both = descendants(ia) & descendants(ib)
+        both = below[ia] & below[ib]
         if both:
             raise OntologyError(
                 f"input ontology incoherent: class {names[min(both)]!r} is subsumed by "
@@ -346,136 +322,151 @@ def _some_cycle_member(n: int, parents: list[list[int]]) -> int:
     return 0
 
 
+class GlobalIds:
+    """The alignment-free half of every merged view of one ontology pair.
+
+    Global ids number the classes of both sides in name order, so int
+    order is ClassId order.  `glob[side - 1]` maps a side's local ids to
+    global ids; the map is monotone, so the mapped parent lists in `adj`
+    stay sorted.  `down` holds the child lists.  One instance serves
+    every view of the pair (it is cached on the side-1 ontology); its
+    lists are shared and never modified.
+    """
+
+    __slots__ = ("names", "index", "glob", "adj", "down", "disjoint")
+
+    def __init__(self, o1: Ontology, o2: Ontology):
+        names = sorted(o1.names + o2.names)  # timsort: one merge of two runs
+        at = {name: g for g, name in enumerate(names)}
+        if len(at) < len(names):
+            raise ModelError(
+                f"class ids must be unique across both ontologies "
+                f"({min(set(o1.names) & set(o2.names))!r} appears on both sides)"
+            )
+        self.names = names
+        self.index = (o1.index, o2.index)
+        self.glob = tuple(list(map(at.__getitem__, o.names)) for o in (o1, o2))
+        self.adj: list[Sequence[int]] = [()] * len(names)
+        self.down: list[list[int]] = [[] for _ in names]
+        for o, g in zip((o1, o2), self.glob):
+            for gi, ps in zip(g, o.parents):
+                if ps:
+                    self.adj[gi] = ups = [g[p] for p in ps]
+                    for p in ups:
+                        self.down[p].append(gi)
+        self.disjoint = tuple(sorted(
+            (g[a], g[b]) for o, g in zip((o1, o2), self.glob) for a, b in o.disjoint
+        ))
+
+    def node(self, c: ClassId) -> int:
+        """Global id of a class."""
+        local = self.index[c.side - 1].get(c.id) if c.side in (1, 2) else None
+        if local is None:
+            raise ModelError(f"unknown class {c.id!r} (side {c.side})")
+        return self.glob[c.side - 1][local]
+
+    def locate(self, g: int) -> tuple[int, int]:
+        """(side, local id) of a global id."""
+        local = self.index[0].get(self.names[g])
+        return (1, local) if local is not None else (2, self.index[1][self.names[g]])
+
+    def class_at(self, g: int) -> ClassId:
+        return ClassId(self.names[g], self.locate(g)[0])
+
+
 class MergedGraph:
     """Combined subsumption graph of two ontologies plus an alignment.
 
-    Nodes are all classes of both sides; edges are the ontology subclass
-    edges plus the directed edges induced by each mapping (two for an
-    equivalence, one for a subsumption).  Queries run on the SCC
-    condensation, whose component ids put every parent before its
-    children (smaller id), so upward searches can skip lower ids.  Lazy
-    caches are filled idempotently, so concurrent readers are safe.
+    Nodes are all classes of both sides, under the pair's `GlobalIds`;
+    edges are the ontology subclass edges plus the directed edges induced
+    by each mapping (two for an equivalence, one for a subsumption).  A
+    view builds only the mapping edges: `adj` is the pair's ontology
+    adjacency with the mapping edges merged into their tails' lists
+    (sorted, distinct; shared, so do not modify them).  Component
+    queries run on the SCC condensation, computed on first use, whose
+    ids put every parent before its children (smaller id), so upward
+    searches can skip lower ids.  Lazy caches are filled idempotently,
+    so concurrent readers are safe.
     """
 
-    __slots__ = (
-        "o1",
-        "o2",
-        "alignment",
-        "classes",
-        "disjoint_pairs",
-        "_index",
-        "_adj",
-        "_comp",
-        "_comp_count",
-        "_comp_members",
-        "_cond_parents",
-        "_cond_children",
-        "_covers_cache",
-    )
+    __slots__ = ("o1", "o2", "alignment", "ids", "adj", "_down_extra", "_scc",
+                 "_classes", "_covers_cache")
 
     def __init__(self, o1: Ontology, o2: Ontology, alignment: Alignment):
         if o1.side != 1 or o2.side != 2:
             raise ModelError("merged_view expects ontologies with sides 1 and 2")
-        overlap = {c.id for c in o1.classes} & {c.id for c in o2.classes}
-        if overlap:
-            sample = sorted(overlap)[0]
-            raise ModelError(
-                f"class ids must be unique across both ontologies "
-                f"({sample!r} appears on both sides)"
-            )
-        self.o1 = o1
-        self.o2 = o2
-        self.alignment = alignment
+        cached = o1._space  # the pair's ids, kept while o2 is o1's partner
+        if cached is None or cached[0] is not o2:
+            cached = o1._space = (o2, GlobalIds(o1, o2))
+        self.ids = ids = cached[1]
+        self.o1, self.o2, self.alignment = o1, o2, alignment
 
-        self.classes = tuple(sorted(o1.classes + o2.classes))
-        self._index = {c.id: i for i, c in enumerate(self.classes)}
-        n = len(self.classes)
-
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for onto in (o1, o2):
-            for child, parent in onto.subclass_edges:
-                adj[self._index[child.id]].add(self._index[parent.id])
-
+        extra: dict[int, set[int]] = {}
         for m in alignment:
-            if not o1.has_class(m.source.id):
-                raise AlignmentError(
-                    f"dangling mapping endpoint {m.source.id!r} (not in ontology 1)"
-                )
-            if not o2.has_class(m.target.id):
-                raise AlignmentError(
-                    f"dangling mapping endpoint {m.target.id!r} (not in ontology 2)"
-                )
+            for c, onto in ((m.source, o1), (m.target, o2)):
+                if not onto.has_class(c.id):
+                    raise AlignmentError(f"dangling mapping endpoint {c.id!r} "
+                                         f"(not in ontology {onto.side})")
             for sub, sup in m.edges():
-                adj[self._index[sub.id]].add(self._index[sup.id])
-
-        self._adj: list[list[int]] = [sorted(s) for s in adj]
-        self._comp_count, self._comp = tarjan_scc(n, self._adj)
-        self._cond_parents = condensation_edges(
-            n, self._adj, self._comp, self._comp_count
-        )
-
-        members: list[list[ClassId]] = [[] for _ in range(self._comp_count)]
-        for i, c in enumerate(self.classes):
-            members[self._comp[i]].append(c)
-        self._comp_members = tuple(tuple(ms) for ms in members)
-
-        self.disjoint_pairs = tuple(sorted(o1.disjointness + o2.disjointness))
+                extra.setdefault(ids.node(sub), set()).add(ids.node(sup))
+        self.adj = list(ids.adj)
+        self._down_extra: dict[int, list[int]] = {}
+        for u, ups in extra.items():
+            self.adj[u] = sorted(ups.union(self.adj[u]))
+            for v in ups:
+                self._down_extra.setdefault(v, []).append(u)
+        self._scc: tuple[int, list[int], list[list[int]]] | None = None
+        self._classes: tuple[ClassId, ...] | None = None
         self._covers_cache: dict[int, tuple[int, ...]] = {}
-        self._cond_children: list[list[int]] | None = None
 
     def __repr__(self) -> str:
-        return (
-            f"MergedGraph(classes={len(self.classes)}, "
-            f"components={self._comp_count}, mappings={len(self.alignment)})"
-        )
+        return (f"MergedGraph(classes={len(self.adj)}, "
+                f"components={self.component_count}, mappings={len(self.alignment)})")
 
-    # -- lookups ---------------------------------------------------------
-
-    def _node(self, c: ClassId) -> int:
-        i = self._index.get(c.id)
-        if i is None or self.classes[i] != c:
-            raise ModelError(f"unknown class {c.id!r} (side {c.side})")
-        return i
+    @property
+    def classes(self) -> tuple[ClassId, ...]:
+        """Every class of both sides, in global id (name) order."""
+        if self._classes is None:
+            self._classes = tuple(map(self.ids.class_at, range(len(self.adj))))
+        return self._classes
 
     def out_neighbors(self, c: ClassId) -> tuple[ClassId, ...]:
         """Distinct direct successors (ontology and mapping edges alike)."""
-        return tuple(self.classes[j] for j in self._adj[self._node(c)])
+        return tuple(map(self.ids.class_at, self.adj[self.ids.node(c)]))
+
+    def nodes_below(self, g: int) -> set[int]:
+        """Nodes from which `g` is reachable (reflexive)."""
+        return reachable(self.ids.down, g, self._down_extra)
 
     # -- component-level queries ------------------------------------------
 
+    def _components(self) -> tuple[int, list[int], list[list[int]]]:
+        """(count, component of every node, condensation parent lists)."""
+        if self._scc is None:
+            n = len(self.adj)
+            count, comp = tarjan_scc(n, self.adj)
+            self._scc = (count, comp, condensation_edges(n, self.adj, comp, count))
+        return self._scc
+
     @property
     def component_count(self) -> int:
-        return self._comp_count
+        return self._components()[0]
 
     def component_of(self, c: ClassId) -> int:
-        return self._comp[self._node(c)]
+        return self._components()[1][self.ids.node(c)]
+
+    def members_of(self, comps: set[int]) -> list[int]:
+        """Global ids of every member of the given components, ascending."""
+        return [g for g, c in enumerate(self._components()[1]) if c in comps]
 
     def component_members(self, comp: int) -> tuple[ClassId, ...]:
-        return self._comp_members[comp]
+        return tuple(map(self.ids.class_at, self.members_of({comp})))
 
     def component_parents(self) -> list[list[int]]:
         """Direct successors of every component in the condensation, in
         ascending order; each has a smaller id than its component.  The
         lists are shared: do not modify them."""
-        return self._cond_parents
-
-    def components_below(self, comp: int) -> frozenset[int]:
-        """Components from which `comp` is reachable (reflexive)."""
-        if self._cond_children is None:
-            children: list[list[int]] = [[] for _ in range(self._comp_count)]
-            for c, parents in enumerate(self._cond_parents):
-                for p in parents:
-                    children[p].append(c)
-            self._cond_children = children
-        seen = {comp}
-        stack = [comp]
-        while stack:
-            u = stack.pop()
-            for v in self._cond_children[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return frozenset(seen)
+        return self._components()[2]
 
     def component_covers(self, comp: int) -> tuple[int, ...]:
         """Components that cover `comp` in the condensation order.
@@ -487,13 +478,13 @@ class MergedGraph:
         it skips ids below the smallest parent, since nothing there
         reaches back up to a parent.
         """
-        parents = self._cond_parents[comp]
+        cond_parents = self._components()[2]
+        parents = cond_parents[comp]
         if len(parents) < 2:
             return tuple(parents)
         cached = self._covers_cache.get(comp)
         if cached is not None:
             return cached
-        cond_parents = self._cond_parents
         floor = parents[0]
         seen: set[int] = set()
         stack = [g for q in parents for g in cond_parents[q] if g >= floor]
@@ -513,9 +504,9 @@ class MergedGraph:
 
     def entails(self, a: ClassId, b: ClassId) -> bool:
         """True iff a is (reflexively, transitively) subsumed by b."""
-        ca = self._comp[self._node(a)]
-        cb = self._comp[self._node(b)]
-        return reaches_upward(self._cond_parents, ca, cb, floor=cb)
+        _, comp, cond_parents = self._components()
+        cb = comp[self.ids.node(b)]
+        return reaches_upward(cond_parents, comp[self.ids.node(a)], cb, floor=cb)
 
     def direct_superclasses(self, a: ClassId) -> tuple[ClassId, ...]:
         """Representatives of the components covering a's component.
@@ -523,9 +514,11 @@ class MergedGraph:
         One representative (smallest class id) per covering component;
         members of a's own component are never reported.
         """
-        comp = self._comp[self._node(a)]
-        reps = [self._comp_members[q][0] for q in self.component_covers(comp)]
-        return tuple(sorted(reps))
+        comp = self._components()[1]
+        reps: dict[int, int] = {}
+        for g in self.members_of(set(self.component_covers(comp[self.ids.node(a)]))):
+            reps.setdefault(comp[g], g)
+        return tuple(map(self.ids.class_at, sorted(reps.values())))
 
 
 def merged_view(o1: Ontology, o2: Ontology, alignment: Alignment) -> MergedGraph:

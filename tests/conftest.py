@@ -9,6 +9,7 @@ F3: a single diamond-shaped hierarchy with a multi-parent bottom class.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass
 
@@ -124,6 +125,31 @@ def generated_instances(draw):
     except GeneratorError:
         assume(False)
     return o1, o2, produced
+
+
+def renamed_instance(o1, o2, alignment, seed: int):
+    """The same instance with every class renamed by a seeded permutation.
+
+    The new names interleave the two sides and follow no hierarchy
+    order, unlike the generator's names."""
+    rng = random.Random(seed)
+    old = list(o1.names) + list(o2.names)
+    new = dict(zip(old, rng.sample([f"c{i:05d}" for i in range(len(old))], len(old))))
+
+    def rebuild(onto):
+        return build_ontology(
+            onto.side,
+            [new[c.id] for c in onto.classes],
+            [(new[a.id], new[b.id]) for a, b in onto.subclass_edges],
+            [(new[a.id], new[b.id]) for a, b in onto.disjointness],
+        )
+
+    r1, r2 = rebuild(o1), rebuild(o2)
+    return r1, r2, Alignment(
+        Mapping(r1.class_id(new[m.source.id]), r2.class_id(new[m.target.id]),
+                m.relation, m.confidence)
+        for m in alignment
+    )
 
 
 # -- brute-force oracles ---------------------------------------------------

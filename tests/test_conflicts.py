@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alignrepair import (
@@ -25,7 +25,10 @@ from alignrepair import (
     merged_view,
 )
 
-from conftest import PAIR, mk_mapping, mk_set
+from alignrepair.conflicts import _insert_minimal, _pareto_label_search
+from alignrepair.graphs import iter_bits
+
+from conftest import PAIR, generated_instances, mk_mapping, mk_set
 
 
 def _enumerate(o1, o2, align, **kw):
@@ -65,6 +68,23 @@ class TestFindConflictSets:
             frozenset({m1.key, m3.key}),
         }
 
+    def test_witness_is_the_smallest_start_over_all_pairs(self):
+        # u < y2 < v puts wz under (b, c) and wa under (d, e).  The pair
+        # (b, c) comes first, but wa < wz, so (wa, (d, e)) is recorded.
+        o1 = build_ontology(
+            1,
+            ["b", "c", "d", "e", "u", "v", "wa", "wz"],
+            [("wa", "d"), ("wa", "u"), ("wz", "b"), ("wz", "u"),
+             ("v", "c"), ("v", "e")],
+            [("b", "c"), ("d", "e")],
+        )
+        o2 = build_ontology(2, ["y2"])
+        m1 = Mapping(o1.class_id("u"), o2.class_id("y2"), Relation.SUBSUMED_BY)
+        m2 = Mapping(o1.class_id("v"), o2.class_id("y2"), Relation.SUBSUMES)
+        (only,) = _enumerate(o1, o2, Alignment([m1, m2]))
+        assert only.witness_class.id == "wa"
+        assert [c.id for c in only.witness_pair] == ["d", "e"]
+
     def test_no_disjointness_means_no_conflicts(self):
         o1 = build_ontology(1, ["A1"], [])
         o2 = build_ontology(2, ["A2"], [])
@@ -85,6 +105,72 @@ class TestFindConflictSets:
             with pytest.raises(EnumerationCapExceeded):
                 _enumerate(o1, o2, align, max_work=max_work)
         assert len(_enumerate(o1, o2, align, max_work=6)) == 2
+
+
+def _start_pair_reference(fragments, checkset, alignment):
+    """The witness loop over every (start class, disjoint pair), as
+    `find_conflict_sets` ran it before only start nodes in both endpoints'
+    label maps were tried, on ClassIds and a node-index dict."""
+    if not fragments.disjoint_pairs or not len(alignment):
+        return ConflictList()
+    mappings = sorted(alignment, key=lambda m: m.key)
+    node_of = {c: i for i, c in enumerate(fragments.core_classes)}
+    radj = [[] for _ in node_of]
+    for e in fragments.reduced_edges:
+        radj[node_of[e.parent]].append((node_of[e.child], -1))
+    for mi, m in enumerate(mappings):
+        for sub, sup in m.edges():
+            radj[node_of[sup]].append((node_of[sub], mi))
+    states_to = {}
+    for e in sorted({node_of[c] for pair in fragments.disjoint_pairs for c in pair}):
+        states_to[e], _ = _pareto_label_search(radj, e, 10**9)
+    start_classes = sorted(
+        set(fragments.start_classes)
+        | set(checkset)
+        | {c for pair in fragments.disjoint_pairs for c in pair}
+    )
+    found = {}
+    for start in start_classes:
+        s_idx = node_of[start]
+        for pair in fragments.disjoint_pairs:
+            sets_a = states_to[node_of[pair[0]]].get(s_idx)
+            if not sets_a:
+                continue
+            sets_b = states_to[node_of[pair[1]]].get(s_idx)
+            if not sets_b:
+                continue
+            witness_masks = []
+            for ma in sets_a:
+                for mb in sets_b:
+                    _insert_minimal(witness_masks, ma | mb)
+            for mask in witness_masks:
+                if mask and mask not in found:
+                    found[mask] = (start, pair)
+    minimal = [
+        mask for mask in found
+        if not any(k != mask and k & mask == k for k in found)
+    ]
+    return ConflictList(
+        ConflictSet(
+            frozenset(mappings[i] for i in iter_bits(mask)), *found[mask]
+        )
+        for mask in minimal
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_instances())
+def test_witnesses_match_the_start_pair_loop(instance):
+    """Same minimal masks, each with the smallest (start class, pair)
+    witness in start-class order, then pair order."""
+    o1, o2, align = instance
+    frags = extract_core_fragments(o1, o2, align)
+    try:
+        got = find_conflict_sets(frags, frags.checkset, align, max_work=20_000)
+    except EnumerationCapExceeded:
+        assume(False)
+    assert got == _start_pair_reference(frags, frags.checkset, align)
+    assert got == find_conflict_sets(frags, tuple(frags.checkset), align)
 
 
 class TestConflictListInvariants:

@@ -1,0 +1,111 @@
+"""Golden output pins: sha256 of the CLI outputs on two small generated
+instances, recorded once and asserted on every run.
+
+The determinism tests compare two runs of the same code; these hashes
+compare against earlier code, so a refactor that claims byte-identical
+outputs is held to it.  Update a value only for a change that is meant
+to alter an output, and say so where the change is described.
+"""
+
+import hashlib
+
+import pytest
+
+from alignrepair.cli import cli_dispatch
+
+INSTANCES = {
+    "bushy": ["--classes", "400", "--mappings", "120", "--disjoints", "8",
+              "--noise", "0.4", "--seed", "3"],
+    "deep": ["--classes", "300", "--mappings", "80", "--disjoints", "6",
+             "--noise", "0.3", "--seed", "7", "--max-depth", "30",
+             "--branching", "1.15"],
+}
+
+GOLDEN = {
+    "bushy": {
+        "onto1.txt":
+            "beb2a8d2525eef955ea3ad6e14a95fae750e6163e3d296c0db7204951a41c298",
+        "onto2.txt":
+            "8fc41a599684cb5e1601516fb05c3f5a16bc1e162f7f8bbd4a0b9e8c2bc28aa3",
+        "produced.tsv":
+            "05ee8aacb965fe9f6157604b2529aeeeb5eacb359ac3bb199aaaa2ae25a6ceee",
+        "reference.tsv":
+            "88548a8f8cd87128aa4e1d7ff5f8ceca04a5ed8130ea0fcfc605ec3287c387bb",
+        "params.json":
+            "20e3cc3a166c0a888ba0277f76ad80e56276b300f0b53f12260a41d6389a7d33",
+        "repair.tsv":
+            "a8c994a5927c6a2b745b261723fb1b03740985fb30cee1885e45264f3cf16142",
+        "repair.json":
+            "882b1a53959269fda4a0b0295a39cfb0abeaf896d77aa49c8347db48e17985ef",
+        "repair-eps.tsv":
+            "b52b9cb22923bb5bbc6e3b56a45682e277f928cfba7b589256e8739636b7937f",
+        "repair-eps.json":
+            "fd69f5011d4a94d30735d26f5c50312198a3b0afb5f87a97657049cb6c84a4a9",
+        "check":
+            "5aea69b3c9ed30f1f094ced43cc793354934d6307ea79835a475bc778c296009",
+        "fragments":
+            "83d522c49818e81b4629f50213af4d5b24c4edcbc4857d8e235b489e788d886b",
+        "conflicts":
+            "a95efa8a7be803dcce06aa00b44802f8bb03f1f5dee444349bf25958332c4afa",
+    },
+    "deep": {
+        "onto1.txt":
+            "c8da148a8fd4dffdc87d2a0a48a82adbdc9aa4285877022ba2ef48148a9c0df4",
+        "onto2.txt":
+            "3d28dd17a98765296383a228766b15b918f2586dbf05600cf43b943cb60500f7",
+        "produced.tsv":
+            "3867acc032d5c5b90ff132d6bf82306ddaeb3acd878e951aad9c8a651e3f5fbc",
+        "reference.tsv":
+            "29b128cf2da6b5a54e3abfc67f20332dca7454ec086ab8453010f1ffed8593f0",
+        "params.json":
+            "84d9e366e11d12b74a0f7021782aec20e8c1b268511efd3a15193d2a4df660cd",
+        "repair.tsv":
+            "4235f5b8cb078c3b493f9f7fb11de38a8d9b548cd08034110180da0a198b019d",
+        "repair.json":
+            "0add1edf0fa85ee8c4d9792c70994fb4d31971fd2ce2c48122e66910a067fe21",
+        "repair-eps.tsv":
+            "7be80719a485f80a264a21bc729faba9ebfa9b3d6d44218af9b058a90176354c",
+        "repair-eps.json":
+            "846c99856ccb832ab43862860f252d1a7704c1e4b5b46aff05530b2a0fe830bd",
+        "check":
+            "874318d7d07f2c864ffb86c9e607e1add8747e8662ea01aed17a4040e50f07d6",
+        "fragments":
+            "dd4d5028ce14e48c8917bcebccdcd7f7f4b851b3cf5abd9483fd0b17436d2e60",
+        "conflicts":
+            "402371c1d3c9e5c32a4525914cd463a4517b2f1c8546cf1166394e76c80e8799",
+    },
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _outputs(d, gen_args, capsys) -> dict[str, str]:
+    """sha256 of every generated file and of every command's output."""
+    assert cli_dispatch(["gen", *gen_args, "--out-dir", str(d)]) == 0
+    capsys.readouterr()
+    out = {
+        name: _sha((d / name).read_bytes())
+        for name in ("onto1.txt", "onto2.txt", "produced.tsv",
+                     "reference.tsv", "params.json")
+    }
+    inputs = ["--onto1", str(d / "onto1.txt"), "--onto2", str(d / "onto2.txt"),
+              "--align", str(d / "produced.tsv")]
+    for label, flags in (("repair", []), ("repair-eps", ["--epsilon", "0.05"])):
+        tsv, report = d / f"{label}.tsv", d / f"{label}.json"
+        status = cli_dispatch(["repair", *inputs, "--out", str(tsv),
+                               "--report", str(report), *flags])
+        assert status == 0
+        assert capsys.readouterr().out == report.read_text()
+        out[f"{label}.tsv"] = _sha(tsv.read_bytes())
+        out[f"{label}.json"] = _sha(report.read_bytes())
+    for command in ("check", "fragments", "conflicts"):
+        assert cli_dispatch([command, *inputs]) == 0
+        out[command] = _sha(capsys.readouterr().out.encode())
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_cli_outputs_match_golden_hashes(name, tmp_path, capsys):
+    assert _outputs(tmp_path, INSTANCES[name], capsys) == GOLDEN[name]

@@ -24,6 +24,7 @@ from conftest import (
     brute_entails,
     brute_reachable,
     generated_instances,
+    renamed_instance,
 )
 
 
@@ -44,6 +45,18 @@ class TestBuildOntology:
     def test_self_edge_rejected(self):
         with pytest.raises(OntologyError, match="cycle"):
             build_ontology(1, ["X"], [("X", "X")])
+
+    def test_undeclared_class_messages_name_the_first_bad_line(self):
+        cases = [
+            ([("A", "B"), ("A", "C")], [], "undeclared class 'C' in SUBCLASS A C"),
+            ([("A", "B")], [("X", "B")], "undeclared class 'X' in DISJOINT X B"),
+            ([("P", "Q")], [], "undeclared class 'P' in SUBCLASS P Q"),
+            ([("A", "A"), ("A", "C")], [], "subclass cycle: 'A' declared under itself"),
+        ]
+        for edges, disjoint, message in cases:
+            with pytest.raises(OntologyError) as info:
+                build_ontology(1, ["A", "B"], edges, disjoint)
+            assert str(info.value) == message
 
     def test_self_disjoint_rejected(self):
         with pytest.raises(OntologyError, match="disjoint with itself"):
@@ -322,3 +335,23 @@ def test_removing_a_mapping_never_adds_entailments(seed):
         for b in sample:
             if view_less.entails(a, b):
                 assert view_full.entails(a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(generated_instances(), st.integers(0, 10_000))
+def test_global_ids_are_name_order_and_round_trip(instance, seed):
+    """Global ids follow sorted ClassId order, with the generator's names
+    and with renamed, interleaved ones; every class maps to its global id
+    and back through both its local id and its component."""
+    for o1, o2, align in (instance, renamed_instance(*instance, seed)):
+        view = merged_view(o1, o2, align)
+        assert view.classes == tuple(sorted(o1.classes + o2.classes))
+        for onto, glob in zip((o1, o2), view.ids.glob):
+            for local, c in enumerate(onto.classes):
+                g = glob[local]
+                assert onto.index[c.id] == local
+                assert view.ids.node(c) == g and view.classes[g] == c
+                assert view.ids.locate(g) == (onto.side, local)
+                comp = view.component_of(c)
+                assert g in view.members_of({comp})
+                assert c in view.component_members(comp)

@@ -4,14 +4,22 @@ full loop, pinned to hand-simulated traces."""
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from alignrepair import (
     Alignment,
     ConflictList,
+    EnumerationCapExceeded,
     RemovalCause,
     RepairConfig,
     brute_force_min_hitting_set,
+    count_incoherent_classes,
+    exhaustive_incoherence,
+    extract_core_fragments,
     filter_conflicts,
+    find_conflict_sets,
+    merged_view,
     remove_mapping,
     analyze,
     repair,
@@ -19,7 +27,7 @@ from alignrepair import (
     worst_mapping,
 )
 
-from conftest import mk_mapping, mk_set
+from conftest import generated_instances, mk_mapping, mk_set, renamed_instance
 
 
 class TestFilterConflicts:
@@ -250,3 +258,22 @@ def test_random_repairs_hit_everything_and_beat_nothing():
                 for r in result.removed:
                     assert any(r.mapping in s.mappings for s in live)
                     live = [s for s in live if r.mapping not in s.mappings]
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_instances(), st.integers(0, 10_000))
+def test_renamed_classes_count_and_repair_agree_with_the_oracle(instance, seed):
+    """Class names in no hierarchy order, interleaving the two sides: the
+    incoherence count matches the oracle and the repair is coherent."""
+    o1, o2, align = renamed_instance(*instance, seed)
+    count, classes = count_incoherent_classes(merged_view(o1, o2, align))
+    expected = exhaustive_incoherence(o1, o2, align)
+    assert count == len(expected) and set(classes) == expected
+    assert list(classes) == sorted(classes)
+    frags = extract_core_fragments(o1, o2, align)
+    try:
+        conflicts = find_conflict_sets(frags, frags.checkset, align, max_work=20_000)
+    except EnumerationCapExceeded:
+        assume(False)  # ROADMAP item 3: no repair without complete enumeration
+    result = repair(conflicts, align)
+    assert not exhaustive_incoherence(o1, o2, result.kept)
