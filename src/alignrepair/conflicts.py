@@ -149,9 +149,9 @@ def find_conflict_sets(
 ) -> ConflictList:
     """Enumerate every minimal conflict set of the alignment.
 
-    Witnesses are the fragment start classes, the given checkset (pass
-    `fragments.checkset`, which the start classes already contain), and
-    the disjointness endpoints.  One backward label search per endpoint
+    Witnesses are the fragment start classes, which contain
+    `fragments.checkset`, the classes of the given checkset, and the
+    disjointness endpoints.  One backward label search per endpoint
     yields the minimal label sets from every node to that endpoint; a
     witness's conflict candidates are then unions over its entries for
     the two members of a pair, so only nodes in both endpoints' label
@@ -187,8 +187,7 @@ def find_conflict_sets(
         states_to[e], budget = _pareto_label_search(radj, e, budget)
 
     starts = set(fragments.starts).union(r for pair in fragments.pairs for r in pair)
-    if checkset is not fragments.checkset:  # that one is in the starts
-        starts.update(map(fragments._require, checkset))
+    starts.update(map(fragments._require, checkset))
     # Witnesses in (start, pair) order, so each mask keeps the first, and
     # smallest, witness that yields it.
     witnesses = sorted(

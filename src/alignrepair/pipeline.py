@@ -35,7 +35,8 @@ def analyze(o1: Ontology, o2: Ontology, alignment: Alignment) -> Analysis:
     merged = time.perf_counter()
     fragments = extract_core_fragments(o1, o2, alignment, view=view)
     extracted = time.perf_counter()
-    conflicts = find_conflict_sets(fragments, fragments.checkset, alignment)
+    # The start classes already contain the checkset.
+    conflicts = find_conflict_sets(fragments, (), alignment)
     done = time.perf_counter()
     return Analysis(
         incoherent_before=incoherent_before,
