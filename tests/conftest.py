@@ -133,7 +133,7 @@ def renamed_instance(o1, o2, alignment, seed: int):
     The new names interleave the two sides and follow no hierarchy
     order, unlike the generator's names."""
     rng = random.Random(seed)
-    old = list(o1.names) + list(o2.names)
+    old = [c.id for c in o1.classes + o2.classes]
     new = dict(zip(old, rng.sample([f"c{i:05d}" for i in range(len(old))], len(old))))
 
     def rebuild(onto):
