@@ -8,6 +8,7 @@ only; they never enter report files.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -298,6 +299,9 @@ def cli_dispatch(argv: list[str]) -> int:
 
 
 def main() -> int:
+    # The engine makes no reference cycles (tests/test_memory.py checks
+    # it), so a one-shot process loses nothing by skipping cyclic GC.
+    gc.disable()
     return cli_dispatch(sys.argv[1:])
 
 

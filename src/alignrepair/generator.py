@@ -7,13 +7,15 @@ the structural correspondence, and layers lower-confidence noise
 mappings on top.  Most noise endpoints are drawn from the descendant
 cones of disjoint pairs so that wrong mappings actually produce
 incoherence; the rest are uniform.  Every draw flows from one seeded
-RNG, so identical parameters produce identical instances.
+RNG, so identical parameters produce identical instances.  For fixed
+mapping and pair counts, time grows linearly with the class count.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache, partial
 
 from .conflicts import count_incoherent_classes
 from .graphs import reachable
@@ -79,16 +81,20 @@ def _tree_parents(rng: random.Random, params: GeneratorParams) -> list[int]:
     chain_bias = min(1.0, 1.0 / params.branching)
     parents = [-1] * n
     depth = [0] * n
+    # Nodes below the depth limit, in index order; a depth never changes
+    # once set, so this list only grows.  It always holds the root.
+    shallow = [0]
     for i in range(1, n):
         if rng.random() < chain_bias:
             p = i - 1
         else:
             p = rng.randrange(i)
         if depth[p] >= params.max_depth:
-            shallow = [v for v in range(i) if depth[v] < params.max_depth]
-            p = rng.choice(shallow) if shallow else 0
+            p = rng.choice(shallow)
         parents[i] = p
         depth[i] = depth[p] + 1
+        if depth[i] < params.max_depth:
+            shallow.append(i)
     return parents
 
 
@@ -111,31 +117,16 @@ def _cross_links(
     return links
 
 
-def _descendant_sets(n: int, edges: list[tuple[int, int]]) -> list[set[int]]:
-    children: list[list[int]] = [[] for _ in range(n)]
-    for child, parent in edges:
-        children[parent].append(child)
-    desc: list[set[int]] = [set() for _ in range(n)]
-    # Nodes only point at smaller indices, so descending order is bottom-up.
-    for v in range(n - 1, -1, -1):
-        s = {v}
-        for c in children[v]:
-            s |= desc[c]
-        desc[v] = s
-    return desc
-
-
 def _sample_disjoint_pairs(
     rng: random.Random,
     n: int,
-    edges: list[tuple[int, int]],
     children: list[list[int]],
     count: int,
 ) -> list[tuple[int, int]]:
     """Sibling/cousin pairs whose descendant cones do not overlap."""
     if count == 0:
         return []
-    desc = _descendant_sets(n, edges)
+    cone = cache(partial(reachable, children))  # node -> its descendants
     parents_with_kids = [v for v in range(n) if len(children[v]) >= 2]
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -153,7 +144,7 @@ def _sample_disjoint_pairs(
         pair = (min(a, b), max(a, b))
         if pair in seen:
             continue
-        if desc[a] & desc[b]:
+        if not cone(a).isdisjoint(cone(b)):
             continue
         seen.add(pair)
         pairs.append(pair)
@@ -181,7 +172,7 @@ def _build_side(
     children: list[list[int]] = [[] for _ in range(n)]
     for child, parent in edges:
         children[parent].append(child)
-    pair_indices = _sample_disjoint_pairs(rng, n, edges, children, disjoint_count)
+    pair_indices = _sample_disjoint_pairs(rng, n, children, disjoint_count)
     ontology = build_ontology(
         side,
         names,

@@ -1,7 +1,12 @@
 """Generator determinism, coherence contracts, and the pinned regression
 instance used throughout development."""
 
+import random
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignrepair import (
     GeneratorParams,
@@ -13,6 +18,12 @@ from alignrepair import (
     repair,
     write_alignment_tsv,
     write_ontology_file,
+)
+from alignrepair.generator import (
+    GeneratorError,
+    _cross_links,
+    _sample_disjoint_pairs,
+    _tree_parents,
 )
 
 
@@ -103,3 +114,115 @@ class TestPinnedRegression:
         ev = precision_recall_fmeasure(result.kept, reference)
         assert ev.precision == pytest.approx(0.75)
         assert ev.recall == pytest.approx(0.9)
+
+
+def _rescanning_tree_parents(rng, params):
+    """The earlier `_tree_parents`: rescans every earlier node for a
+    shallow one whenever the drawn parent is at the depth limit."""
+    n = params.classes_per_side
+    chain_bias = min(1.0, 1.0 / params.branching)
+    parents = [-1] * n
+    depth = [0] * n
+    for i in range(1, n):
+        if rng.random() < chain_bias:
+            p = i - 1
+        else:
+            p = rng.randrange(i)
+        if depth[p] >= params.max_depth:
+            shallow = [v for v in range(i) if depth[v] < params.max_depth]
+            p = rng.choice(shallow) if shallow else 0
+        parents[i] = p
+        depth[i] = depth[p] + 1
+    return parents
+
+
+def _descendant_set_pairs(rng, n, children, count):
+    """The earlier `_sample_disjoint_pairs`, which tested each candidate
+    against descendant sets built for all n nodes."""
+    if count == 0:
+        return []
+    desc = [set() for _ in range(n)]
+    # Nodes only point at smaller indices, so descending order is bottom-up.
+    for v in range(n - 1, -1, -1):
+        s = {v}
+        for c in children[v]:
+            s |= desc[c]
+        desc[v] = s
+    parents_with_kids = [v for v in range(n) if len(children[v]) >= 2]
+    pairs, seen = [], set()
+    for _ in range(count * 50 + 400):
+        if len(pairs) >= count:
+            break
+        if parents_with_kids and rng.random() < 0.8:
+            w = rng.choice(parents_with_kids)
+            a, b = rng.sample(children[w], 2)
+        else:
+            a = rng.randrange(n)
+            b = rng.randrange(n)
+        if a == b:
+            continue
+        pair = (min(a, b), max(a, b))
+        if pair in seen:
+            continue
+        if desc[a] & desc[b]:
+            continue
+        seen.add(pair)
+        pairs.append(pair)
+    if len(pairs) < count:
+        raise GeneratorError("too few pairs")
+    return pairs
+
+
+tree_params = st.builds(
+    lambda n, seed, max_depth, branching: GeneratorParams(
+        n, 0, 0, 0.0, seed, max_depth, branching
+    ),
+    st.integers(1, 300),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 6),
+    st.floats(0.5, 3.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_params)
+def test_tree_parents_match_the_rescanning_loop(params):
+    """Same parents from the same number of draws."""
+    ours, ref = random.Random(params.seed), random.Random(params.seed)
+    assert _tree_parents(ours, params) == _rescanning_tree_parents(ref, params)
+    assert ours.getstate() == ref.getstate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_params, st.integers(0, 20))
+def test_disjoint_pairs_match_the_descendant_set_predicate(params, count):
+    """Same pairs, or the same failure, from the same number of draws."""
+    rng = random.Random(params.seed)
+    n = params.classes_per_side
+    parents = _tree_parents(rng, params)
+    edges = [(i, parents[i]) for i in range(1, n)] + _cross_links(rng, n, parents)
+    children = [[] for _ in range(n)]
+    for child, parent in edges:
+        children[parent].append(child)
+    ours, ref = random.Random(params.seed), random.Random(params.seed)
+
+    def outcome(sample, *args):
+        try:
+            return sample(*args)
+        except GeneratorError:
+            return None
+
+    assert outcome(_sample_disjoint_pairs, ours, n, children, count) == outcome(
+        _descendant_set_pairs, ref, n, children, count
+    )
+    assert ours.getstate() == ref.getstate()
+
+
+def test_tree_parents_at_depth_one_is_linear():
+    """At max_depth 1 every non-root draw hits the depth limit; rescanning
+    the earlier nodes there took about 29 s at this size."""
+    params = GeneratorParams(50_000, 0, 0, 0.0, 1, max_depth=1)
+    start = time.perf_counter()
+    parents = _tree_parents(random.Random(params.seed), params)
+    assert time.perf_counter() - start < 5.0
+    assert set(parents[1:]) == {0}
