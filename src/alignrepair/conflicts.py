@@ -2,23 +2,25 @@
 
 A conflict set is a minimal set of mappings whose edges, added to the
 reduced fragment structure, place some class under both members of a
-disjoint pair.  Enumeration keeps, per node, the antichain of minimal
-mapping-label sets of walks into each disjointness endpoint (a Pareto
-search: a walk whose label set contains another walk's label set can
-never yield a new minimal conflict); a witness's conflicts are unions
-of one label set per pair member.
+disjoint pair.  Enumeration searches backward from each disjointness
+endpoint for the minimal mapping-label sets of walks into it, all
+endpoints together and in order of label-set size; a witness's
+conflicts are unions of one label set per pair member.  A label set that
+contains another settled at the same node, or strictly contains a
+conflict already found, is dropped: neither can lead to a new minimal
+conflict (the second is the pruning rule of Reiter's hitting-set tree).
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .fragments import CoreFragments
 from .graphs import iter_bits
-from .model import Alignment, ClassId, Mapping, MergedGraph
+from .model import Alignment, ClassId, Mapping, MergedGraph, ModelError
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -127,19 +129,6 @@ class Cluster:
         return len(self.sets)
 
 
-def _insert_minimal(masks: list[int], new: int) -> bool:
-    """Insert into an antichain of bitmasks; drop dominated entries.
-
-    Returns False when an existing mask is a subset of `new`.
-    """
-    for m in masks:
-        if m & new == m:  # m subset of new: new is dominated
-            return False
-    masks[:] = [m for m in masks if new & m != new]
-    masks.append(new)
-    return True
-
-
 def find_conflict_sets(
     fragments: CoreFragments,
     checkset: Sequence[ClassId],
@@ -151,13 +140,16 @@ def find_conflict_sets(
 
     Witnesses are the fragment start classes, which contain
     `fragments.checkset`, the classes of the given checkset, and the
-    disjointness endpoints.  One backward label search per endpoint
-    yields the minimal label sets from every node to that endpoint; a
-    witness's conflict candidates are then unions over its entries for
-    the two members of a pair, so only nodes in both endpoints' label
-    maps are tried.  `max_work` caps the total work of the call: every
-    label set the searches insert and every path pair a witness combines
-    spend one step of one shared budget; exhausting it raises
+    disjointness endpoints.  One backward label search per endpoint finds
+    the minimal label sets of the walks from each node into it; all the
+    searches run in one loop, by label-set size.  A set is settled at a
+    node unless a set settled there is a subset of it, or it strictly
+    contains a conflict found so far.  When a witness's set for one
+    member of a pair settles, its union with each settled set for the
+    other member is a conflict, and each mask keeps its smallest (start
+    class, pair index) witness.  `max_work` caps the total work of the
+    call: every settled label set (an endpoint's own empty set aside) and
+    every union spend one step of one shared budget; exhausting it raises
     EnumerationCapExceeded.
     """
     if not fragments.pairs or not len(alignment):
@@ -171,105 +163,100 @@ def find_conflict_sets(
     radj: list[list[tuple[int, int]]] = [[] for _ in fragments.core]
     for child, parent, _ in fragments.edges:
         radj[parent].append((child, -1))
+    rank = {g: r for r, g in enumerate(fragments.core)}
+    node = fragments.ids.node
     for mi, m in enumerate(mappings):
-        if m.source not in fragments or m.target not in fragments:
+        try:
+            for sub, sup in m.edges():
+                radj[rank[node(sup)]].append((rank[node(sub)], mi))
+        except (KeyError, ModelError):
             raise ValueError(
                 f"alignment mapping {m.describe()!r} has a non-core endpoint; "
                 "fragments were extracted from a different alignment"
-            )
-        for sub, sup in m.edges():
-            radj[fragments.rank(sup)].append((fragments.rank(sub), mi))
+            ) from None
 
-    # states_to[e][v] = antichain of minimal label sets of walks v -> e
-    budget = max_work
-    states_to: dict[int, dict[int, list[int]]] = {}
-    for e in sorted({r for pair in fragments.pairs for r in pair}):
-        states_to[e], budget = _pareto_label_search(radj, e, budget)
-
-    starts = set(fragments.starts).union(r for pair in fragments.pairs for r in pair)
+    ends = sorted({r for pair in fragments.pairs for r in pair})
+    starts = set(fragments.starts).union(ends)
     starts.update(map(fragments._require, checkset))
-    # Witnesses in (start, pair) order, so each mask keeps the first, and
-    # smallest, witness that yields it.
-    witnesses = sorted(
-        (s, pi, a, b)
-        for pi, (a, b) in enumerate(fragments.pairs)
-        for s in starts.intersection(states_to[a].keys() & states_to[b].keys())
-    )
+    partners: dict[int, list[tuple[int, int]]] = {e: [] for e in ends}
+    for pi, (a, b) in enumerate(fragments.pairs):
+        partners[a].append((pi, b))
+        partners[b].append((pi, a))
     name, core = fragments.ids.names, fragments.core
-    found: dict[int, tuple[int, int, int]] = {}
-    for s, _, a, b in witnesses:
-        sets_a = states_to[a][s]
-        sets_b = states_to[b][s]
-        budget -= len(sets_a) * len(sets_b)
-        if budget < 0:
-            raise EnumerationCapExceeded(
-                f"witness ({name[core[s]]}, {name[core[a]]}|{name[core[b]]}) "
-                f"exhausts the budget of {max_work} steps with its path pairs"
-            )
-        witness_masks: list[int] = []
-        for ma in sets_a:
-            for mb in sets_b:
-                _insert_minimal(witness_masks, ma | mb)
-        for mask in witness_masks:
-            if mask and mask not in found:
-                found[mask] = (s, a, b)
 
-    # Only minimal masks become ConflictSets.  Visited by popcount, a mask
-    # is dropped when a kept mask is a subset of it; such a mask shares a
-    # bit with it, so only the kept masks holding one of its bits are
-    # compared.  The first witness recorded per mask is its smallest one,
-    # the one ConflictList would keep.
-    minimal: list[int] = []
-    holders: dict[int, list[int]] = {}
-    for mask in sorted(found, key=int.bit_count):
-        bits = list(iter_bits(mask))
-        if any(k & mask == k for i in bits for k in holders.get(i, ())):
-            continue
-        minimal.append(mask)
-        for i in bits:
-            holders.setdefault(i, []).append(mask)
+    # settled[e][v]: the label sets of walks v -> e settled so far.  found
+    # maps each conflict mask to its smallest (start, pair index) witness;
+    # by_low indexes the masks by their lowest bit, so a conflict inside a
+    # mask is found under one of the mask's bits.
+    settled: dict[int, dict[int, list[int]]] = {e: {} for e in ends}
+    found: dict[int, tuple[int, int]] = {}
+    by_low: dict[int, list[int]] = {}
+
+    def contains_conflict(mask: int) -> bool:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            for f in by_low.get(low, ()):
+                if f & mask == f and f != mask:
+                    return True
+            rest ^= low
+        return False
+
+    budget = max_work
+    level = [(e, e, 0) for e in ends]
+    while level:
+        # Edges that add no new label extend `level` as it is walked.
+        bigger: list[tuple[int, int, int]] = []
+        for e, v, mask in level:
+            live = settled[e].setdefault(v, [])
+            if any(k & mask == k for k in live) or contains_conflict(mask):
+                continue
+            live.append(mask)
+            if v != e:
+                budget -= 1
+                if budget < 0:
+                    raise EnumerationCapExceeded(
+                        f"label-set search into {name[core[e]]} exhausts "
+                        f"the budget of {max_work} steps"
+                    )
+            if v in starts:
+                for pi, other in partners[e]:
+                    for mb in settled[other].get(v, ()):
+                        budget -= 1
+                        if budget < 0:
+                            a, b = fragments.pairs[pi]
+                            raise EnumerationCapExceeded(
+                                f"witness ({name[core[v]]}, {name[core[a]]}|"
+                                f"{name[core[b]]}) exhausts the budget of "
+                                f"{max_work} steps with its path pairs"
+                            )
+                        union = mask | mb
+                        witness = found.get(union)
+                        if witness is None:
+                            if contains_conflict(union):
+                                continue  # never minimal
+                            by_low.setdefault(union & -union, []).append(union)
+                        if witness is None or (v, pi) < witness:
+                            found[union] = (v, pi)
+            for u, label in radj[v]:
+                if label < 0 or mask >> label & 1:
+                    level.append((e, u, mask))
+                else:
+                    bigger.append((e, u, mask | 1 << label))
+        level = bigger
+
+    # A dropped set strictly contains a found conflict, and so does every
+    # union with it: the minimal found masks are the minimal conflicts.
     at = fragments.ids.class_at
     return ConflictList(
         ConflictSet(
             mappings=frozenset(mappings[i] for i in iter_bits(mask)),
-            witness_class=at(core[found[mask][0]]),
-            witness_pair=(at(core[found[mask][1]]), at(core[found[mask][2]])),
+            witness_class=at(core[v]),
+            witness_pair=tuple(at(core[r]) for r in fragments.pairs[pi]),
         )
-        for mask in minimal
+        for mask, (v, pi) in found.items()
+        if not contains_conflict(mask)
     )
-
-
-def _pareto_label_search(
-    adj: list[list[tuple[int, int]]],
-    start: int,
-    budget: int,
-) -> tuple[dict[int, list[int]], int]:
-    """Minimal mapping-label sets of walks from `start` to every node,
-    and the budget left after one step per inserted label set.
-
-    states[v] is an antichain of bitmasks; each mask is the label set of
-    some walk start->v, and every minimal label set appears.
-    """
-    given = budget
-    states: dict[int, list[int]] = {start: [0]}
-    queue: deque[tuple[int, int]] = deque([(start, 0)])
-    while queue:
-        u, mask = queue.popleft()
-        live = states.get(u)
-        if live is None or mask not in live:
-            continue  # superseded by a smaller label set
-        for v, label in adj[u]:
-            nm = mask | (1 << label) if label >= 0 else mask
-            lst = states.setdefault(v, [])
-            if _insert_minimal(lst, nm):
-                budget -= 1
-                if budget < 0:
-                    raise EnumerationCapExceeded(
-                        f"label-set search from node {start} exceeds the "
-                        f"{given} steps left of the work budget"
-                    )
-                queue.append((v, nm))
-    return states, budget
 
 
 def disjoint_conflict_clusters(conflicts: Sequence[ConflictSet]) -> tuple[Cluster, ...]:

@@ -3,6 +3,7 @@ minimality, and completeness checks against exhaustive subset search."""
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,9 +24,10 @@ from alignrepair import (
     extract_core_fragments,
     find_conflict_sets,
     merged_view,
+    repair,
 )
 
-from alignrepair.conflicts import _insert_minimal, _pareto_label_search
+from alignrepair.generator import GeneratorParams, generate_instance
 from alignrepair.graphs import iter_bits
 
 from conftest import PAIR, generated_instances, mk_mapping, mk_set
@@ -91,6 +93,14 @@ class TestFindConflictSets:
         m = Mapping(o1.class_id("A1"), o2.class_id("A2"), Relation.EQUIVALENCE)
         assert len(_enumerate(o1, o2, Alignment([m]))) == 0
 
+    def test_mapping_off_the_core_is_rejected(self, f1):
+        frags = extract_core_fragments(f1.o1, f1.o2, f1.alignment)
+        a2 = f1.o2.class_id("A2")
+        for source in (f1.o1.class_id("D1"), ClassId("Z1", 1)):
+            extra = Mapping(source, a2, Relation.EQUIVALENCE)
+            with pytest.raises(ValueError, match="non-core endpoint"):
+                find_conflict_sets(frags, (), Alignment([f1.m1, f1.m2, extra]))
+
     def test_cap_is_enforced(self, f1):
         with pytest.raises(EnumerationCapExceeded):
             _enumerate(f1.o1, f1.o2, f1.alignment, max_work=1)
@@ -106,13 +116,78 @@ class TestFindConflictSets:
                 _enumerate(o1, o2, align, max_work=max_work)
         assert len(_enumerate(o1, o2, align, max_work=6)) == 2
 
+    def test_cap_message_names_the_class(self, two_routes):
+        # Both searches settle their empty sets for free; B1's {m1} at A2
+        # takes the one step, and C1's {m2} at A2 trips the cap.
+        o1, o2, mappings = two_routes
+        with pytest.raises(
+            EnumerationCapExceeded,
+            match=r"^label-set search into C1 exhausts the budget of 1 steps$",
+        ):
+            _enumerate(o1, o2, Alignment(mappings), max_work=1)
+        with pytest.raises(
+            EnumerationCapExceeded,
+            match=r"^witness \(A2, B1\|C1\) exhausts the budget of 2 steps",
+        ):
+            _enumerate(o1, o2, Alignment(mappings), max_work=2)
 
-def _start_pair_reference(fragments, checkset, alignment):
+    def test_noisy_instance_within_the_default_cap(self):
+        # Run one endpoint at a time and without conflict pruning, the
+        # label searches exhaust the default cap of 1,000,000 steps here.
+        params = GeneratorParams(29, 27, 3, 0.8700101551766398, 9338, 9, 1.15)
+        o1, o2, align, _ = generate_instance(params)
+        conflicts = _enumerate(o1, o2, align)
+        assert len(conflicts) > 0
+        assert conflicts == _enumerate(o1, o2, align, max_work=5_000)
+        for s in conflicts:
+            assert s.witness_class in exhaustive_incoherence(o1, o2, s.mappings)
+            for m in s.mappings:
+                assert not exhaustive_incoherence(o1, o2, s.mappings - {m})
+        assert not exhaustive_incoherence(o1, o2, repair(conflicts, align).kept)
+
+
+def _insert_minimal(masks, new):
+    """Insert into an antichain of bitmasks; drop dominated entries.
+
+    Returns False when an existing mask is a subset of `new`.
+    """
+    for m in masks:
+        if m & new == m:
+            return False
+    masks[:] = [m for m in masks if new & m != new]
+    masks.append(new)
+    return True
+
+
+def _pareto_label_search(adj, start, budget):
+    """Minimal mapping-label sets of walks from `start` to every node, and
+    the budget left after one step per inserted label set: the engine's
+    per-endpoint search before the searches ran together by size."""
+    states = {start: [0]}
+    queue = deque([(start, 0)])
+    while queue:
+        u, mask = queue.popleft()
+        live = states.get(u)
+        if live is None or mask not in live:
+            continue
+        for v, label in adj[u]:
+            nm = mask | (1 << label) if label >= 0 else mask
+            if _insert_minimal(states.setdefault(v, []), nm):
+                budget -= 1
+                if budget < 0:
+                    raise EnumerationCapExceeded("reference label search")
+                queue.append((v, nm))
+    return states, budget
+
+
+def _start_pair_reference(fragments, checkset, alignment, max_work):
     """The witness loop over every (start class, disjoint pair), as
     `find_conflict_sets` ran it before only start nodes in both endpoints'
-    label maps were tried, on ClassIds and a node-index dict."""
+    label maps were tried, on ClassIds and a node-index dict.  Returns the
+    conflicts and the steps spent, counted as the engine counted them
+    then: every inserted label set and every path pair of a witness."""
     if not fragments.disjoint_pairs or not len(alignment):
-        return ConflictList()
+        return ConflictList(), 0
     mappings = sorted(alignment, key=lambda m: m.key)
     node_of = {c: i for i, c in enumerate(fragments.core_classes)}
     radj = [[] for _ in node_of]
@@ -122,8 +197,9 @@ def _start_pair_reference(fragments, checkset, alignment):
         for sub, sup in m.edges():
             radj[node_of[sup]].append((node_of[sub], mi))
     states_to = {}
+    budget = max_work
     for e in sorted({node_of[c] for pair in fragments.disjoint_pairs for c in pair}):
-        states_to[e], _ = _pareto_label_search(radj, e, 10**9)
+        states_to[e], budget = _pareto_label_search(radj, e, budget)
     start_classes = sorted(
         set(fragments.start_classes)
         | set(checkset)
@@ -139,6 +215,9 @@ def _start_pair_reference(fragments, checkset, alignment):
             sets_b = states_to[node_of[pair[1]]].get(s_idx)
             if not sets_b:
                 continue
+            budget -= len(sets_a) * len(sets_b)
+            if budget < 0:
+                raise EnumerationCapExceeded("reference path pairs")
             witness_masks = []
             for ma in sets_a:
                 for mb in sets_b:
@@ -150,12 +229,13 @@ def _start_pair_reference(fragments, checkset, alignment):
         mask for mask in found
         if not any(k != mask and k & mask == k for k in found)
     ]
-    return ConflictList(
+    conflicts = ConflictList(
         ConflictSet(
             frozenset(mappings[i] for i in iter_bits(mask)), *found[mask]
         )
         for mask in minimal
     )
+    return conflicts, max_work - budget
 
 
 @settings(max_examples=60, deadline=None)
@@ -167,10 +247,28 @@ def test_witnesses_match_the_start_pair_loop(instance):
     frags = extract_core_fragments(o1, o2, align)
     try:
         got = find_conflict_sets(frags, frags.checkset, align, max_work=20_000)
+        expected, _ = _start_pair_reference(frags, frags.checkset, align, 20_000)
     except EnumerationCapExceeded:
         assume(False)
-    assert got == _start_pair_reference(frags, frags.checkset, align)
+    assert got == expected
     assert got == find_conflict_sets(frags, tuple(frags.checkset), align)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_instances())
+def test_no_input_needs_more_steps_than_the_old_search(instance):
+    """The size-ordered search settles a subset of the label sets the
+    per-endpoint searches inserted, and pairs a subset of their path
+    pairs, so the steps the old search spent always suffice.  The
+    reference is capped as in the test above: its antichain scans make a
+    draw that runs to 200,000 steps take half a minute."""
+    o1, o2, align = instance
+    frags = extract_core_fragments(o1, o2, align)
+    try:
+        expected, steps = _start_pair_reference(frags, frags.checkset, align, 20_000)
+    except EnumerationCapExceeded:
+        assume(False)
+    assert find_conflict_sets(frags, frags.checkset, align, max_work=steps) == expected
 
 
 class TestConflictListInvariants:

@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from alignrepair import analyze, parse_alignment_tsv, parse_ontology_file
 from alignrepair.cli import cli_dispatch
 
 INSTANCES = {
@@ -76,6 +77,14 @@ GOLDEN = {
     },
 }
 
+# sha256 of the repr of [(key, witness class, witness pair)] of every
+# conflict set `analyze` finds: the CLI prints only statistics, so these
+# pin the sets and the witness each one keeps.
+GOLDEN_CONFLICTS = {
+    "bushy": "e17f1fb2957a91127f98bcf4cda77b60f3b807935b7e9cfb9338c9ae29a8475a",
+    "deep": "134142ead2751b6495a6659875fa31754fa68151431b9c2547b8b5accdefff86",
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -109,3 +118,19 @@ def _outputs(d, gen_args, capsys) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_cli_outputs_match_golden_hashes(name, tmp_path, capsys):
     assert _outputs(tmp_path, INSTANCES[name], capsys) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_conflict_list_matches_golden_hash(name, tmp_path, capsys):
+    assert cli_dispatch(["gen", *INSTANCES[name], "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    o1, o2 = (
+        parse_ontology_file((tmp_path / f"onto{side}.txt").read_text(), side)
+        for side in (1, 2)
+    )
+    align = parse_alignment_tsv((tmp_path / "produced.tsv").read_text())
+    rows = [
+        (s.key, s.witness_class, s.witness_pair)
+        for s in analyze(o1, o2, align).conflicts
+    ]
+    assert _sha(repr(rows).encode()) == GOLDEN_CONFLICTS[name]
