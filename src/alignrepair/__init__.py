@@ -3,7 +3,6 @@ alignments: merged subsumption graphs, core-fragment extraction, minimal
 conflict-set enumeration, and greedy confidence-aware repair."""
 
 from .conflicts import (
-    Cluster,
     ConflictList,
     ConflictSet,
     EnumerationCapExceeded,
@@ -56,7 +55,6 @@ from .repair import (
     remove_mapping,
     repair,
     resolved_conflicts,
-    worst_mapping,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +64,6 @@ __all__ = [
     "AlignmentError",
     "Analysis",
     "ClassId",
-    "Cluster",
     "ConflictList",
     "ConflictSet",
     "CoreFragments",
@@ -106,7 +103,6 @@ __all__ = [
     "remove_mapping",
     "repair",
     "resolved_conflicts",
-    "worst_mapping",
     "write_alignment_tsv",
     "write_ontology_file",
 ]

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .fragments import CoreFragments
+from .fragments import CoreFragments, FragmentError
 from .graphs import iter_bits
-from .model import Alignment, ClassId, Mapping, MergedGraph, ModelError
+from .model import Alignment, ClassId, Mapping, MergedGraph
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -57,11 +57,11 @@ class ConflictSet:
 class ConflictList:
     """Deduplicated, canonically ordered antichain of conflict sets.
 
-    Of sets with equal mappings, the one with the smallest witness is
-    kept.  The rest are visited by ascending size, and a set is dropped
-    when a set kept before it is a strict subset; such a subset shares a
-    mapping with it, so only the kept sets holding one of its mappings
-    are compared.  An empty set is a subset of every other one.
+    The input must already be an antichain: no set strictly contains
+    another.  `find_conflict_sets` yields only minimal sets, and
+    `filter_conflicts` keeps a subfamily of an antichain, so both
+    guarantee it.  Of sets with equal mappings, the one with the
+    smallest witness is kept; the sets are ordered by key.
     """
 
     __slots__ = ("sets",)
@@ -72,20 +72,7 @@ class ConflictList:
             sets, key=lambda s: (s.key, s.witness_class, s.witness_pair)
         ):
             by_key.setdefault(s.key, s)
-        kept: list[ConflictSet] = []
-        holders: dict[tuple, list[ConflictSet]] = {}
-        for s in sorted(by_key.values(), key=len):
-            if (kept and not kept[0].mappings) or any(
-                other.mappings < s.mappings
-                for m in s.mappings
-                for other in holders.get(m.key, ())
-            ):
-                continue
-            kept.append(s)
-            for m in s.mappings:
-                holders.setdefault(m.key, []).append(s)
-        kept.sort(key=lambda s: s.key)
-        self.sets: tuple[ConflictSet, ...] = tuple(kept)
+        self.sets: tuple[ConflictSet, ...] = tuple(by_key.values())
 
     def __iter__(self) -> Iterator[ConflictSet]:
         return iter(self.sets)
@@ -104,29 +91,23 @@ class ConflictList:
     def __repr__(self) -> str:
         return f"ConflictList({len(self.sets)} sets)"
 
-    def all_mappings(self) -> tuple[Mapping, ...]:
-        seen: dict[tuple, Mapping] = {}
-        for s in self.sets:
-            for m in s.mappings:
-                seen.setdefault(m.key, m)
-        return tuple(seen[k] for k in sorted(seen))
 
+def contains_conflict(mask: int, by_low: dict[int, list[int]]) -> bool:
+    """True when an indexed mask is a strict subset of `mask`.
 
-@dataclass(frozen=True)
-class Cluster:
-    """A maximal group of conflict sets connected by shared mappings."""
-
-    sets: tuple[ConflictSet, ...]
-
-    @property
-    def key(self) -> tuple:
-        return self.sets[0].key if self.sets else ()
-
-    def __iter__(self) -> Iterator[ConflictSet]:
-        return iter(self.sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
+    `by_low` maps a lowest bit to the nonzero masks whose lowest bit it
+    is, so a subset of `mask` is found under one of `mask`'s own bits.
+    This is the antichain rule: a mask holding another conflict is not a
+    minimal conflict.
+    """
+    rest = mask
+    while rest:
+        low = rest & -rest
+        for f in by_low.get(low, ()):
+            if f & mask == f and f != mask:
+                return True
+        rest ^= low
+    return False
 
 
 def find_conflict_sets(
@@ -157,23 +138,21 @@ def find_conflict_sets(
 
     mappings = sorted(alignment, key=lambda m: m.key)
 
-    # Reverse labeled graph on core ranks: reduced edges carry no label
-    # (-1), mapping edges the mapping's index.  Parallel edges with
-    # distinct labels all matter.
-    radj: list[list[tuple[int, int]]] = [[] for _ in fragments.core]
-    for child, parent, _ in fragments.edges:
-        radj[parent].append((child, -1))
-    rank = {g: r for r, g in enumerate(fragments.core)}
-    node = fragments.ids.node
+    # The reverse graph on core ranks: the reduced edges carry no label,
+    # and each mapping edge is labelled with the mapping's index.
+    # Parallel edges with distinct labels all matter.
+    radj = fragments.radj
+    labelled: list[list[tuple[int, int]]] = [[] for _ in radj]
     for mi, m in enumerate(mappings):
         try:
-            for sub, sup in m.edges():
-                radj[rank[node(sup)]].append((rank[node(sub)], mi))
-        except (KeyError, ModelError):
+            edges = fragments.subset_edges((m,))
+        except FragmentError:
             raise ValueError(
                 f"alignment mapping {m.describe()!r} has a non-core endpoint; "
                 "fragments were extracted from a different alignment"
             ) from None
+        for sub, sup in edges:
+            labelled[sup].append((sub, mi))
 
     ends = sorted({r for pair in fragments.pairs for r in pair})
     starts = set(fragments.starts).union(ends)
@@ -186,21 +165,10 @@ def find_conflict_sets(
 
     # settled[e][v]: the label sets of walks v -> e settled so far.  found
     # maps each conflict mask to its smallest (start, pair index) witness;
-    # by_low indexes the masks by their lowest bit, so a conflict inside a
-    # mask is found under one of the mask's bits.
+    # by_low indexes the masks by their lowest bit (see contains_conflict).
     settled: dict[int, dict[int, list[int]]] = {e: {} for e in ends}
     found: dict[int, tuple[int, int]] = {}
     by_low: dict[int, list[int]] = {}
-
-    def contains_conflict(mask: int) -> bool:
-        rest = mask
-        while rest:
-            low = rest & -rest
-            for f in by_low.get(low, ()):
-                if f & mask == f and f != mask:
-                    return True
-            rest ^= low
-        return False
 
     budget = max_work
     level = [(e, e, 0) for e in ends]
@@ -209,7 +177,7 @@ def find_conflict_sets(
         bigger: list[tuple[int, int, int]] = []
         for e, v, mask in level:
             live = settled[e].setdefault(v, [])
-            if any(k & mask == k for k in live) or contains_conflict(mask):
+            if any(k & mask == k for k in live) or contains_conflict(mask, by_low):
                 continue
             live.append(mask)
             if v != e:
@@ -233,13 +201,15 @@ def find_conflict_sets(
                         union = mask | mb
                         witness = found.get(union)
                         if witness is None:
-                            if contains_conflict(union):
+                            if contains_conflict(union, by_low):
                                 continue  # never minimal
                             by_low.setdefault(union & -union, []).append(union)
                         if witness is None or (v, pi) < witness:
                             found[union] = (v, pi)
-            for u, label in radj[v]:
-                if label < 0 or mask >> label & 1:
+            for u in radj[v]:
+                level.append((e, u, mask))
+            for u, label in labelled[v]:
+                if mask >> label & 1:
                     level.append((e, u, mask))
                 else:
                     bigger.append((e, u, mask | 1 << label))
@@ -255,12 +225,15 @@ def find_conflict_sets(
             witness_pair=tuple(at(core[r]) for r in fragments.pairs[pi]),
         )
         for mask, (v, pi) in found.items()
-        if not contains_conflict(mask)
+        if not contains_conflict(mask, by_low)
     )
 
 
-def disjoint_conflict_clusters(conflicts: Sequence[ConflictSet]) -> tuple[Cluster, ...]:
-    """Partition conflict sets into maximal share-a-mapping components."""
+def disjoint_conflict_clusters(
+    conflicts: Sequence[ConflictSet],
+) -> tuple[tuple[ConflictSet, ...], ...]:
+    """Partition conflict sets into maximal share-a-mapping components,
+    each ordered by key, ordered by their first key."""
     sets = list(conflicts)
     if not sets:
         return ()
@@ -288,10 +261,8 @@ def disjoint_conflict_clusters(conflicts: Sequence[ConflictSet]) -> tuple[Cluste
     groups: dict[int, list[ConflictSet]] = {}
     for i, s in enumerate(sets):
         groups.setdefault(find(i), []).append(s)
-    clusters = [
-        Cluster(tuple(sorted(g, key=lambda s: s.key))) for g in groups.values()
-    ]
-    clusters.sort(key=lambda c: c.key)
+    clusters = [tuple(sorted(g, key=lambda s: s.key)) for g in groups.values()]
+    clusters.sort(key=lambda c: c[0].key)
     return tuple(clusters)
 
 

@@ -12,7 +12,6 @@ view's global ids and the ontologies' local ids.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -46,12 +45,14 @@ class CoreFragments:
 
     The engine fields hold ints.  `core` lists the core classes' global
     ids in ascending (name) order; the other fields name a core class by
-    its rank in `core`.  `edges` are (child, parent, via_path) and carry
-    no mapping edges; conflict search re-adds the edges of each candidate
-    mapping subset.  `starts` are the entry points for conflict
-    enumeration (checkset plus divergence classes; see
-    extract_core_fragments), so they contain `checkset_ranks`.  The
-    ClassId views of these fields are built on first use.
+    its rank in `core`, which `rank` looks up.  `edges` are (child,
+    parent, via_path) and carry no mapping edges; `radj` is their
+    reverse graph, to which conflict search and `fragments_incoherent`
+    add the `subset_edges` of the mappings they consider.  `starts` are
+    the entry points for conflict enumeration (checkset plus divergence
+    classes; see extract_core_fragments), so they contain
+    `checkset_ranks`.  The rank dict, the reverse graph and the ClassId
+    views of these fields are built on first use.
     """
 
     ids: GlobalIds
@@ -83,24 +84,20 @@ class CoreFragments:
     def checkset(self) -> tuple[ClassId, ...]:
         return tuple(self.core_classes[r] for r in self.checkset_ranks)
 
-    @property
-    def edge_provenance(self) -> dict[tuple[ClassId, ClassId], bool]:
-        """(child, parent) -> whether the edge abbreviates a longer path."""
-        return {(e.child, e.parent): e.via_path for e in self.reduced_edges}
+    @cached_property
+    def _ranks(self) -> dict[int, int]:
+        return {g: r for r, g in enumerate(self.core)}
 
     def rank(self, c: ClassId) -> int | None:
         """Position of a class in `core`, or None for a non-core class."""
         try:
-            r = bisect_left(self.core, g := self.ids.node(c))
+            return self._ranks.get(self.ids.node(c))
         except ModelError:
             return None
-        return r if r < len(self.core) and self.core[r] == g else None
-
-    def __contains__(self, c: ClassId) -> bool:
-        return self.rank(c) is not None
 
     @cached_property
-    def _ontology_radj(self) -> list[list[int]]:
+    def radj(self) -> list[list[int]]:
+        """Reverse reduced graph: the children of each core rank."""
         radj: list[list[int]] = [[] for _ in self.core]
         for child, parent, _ in self.edges:
             radj[parent].append(child)
@@ -278,7 +275,7 @@ def fragments_incoherent(
     extra_down: dict[int, list[int]] = {}
     for u, v in fragments.subset_edges(subset):
         extra_down.setdefault(v, []).append(u)
-    radj = fragments._ontology_radj
+    radj = fragments.radj
     return any(
         reachable(radj, a, extra_down) & reachable(radj, b, extra_down)
         for a, b in fragments.pairs

@@ -13,6 +13,7 @@ mapping and pair counts, time grows linearly with the class count.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cache, partial
@@ -59,8 +60,8 @@ class GeneratorParams:
             raise ValueError("noise_rate must be in [0, 1]")
         if self.max_depth < 1:
             raise ValueError("max_depth must be positive")
-        if self.branching <= 0:
-            raise ValueError("branching must be positive")
+        if not 0 < self.branching < math.inf:
+            raise ValueError("branching must be positive and finite")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 

@@ -10,12 +10,13 @@ depth-limited lookahead, then canonically.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .conflicts import Cluster, ConflictList, ConflictSet, disjoint_conflict_clusters
+from .conflicts import ConflictList, ConflictSet, disjoint_conflict_clusters
 from .model import Alignment, Mapping
 
 
@@ -28,9 +29,10 @@ class RemovalCause(str, Enum):
 class RepairConfig:
     """Knobs of the repair loop.
 
-    A negative epsilon disables the confidence filter entirely.
-    `search_depth` bounds the tie-breaking lookahead; `use_clusters`
-    processes independent conflict clusters separately.
+    A negative epsilon disables the confidence filter entirely; a
+    non-finite one is rejected, since the report could not hold it as
+    JSON.  `search_depth` bounds the tie-breaking lookahead;
+    `use_clusters` processes independent conflict clusters separately.
     """
 
     epsilon: float = -1.0
@@ -38,6 +40,8 @@ class RepairConfig:
     use_clusters: bool = True
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
         if self.search_depth < 0:
             raise ValueError("search_depth must be nonnegative")
 
@@ -98,12 +102,6 @@ def filter_conflicts(
     return remaining, removed
 
 
-def _sets_of(cluster: Cluster | ConflictList | Iterable[ConflictSet]) -> tuple[ConflictSet, ...]:
-    if isinstance(cluster, (Cluster, ConflictList)):
-        return tuple(cluster.sets)
-    return tuple(cluster)
-
-
 def _count_sim_candidates(sets: Sequence[ConflictSet]) -> list[Mapping]:
     """Mappings with maximal occurrence count, then minimal confidence."""
     counts: Counter[tuple] = Counter()
@@ -121,13 +119,10 @@ def _count_sim_candidates(sets: Sequence[ConflictSet]) -> list[Mapping]:
 
 
 def resolved_conflicts(
-    cluster: Cluster | ConflictList | Iterable[ConflictSet],
-    mapping: Mapping,
-    depth: int,
+    sets: Sequence[ConflictSet], mapping: Mapping, depth: int
 ) -> int:
     """Conflict sets resolvable by removing `mapping` plus `depth` more
     greedy removals, each chosen among the residue's worst candidates."""
-    sets = _sets_of(cluster)
     hit = sum(1 for s in sets if mapping in s.mappings)
     if depth <= 0:
         return hit
@@ -158,30 +153,11 @@ def _select_worst(
     return winners[0], decisive
 
 
-def worst_mapping(
-    cluster: Cluster | ConflictList | Iterable[ConflictSet],
-    set_maps: Alignment,
-    search_depth: int,
-) -> Mapping:
-    """The next mapping the greedy step would remove from this cluster."""
-    sets = _sets_of(cluster)
-    if not sets:
-        raise ValueError("worst_mapping called with an empty cluster")
-    for s in sets:
-        for m in s.mappings:
-            if m not in set_maps:
-                raise ValueError(
-                    f"cluster mapping {m.describe()!r} is not in the alignment"
-                )
-    chosen, _ = _select_worst(sets, search_depth)
-    return chosen
-
-
 def remove_mapping(
-    cluster: Cluster | ConflictList | Iterable[ConflictSet], mapping: Mapping
+    sets: Sequence[ConflictSet], mapping: Mapping
 ) -> tuple[ConflictSet, ...]:
     """Residue after resolving every set that contains the mapping."""
-    return tuple(s for s in _sets_of(cluster) if mapping not in s.mappings)
+    return tuple(s for s in sets if mapping not in s.mappings)
 
 
 def repair(
@@ -204,7 +180,7 @@ def repair(
 
     pending: list[tuple[ConflictSet, ...]]
     if config.use_clusters:
-        pending = [c.sets for c in disjoint_conflict_clusters(work.sets)]
+        pending = list(disjoint_conflict_clusters(work.sets))
     else:
         pending = [work.sets] if len(work) else []
 
@@ -221,7 +197,7 @@ def repair(
         residue = remove_mapping(sets, worst)
         if residue:
             if config.use_clusters:
-                pending.extend(c.sets for c in disjoint_conflict_clusters(residue))
+                pending.extend(disjoint_conflict_clusters(residue))
             else:
                 pending.append(residue)
 

@@ -47,6 +47,21 @@ def mk_set(*mappings: Mapping) -> ConflictSet:
     return ConflictSet(frozenset(mappings), WITNESS, PAIR)
 
 
+def antichain(sets) -> tuple[ConflictSet, ...]:
+    """Reference pruning: keep the smallest-witness set of each mapping
+    set, drop every set that another one strictly contains, then order
+    by key.  Random families go through it before `ConflictList`, which
+    expects an antichain."""
+    by_key = {}
+    for s in sorted(sets, key=lambda s: (s.key, s.witness_class, s.witness_pair)):
+        by_key.setdefault(s.key, s)
+    candidates = list(by_key.values())
+    kept = [
+        s for s in candidates if not any(o.mappings < s.mappings for o in candidates)
+    ]
+    return tuple(sorted(kept, key=lambda s: s.key))
+
+
 @dataclass
 class F1:
     o1: object

@@ -33,7 +33,7 @@ from alignrepair import (
 )
 from alignrepair.cli import cli_dispatch
 
-from conftest import mk_mapping, mk_set
+from conftest import antichain, mk_mapping, mk_set
 
 N_INSTANCES = 300
 SUBSET_SAMPLES = 50
@@ -173,7 +173,7 @@ def test_criterion_4_near_optimality_with_depth_three():
                 continue
             seen.add(members)
             sets.append(mk_set(*members))
-        conflicts = ConflictList(sets)
+        conflicts = ConflictList(antichain(sets))
         if not len(conflicts):
             optimal += 1
             continue

@@ -189,6 +189,30 @@ class TestErrorsAndExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_epsilon_rejected(self, f1_files, capsys, value):
+        out = f1_files / "repaired.tsv"
+        report = f1_files / "report.json"
+        status = cli_dispatch(
+            ["repair", *_inputs(f1_files), "--out", str(out),
+             "--report", str(report), f"--epsilon={value}"]
+        )
+        assert status == 1
+        assert "epsilon must be finite" in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_branching_rejected(self, tmp_path, capsys, value):
+        out = tmp_path / "instance"
+        status = cli_dispatch(
+            ["gen", "--classes", "20", "--mappings", "5", "--branching", value,
+             "--out-dir", str(out)]
+        )
+        assert status == 1
+        assert "branching must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestByteDeterminism:
     def test_two_identical_pipelines_byte_identical(self, tmp_path, capsys):
         blobs = []

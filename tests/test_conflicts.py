@@ -17,6 +17,7 @@ from alignrepair import (
     EnumerationCapExceeded,
     Mapping,
     Relation,
+    analyze,
     build_ontology,
     count_incoherent_classes,
     disjoint_conflict_clusters,
@@ -27,10 +28,11 @@ from alignrepair import (
     repair,
 )
 
+from alignrepair.conflicts import contains_conflict
 from alignrepair.generator import GeneratorParams, generate_instance
 from alignrepair.graphs import iter_bits
 
-from conftest import PAIR, generated_instances, mk_mapping, mk_set
+from conftest import PAIR, antichain, generated_instances, mk_mapping, mk_set
 
 
 def _enumerate(o1, o2, align, **kw):
@@ -271,6 +273,38 @@ def test_no_input_needs_more_steps_than_the_old_search(instance):
     assert find_conflict_sets(frags, frags.checkset, align, max_work=steps) == expected
 
 
+@pytest.mark.parametrize("params, minimal", [
+    # The search records 43 masks here, and 8 in the second instance.
+    (GeneratorParams(20, 14, 6, 0.9709049491616738, 29245, 9, 3.0), 41),
+    (GeneratorParams(34, 12, 5, 0.5019999905675694, 888508, 10, 2.0), 6),
+])
+def test_non_minimal_recorded_masks_are_dropped(params, minimal):
+    """Some recorded masks here contain a conflict found after them, so
+    only the final filter of `find_conflict_sets` keeps the output an
+    antichain: `ConflictList` does not prune."""
+    o1, o2, align, _ = generate_instance(params)
+    conflicts = analyze(o1, o2, align).conflicts
+    assert len(conflicts) == minimal
+    assert not any(a.mappings < b.mappings for a in conflicts for b in conflicts)
+    frags = extract_core_fragments(o1, o2, align)
+    expected, _ = _start_pair_reference(frags, frags.checkset, align, 1_000_000)
+    assert conflicts == expected
+
+
+def _engine_pruning(sets):
+    """The family pruned by the rule `find_conflict_sets` applies to its
+    recorded masks, then deduplicated by `ConflictList`."""
+    mappings = sorted({m.key for s in sets for m in s.mappings})
+    bit = {k: 1 << i for i, k in enumerate(mappings)}
+    mask_of = {s.key: sum(bit[m.key] for m in s.mappings) for s in sets}
+    by_low = {}
+    for mask in set(mask_of.values()):
+        by_low.setdefault(mask & -mask, []).append(mask)
+    return ConflictList(
+        s for s in sets if not contains_conflict(mask_of[s.key], by_low)
+    )
+
+
 class TestConflictListInvariants:
     def test_duplicates_merged_and_supersets_dropped(self):
         m1, m2, m3 = mk_mapping(1), mk_mapping(2), mk_mapping(3)
@@ -278,7 +312,7 @@ class TestConflictListInvariants:
         dup = mk_set(m1)
         superset = mk_set(m1, m2)
         other = mk_set(m2, m3)
-        cl = ConflictList([superset, dup, small, other])
+        cl = _engine_pruning([superset, dup, small, other])
         contents = [frozenset(m.key for m in s.mappings) for s in cl]
         assert contents == sorted(
             [frozenset({m1.key}), frozenset({m2.key, m3.key})],
@@ -291,27 +325,13 @@ class TestConflictListInvariants:
         assert [s.key for s in cl] == sorted(s.key for s in cl)
 
 
-def _pairwise_conflict_list(sets):
-    """Reference pruning: keep the smallest-witness set of each mapping
-    set, drop every set that another one strictly contains, then order
-    by key."""
-    by_key = {}
-    for s in sorted(sets, key=lambda s: (s.key, s.witness_class, s.witness_pair)):
-        by_key.setdefault(s.key, s)
-    candidates = list(by_key.values())
-    kept = [
-        s for s in candidates if not any(o.mappings < s.mappings for o in candidates)
-    ]
-    return tuple(sorted(kept, key=lambda s: s.key))
-
-
 _MAPPINGS = [mk_mapping(i) for i in range(6)]
 _WITNESSES = [ClassId(f"w{i}", 1) for i in range(3)]
 _conflict_sets = st.builds(
     lambda members, w: ConflictSet(
         frozenset(_MAPPINGS[i] for i in members), _WITNESSES[w], PAIR
     ),
-    st.sets(st.integers(0, len(_MAPPINGS) - 1), max_size=4),
+    st.sets(st.integers(0, len(_MAPPINGS) - 1), min_size=1, max_size=4),
     st.integers(0, len(_WITNESSES) - 1),
 )
 
@@ -320,8 +340,10 @@ _conflict_sets = st.builds(
 @given(st.lists(_conflict_sets, max_size=14))
 def test_pruning_matches_pairwise_reference(sets):
     """Duplicates (with other witnesses) and nested sets are frequent in
-    families of up to 14 sets over 6 mappings."""
-    assert ConflictList(sets).sets == _pairwise_conflict_list(sets)
+    families of up to 14 sets over 6 mappings.  The sets are non-empty:
+    the engine never records mask 0, since an ontology that is
+    incoherent on its own is rejected when it is built."""
+    assert _engine_pruning(sets).sets == antichain(sets)
 
 
 class TestClusters:
@@ -473,7 +495,7 @@ def test_cluster_independence_on_random_lists():
         for _ in range(rng.randint(1, 10)):
             size = rng.randint(1, min(3, len(maps)))
             sets.append(mk_set(*rng.sample(maps, size)))
-        cl = ConflictList(sets)
+        cl = ConflictList(antichain(sets))
         clusters = disjoint_conflict_clusters(cl.sets)
         # partition
         seen = set()
@@ -483,7 +505,7 @@ def test_cluster_independence_on_random_lists():
                 seen.add(s.key)
         assert seen == {s.key for s in cl}
         # every mapping occurs in exactly one cluster
-        for m in cl.all_mappings():
+        for m in {m for s in cl for m in s.mappings}:
             holders = [
                 c for c in clusters if any(m in s.mappings for s in c)
             ]

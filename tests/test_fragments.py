@@ -88,7 +88,6 @@ class TestExtractCoreFragments:
         assert {c.id for c in frags.core_classes} == {"A", "B", "C", "A2"}
         edges = {(e.child.id, e.parent.id): e.via_path for e in frags.reduced_edges}
         assert edges == {("A", "B"): True}
-        assert frags.edge_provenance[(o1.class_id("A"), o1.class_id("B"))] is True
 
     def test_chains_with_nothing_to_check_are_empty(self):
         o1 = build_ontology(1, ["A", "B"], [("A", "B")])

@@ -15,7 +15,7 @@ from alignrepair import (
     repair,
 )
 
-from conftest import mk_mapping, mk_set
+from conftest import antichain, mk_mapping, mk_set
 
 
 class TestExhaustiveIncoherence:
@@ -114,7 +114,7 @@ def test_repair_never_raises_recall():
             mk_set(*rng.sample(maps, rng.randint(2, min(3, len(maps)))))
             for _ in range(rng.randint(1, 6))
         ]
-        conflicts = ConflictList(sets)
+        conflicts = ConflictList(antichain(sets))
         align = Alignment(maps)
         reference = Alignment(rng.sample(maps, rng.randint(1, len(maps))))
         result = repair(conflicts, align, RepairConfig())

@@ -24,10 +24,10 @@ from alignrepair import (
     analyze,
     repair,
     resolved_conflicts,
-    worst_mapping,
 )
+from alignrepair.repair import _select_worst
 
-from conftest import generated_instances, mk_mapping, mk_set, renamed_instance
+from conftest import antichain, generated_instances, mk_mapping, mk_set, renamed_instance
 
 
 class TestFilterConflicts:
@@ -76,27 +76,21 @@ class TestFilterConflicts:
 
 
 class TestWorstMapping:
+    """The greedy step's pick, `_select_worst`."""
+
     def test_highest_count_wins(self, f2):
         cluster = [f2.s1, f2.s2]
-        assert worst_mapping(cluster, f2.alignment, 0) == f2.m1
+        assert _select_worst(cluster, 0)[0] == f2.m1
 
     def test_confidence_breaks_count_ties(self):
         hi, lo = mk_mapping(1, 0.9), mk_mapping(2, 0.5)
         cluster = [mk_set(hi, lo)]
-        assert worst_mapping(cluster, Alignment([hi, lo]), 0) == lo
+        assert _select_worst(cluster, 0)[0] == lo
 
     def test_triangle_all_tied_canonical_winner(self):
         a, b, c = mk_mapping(1, 0.7), mk_mapping(2, 0.7), mk_mapping(3, 0.7)
         cluster = [mk_set(a, b), mk_set(b, c), mk_set(a, c)]
-        assert worst_mapping(cluster, Alignment([a, b, c]), 2) == a
-
-    def test_empty_cluster_rejected(self, f2):
-        with pytest.raises(ValueError, match="empty"):
-            worst_mapping([], f2.alignment, 0)
-
-    def test_mapping_outside_alignment_rejected(self, f2):
-        with pytest.raises(ValueError, match="not in the alignment"):
-            worst_mapping([f2.s1], Alignment([f2.m1]), 0)
+        assert _select_worst(cluster, 2)[0] == a
 
 
 class TestResolvedConflicts:
@@ -211,7 +205,7 @@ def test_cluster_decomposition_preserves_per_cluster_optimality():
             mk_set(*rng.sample(maps, rng.randint(2, min(3, len(maps)))))
             for _ in range(rng.randint(2, 10))
         ]
-        conflicts = ConflictList(sets)
+        conflicts = ConflictList(antichain(sets))
         if not len(conflicts):
             continue
         align = Alignment(maps)
@@ -219,10 +213,10 @@ def test_cluster_decomposition_preserves_per_cluster_optimality():
         per_cluster_optimal = True
         total_optimum = 0
         for cluster in clusters:
-            optimum = len(brute_force_min_hitting_set(cluster.sets))
+            optimum = len(brute_force_min_hitting_set(cluster))
             total_optimum += optimum
             greedy = repair(
-                ConflictList(cluster.sets), align, RepairConfig(-1.0, 3, False)
+                ConflictList(cluster), align, RepairConfig(-1.0, 3, False)
             )
             if len(greedy.removed) != optimum:
                 per_cluster_optimal = False
@@ -243,7 +237,7 @@ def test_random_repairs_hit_everything_and_beat_nothing():
         for _ in range(rng.randint(1, 12)):
             size = rng.randint(1, min(3, len(maps)))
             sets.append(mk_set(*rng.sample(maps, size)))
-        conflicts = ConflictList(sets)
+        conflicts = ConflictList(antichain(sets))
         align = Alignment(maps)
         for depth in (0, 2):
             for clusters in (True, False):
