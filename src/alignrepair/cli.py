@@ -73,7 +73,7 @@ def _input_section(o1, o2, align) -> dict:
         "classes_side1": len(o1),
         "classes_side2": len(o2),
         "mappings": len(align),
-        "disjoint_pairs": len(o1.disjointness) + len(o2.disjointness),
+        "disjoint_pairs": len(o1.disjoint) + len(o2.disjoint),
     }
 
 
@@ -243,7 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repair", help="repair an alignment")
     add_inputs(p)
     p.add_argument("--epsilon", type=float, default=-1.0,
-                   help="confidence interval; negative disables filtering")
+                   help="confidence interval; negative disables filtering "
+                   "(write --epsilon=VALUE for values such as -1e-3)")
     p.add_argument("--search-depth", type=int, default=2,
                    help="tie-breaking lookahead depth")
     p.add_argument("--no-clusters", action="store_true",

@@ -12,7 +12,7 @@ view's global ids and the ontologies' local ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -44,19 +44,21 @@ class CoreFragments:
     """Reduced per-side hierarchies over the core classes.
 
     The engine fields hold ints.  `core` lists the core classes' global
-    ids in ascending (name) order; the other fields name a core class by
-    its rank in `core`, which `rank` looks up.  `edges` are (child,
-    parent, via_path) and carry no mapping edges; `radj` is their
-    reverse graph, to which conflict search and `fragments_incoherent`
-    add the `subset_edges` of the mappings they consider.  `starts` are
+    ids in ascending (name) order, and `ranks` maps each one to its
+    position there; the other fields name a core class by that rank,
+    which `rank` looks up.  `edges` are (child, parent, via_path) and
+    carry no mapping edges; `radj` is their reverse graph, to which
+    conflict search and `fragments_incoherent` add the `subset_edges`
+    of the mappings they consider.  `starts` are
     the entry points for conflict enumeration (checkset plus divergence
     classes; see extract_core_fragments), so they contain
-    `checkset_ranks`.  The rank dict, the reverse graph and the ClassId
-    views of these fields are built on first use.
+    `checkset_ranks`.  The reverse graph and the ClassId views of these
+    fields are built on first use.
     """
 
     ids: GlobalIds
     core: tuple[int, ...]
+    ranks: dict[int, int] = field(compare=False, repr=False)
     edges: tuple[tuple[int, int, bool], ...]
     pairs: tuple[tuple[int, int], ...]
     starts: tuple[int, ...]
@@ -84,14 +86,10 @@ class CoreFragments:
     def checkset(self) -> tuple[ClassId, ...]:
         return tuple(self.core_classes[r] for r in self.checkset_ranks)
 
-    @cached_property
-    def _ranks(self) -> dict[int, int]:
-        return {g: r for r, g in enumerate(self.core)}
-
     def rank(self, c: ClassId) -> int | None:
         """Position of a class in `core`, or None for a non-core class."""
         try:
-            return self._ranks.get(self.ids.node(c))
+            return self.ranks.get(self.ids.node(c))
         except ModelError:
             return None
 
@@ -258,6 +256,7 @@ def extract_core_fragments(
     return CoreFragments(
         ids=ids,
         core=tuple(core_ids),
+        ranks=rank,
         edges=tuple(edges),
         pairs=tuple((rank[a], rank[b]) for a, b in ids.disjoint),
         starts=tuple(sorted(rank[g] for g in starts)),

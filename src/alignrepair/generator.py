@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cache, partial
+from typing import Callable
 
 from .conflicts import count_incoherent_classes
 from .graphs import reachable
@@ -69,11 +70,8 @@ class GeneratorParams:
 @dataclass
 class _Side:
     ontology: Ontology
-    children: list[list[int]]  # node index -> child indices
+    cone: Callable[[int], set[int]]  # node index -> its descendants, memoized
     pair_indices: list[tuple[int, int]]
-
-    def cone(self, node: int) -> list[int]:
-        return sorted(reachable(self.children, node))
 
 
 def _tree_parents(rng: random.Random, params: GeneratorParams) -> list[int]:
@@ -122,12 +120,12 @@ def _sample_disjoint_pairs(
     rng: random.Random,
     n: int,
     children: list[list[int]],
+    cone: Callable[[int], set[int]],
     count: int,
 ) -> list[tuple[int, int]]:
     """Sibling/cousin pairs whose descendant cones do not overlap."""
     if count == 0:
         return []
-    cone = cache(partial(reachable, children))  # node -> its descendants
     parents_with_kids = [v for v in range(n) if len(children[v]) >= 2]
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -173,14 +171,15 @@ def _build_side(
     children: list[list[int]] = [[] for _ in range(n)]
     for child, parent in edges:
         children[parent].append(child)
-    pair_indices = _sample_disjoint_pairs(rng, n, children, disjoint_count)
+    cone = cache(partial(reachable, children))
+    pair_indices = _sample_disjoint_pairs(rng, n, children, cone, disjoint_count)
     ontology = build_ontology(
         side,
         names,
         [(names[c], names[p]) for c, p in edges],
         [(names[a], names[b]) for a, b in pair_indices],
     )
-    return _Side(ontology, children, pair_indices)
+    return _Side(ontology, cone, pair_indices)
 
 
 def _targeted_endpoints(
@@ -200,8 +199,8 @@ def _targeted_endpoints(
     if rng.random() < 0.5:
         u, v = v, u
     holder = side1 if side == 1 else side2
-    cone_u = holder.cone(u)
-    mapped_in_v = [k for k in holder.cone(v) if k in mapped]
+    cone_u = sorted(holder.cone(u))
+    mapped_in_v = [k for k in sorted(holder.cone(v)) if k in mapped]
     if not mapped_in_v:
         return None
     x = cone_u[rng.randrange(len(cone_u))]

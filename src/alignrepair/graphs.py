@@ -1,14 +1,17 @@
-"""Directed-graph primitives: SCC condensation, topological order and
-upward reachability.
+"""Directed-graph primitives: one ordering pass and one cone search.
 
 All functions work on integer node ids 0..n-1 with adjacency lists.
-No all-pairs closure is built: reachability is answered by searches or
-by passes over these orders, whose cost grows with the edges visited.
+`tarjan_scc` gives the components, the condensation (with
+`condensation_edges`), a topological order and the cycle check, since
+its component ids are a reverse topological order.  `reachable` gives
+the cone of a node: every node it reaches over the lists it is handed,
+so parent lists give ancestors and child lists give descendants.  No
+all-pairs closure is built: reachability is answered by these searches
+or by passes over component ids, whose cost grows with the edges visited.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 
@@ -82,31 +85,6 @@ def condensation_edges(
     return [sorted(set(s)) if len(s) > 1 else s for s in succ]
 
 
-def dag_order_roots_first(n: int, parents: Sequence[Sequence[int]]) -> list[int] | None:
-    """Topological order with every parent before its children.
-
-    `parents[v]` lists the distinct direct parents of v.  Returns None
-    when the parent relation is cyclic.
-    """
-    children: list[list[int]] = [[] for _ in range(n)]
-    pending = [len(ps) for ps in parents]
-    for v, ps in enumerate(parents):
-        for p in ps:
-            children[p].append(v)
-    queue = deque(v for v in range(n) if pending[v] == 0)
-    order: list[int] = []
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for c in children[v]:
-            pending[c] -= 1
-            if pending[c] == 0:
-                queue.append(c)
-    if len(order) != n:
-        return None
-    return order
-
-
 def reachable(
     adj: Sequence[Sequence[int]], start: int, extra: dict[int, list[int]] | None = None
 ) -> set[int]:
@@ -122,28 +100,6 @@ def reachable(
                 seen.add(v)
                 stack.append(v)
     return seen
-
-
-def reaches_upward(
-    parents: Sequence[Sequence[int]], source: int, target: int, floor: int = 0
-) -> bool:
-    """True iff `target` is `source` or one of its ancestors.
-
-    Searches the parent lists upward without entering ids below `floor`.
-    Where every parent has a smaller id than its children, pass the
-    target as the floor: nothing below it can reach back up to it.
-    """
-    seen = {source}
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        if u == target:
-            return True
-        for p in parents[u]:
-            if p >= floor and p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return False
 
 
 def iter_bits(mask: int):

@@ -16,17 +16,12 @@ MergedGraph concurrently.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import (
-    condensation_edges,
-    dag_order_roots_first,
-    reachable,
-    reaches_upward,
-    tarjan_scc,
-)
+from .graphs import condensation_edges, reachable, tarjan_scc
 
 
 class ModelError(ValueError):
@@ -149,8 +144,10 @@ class Ontology:
     local ids, the positions of the classes in the sorted `names`:
     `index` maps a name to its id, `parents` lists every class's direct
     superclasses in ascending order, `order` puts every superclass
-    before its subclasses, and `disjoint` holds the sorted pairs in
-    sorted order.  They are read-only.  The ClassId views `classes`,
+    before its subclasses (Tarjan's component order, which the build
+    also uses to detect cycles), and `disjoint` holds the sorted pairs
+    in sorted order.  They are read-only.  `reaches` searches the
+    upward cone of a class.  The ClassId views `classes`,
     `subclass_edges` and `disjointness` are built on first use.
     """
 
@@ -200,8 +197,10 @@ class Ontology:
         return ClassId(name, self.side)
 
     def reaches(self, a: ClassId, b: ClassId) -> bool:
-        """Reflexive-transitive subclass relation inside this ontology."""
-        return reaches_upward(self.parents, self._local(a), self._local(b))
+        """Reflexive-transitive subclass relation inside this ontology:
+        whether b is in the upward cone of a."""
+        source, target = self._local(a), self._local(b)
+        return target in reachable(self.parents, source)
 
     def _local(self, c: ClassId) -> int:
         if c.side != self.side or c.id not in self.index:
@@ -218,9 +217,9 @@ def build_ontology(
     """Validate and index one ontology.
 
     Duplicate declarations are deduplicated silently.  Rejects undeclared
-    class references, subclass cycles, self-disjointness, and ontologies
-    that are incoherent on their own (a class under both members of a
-    disjoint pair).
+    class references, subclass cycles (naming the smallest class that
+    lies on one), self-disjointness, and ontologies that are incoherent
+    on their own (a class under both members of a disjoint pair).
     """
     if side not in (1, 2):
         raise OntologyError(f"side must be 1 or 2, got {side!r}")
@@ -238,15 +237,32 @@ def build_ontology(
     for ic, ip in sorted(edge_set):
         parents[ic].append(ip)
 
-    order = dag_order_roots_first(n, parents)
-    if order is None:
-        in_cycle = _some_cycle_member(n, parents)
+    # A call of its own, so Tarjan's component list is freed before the
+    # coherence check, where the build's memory peaks.
+    order = _roots_first_order(side, names, parents)
+    _check_coherent(names, parents, disjoint_set)
+    return Ontology(side, names, index, order,
+                    tuple(map(tuple, parents)), tuple(sorted(disjoint_set)))
+
+
+def _roots_first_order(
+    side: int, names: list[str], parents: list[list[int]]
+) -> tuple[int, ...]:
+    """Every class after its parents: on acyclic input, Tarjan's
+    component ids are that order.  A component with more than one class
+    is a cycle; the error names the smallest class in any such one."""
+    n = len(names)
+    count, comp = tarjan_scc(n, parents)
+    if count < n:
+        size = Counter(comp)
+        in_cycle = next(v for v in range(n) if size[comp[v]] > 1)
         raise OntologyError(
             f"subclass cycle in ontology side {side} (involves {names[in_cycle]!r})"
         )
-    _check_coherent(names, parents, disjoint_set)
-    return Ontology(side, names, index, tuple(order),
-                    tuple(map(tuple, parents)), tuple(sorted(disjoint_set)))
+    order = [0] * n
+    for v, c in enumerate(comp):
+        order[c] = v
+    return tuple(order)
 
 
 def _resolve_pairs(
@@ -294,32 +310,6 @@ def _check_coherent(
                 f"input ontology incoherent: class {names[min(both)]!r} is subsumed by "
                 f"disjoint classes {names[ia]!r} and {names[ib]!r}"
             )
-
-
-def _some_cycle_member(n: int, parents: list[list[int]]) -> int:
-    """A node on a parent-relation cycle (exists when topo sort failed)."""
-    state = [0] * n  # 0 unvisited, 1 in progress, 2 done
-
-    for root in range(n):
-        if state[root]:
-            continue
-        stack = [(root, iter(parents[root]))]
-        state[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for p in it:
-                if state[p] == 1:
-                    return p
-                if state[p] == 0:
-                    state[p] = 1
-                    stack.append((p, iter(parents[p])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
-    return 0
 
 
 class GlobalIds:
@@ -384,13 +374,14 @@ class MergedGraph:
     adjacency with the mapping edges merged into their tails' lists
     (sorted, distinct; shared, so do not modify them).  Component
     queries run on the SCC condensation, computed on first use, whose
-    ids put every parent before its children (smaller id), so upward
-    searches can skip lower ids.  Lazy caches are filled idempotently,
-    so concurrent readers are safe.
+    ids put every parent before its children (smaller id).  `entails`
+    searches the upward cone of a component; `component_covers`, on the
+    checkset's hot path, runs its own upward search that skips ids
+    below the smallest parent.  Lazy caches are filled idempotently, so
+    concurrent readers are safe.
     """
 
-    __slots__ = ("o1", "o2", "alignment", "ids", "adj", "_down_extra", "_scc",
-                 "_classes", "_covers_cache")
+    __slots__ = ("alignment", "ids", "adj", "_down_extra", "_scc", "_classes")
 
     def __init__(self, o1: Ontology, o2: Ontology, alignment: Alignment):
         if o1.side != 1 or o2.side != 2:
@@ -399,7 +390,7 @@ class MergedGraph:
         if cached is None or cached[0] is not o2:
             cached = o1._space = (o2, GlobalIds(o1, o2))
         self.ids = ids = cached[1]
-        self.o1, self.o2, self.alignment = o1, o2, alignment
+        self.alignment = alignment
 
         extra: dict[int, set[int]] = {}
         for m in alignment:
@@ -417,7 +408,6 @@ class MergedGraph:
                 self._down_extra.setdefault(v, []).append(u)
         self._scc: tuple[int, list[int], list[list[int]]] | None = None
         self._classes: tuple[ClassId, ...] | None = None
-        self._covers_cache: dict[int, tuple[int, ...]] = {}
 
     def __repr__(self) -> str:
         return (f"MergedGraph(classes={len(self.adj)}, "
@@ -482,9 +472,6 @@ class MergedGraph:
         parents = cond_parents[comp]
         if len(parents) < 2:
             return tuple(parents)
-        cached = self._covers_cache.get(comp)
-        if cached is not None:
-            return cached
         floor = parents[0]
         seen: set[int] = set()
         stack = [g for q in parents for g in cond_parents[q] if g >= floor]
@@ -496,9 +483,7 @@ class MergedGraph:
             stack.extend(
                 g for g in cond_parents[u] if g >= floor and g not in seen
             )
-        covers = tuple(q for q in parents if q not in seen)
-        self._covers_cache[comp] = covers
-        return covers
+        return tuple(q for q in parents if q not in seen)
 
     # -- class-level queries ----------------------------------------------
 
@@ -506,7 +491,7 @@ class MergedGraph:
         """True iff a is (reflexively, transitively) subsumed by b."""
         _, comp, cond_parents = self._components()
         cb = comp[self.ids.node(b)]
-        return reaches_upward(cond_parents, comp[self.ids.node(a)], cb, floor=cb)
+        return cb in reachable(cond_parents, comp[self.ids.node(a)])
 
     def direct_superclasses(self, a: ClassId) -> tuple[ClassId, ...]:
         """Representatives of the components covering a's component.

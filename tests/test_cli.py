@@ -72,6 +72,19 @@ class TestRepairCommand:
         # 0.5 + 0.1 < 0.9 - 0.1: the filter removes the weak mapping
         assert data["repair"]["removed_filtered"] == 1
 
+    def test_negative_epsilon_in_equals_form(self, f1_files, capsys):
+        """argparse reads `--epsilon -1e-3` as two flags; the README gives
+        the `--epsilon=VALUE` spelling, which must parse."""
+        outputs = []
+        for flag in (["--epsilon=-1e-3"], ["--epsilon", "-1"]):
+            out = f1_files / "repaired.tsv"
+            assert cli_dispatch(
+                ["repair", *_inputs(f1_files), "--out", str(out), *flag]
+            ) == 0
+            outputs.append(out.read_text())
+            out.unlink()
+        assert outputs[0] == outputs[1]
+
 
 class TestCheckCommand:
     def test_f1_prints_count_then_classes(self, f1_files, capsys):

@@ -3,6 +3,7 @@ instance used throughout development."""
 
 import random
 import time
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from alignrepair.generator import (
     _sample_disjoint_pairs,
     _tree_parents,
 )
+from alignrepair.graphs import reachable
 
 
 class TestDeterminism:
@@ -212,7 +214,8 @@ def test_disjoint_pairs_match_the_descendant_set_predicate(params, count):
         except GeneratorError:
             return None
 
-    assert outcome(_sample_disjoint_pairs, ours, n, children, count) == outcome(
+    cone = cache(partial(reachable, children))
+    assert outcome(_sample_disjoint_pairs, ours, n, children, cone, count) == outcome(
         _descendant_set_pairs, ref, n, children, count
     )
     assert ours.getstate() == ref.getstate()

@@ -4,7 +4,6 @@ import random
 
 from alignrepair.graphs import (
     condensation_edges,
-    dag_order_roots_first,
     iter_bits,
     tarjan_scc,
 )
@@ -58,12 +57,6 @@ def test_condensation_reachability_matches_naive_on_random_graphs():
                 expected = v in reach[u]
                 got = comp[v] in comp_reach[comp[u]]
                 assert got == expected, (u, v)
-
-
-def test_dag_order_detects_cycles():
-    assert dag_order_roots_first(2, [[1], [0]]) is None
-    order = dag_order_roots_first(3, [[], [0], [1]])
-    assert order == [0, 1, 2]
 
 
 def test_iter_bits():

@@ -42,6 +42,23 @@ class TestBuildOntology:
         with pytest.raises(OntologyError, match="cycle"):
             build_ontology(1, ["X", "Y"], [("X", "Y"), ("Y", "X")])
 
+    @pytest.mark.parametrize("classes, edges, named", [
+        (["X", "Y"], [("X", "Y"), ("Y", "X")], "X"),
+        # A sits under the cycle without being on it, so a search from A
+        # that names the first class it meets twice would name C.
+        (["A", "B", "C"], [("A", "C"), ("B", "C"), ("C", "B")], "B"),
+        (["A", "B", "C", "D", "E"],
+         [("D", "E"), ("E", "D"), ("C", "B"), ("B", "C"), ("A", "D")], "B"),
+    ])
+    def test_cycle_error_names_the_smallest_class_on_a_cycle(
+        self, classes, edges, named
+    ):
+        with pytest.raises(OntologyError) as info:
+            build_ontology(1, classes, edges)
+        assert str(info.value) == (
+            f"subclass cycle in ontology side 1 (involves {named!r})"
+        )
+
     def test_self_edge_rejected(self):
         with pytest.raises(OntologyError, match="cycle"):
             build_ontology(1, ["X"], [("X", "X")])
@@ -273,6 +290,36 @@ def test_coherence_check_matches_brute_closure(seed):
         with pytest.raises(OntologyError) as info:
             build_ontology(1, names, edges, disjoint)
         assert str(info.value) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+             .filter(lambda e: e[0] != e[1]), max_size=12))))
+def test_build_accepts_exactly_the_acyclic_digraphs(graph):
+    """A digraph without self-edges is accepted iff no edge closes a
+    cycle in the brute closure; then `order` puts every parent before
+    its children, and otherwise the error names the smallest class on a
+    cycle."""
+    n, pairs = graph
+    names = [f"c{i}" for i in range(n)]
+    edges = [(names[a], names[b]) for a, b in pairs]
+    closure = brute_reachable(edges)
+    # A class is on a cycle iff one of its edges leads back to it.
+    on_cycle = sorted(a for a, b in edges if a in closure[b])
+    if not on_cycle:
+        onto = build_ontology(1, names, edges)
+        assert sorted(onto.order) == list(range(n))
+        position = {v: i for i, v in enumerate(onto.order)}
+        for child, ps in enumerate(onto.parents):
+            assert all(position[p] < position[child] for p in ps)
+        return
+    with pytest.raises(OntologyError) as info:
+        build_ontology(1, names, edges)
+    assert str(info.value) == (
+        f"subclass cycle in ontology side 1 (involves {on_cycle[0]!r})"
+    )
 
 
 @settings(max_examples=40, deadline=None)
