@@ -44,7 +44,7 @@ from .oracle import (
     exhaustive_incoherence,
     precision_recall_fmeasure,
 )
-from .pipeline import Analysis, analyze
+from .pipeline import Analysis, RepairRun, analyze, repair_alignment
 from .repair import (
     RemovalCause,
     RemovedMapping,
@@ -83,6 +83,7 @@ __all__ = [
     "RemovedMapping",
     "RepairConfig",
     "RepairResult",
+    "RepairRun",
     "RepairStats",
     "analyze",
     "brute_force_min_hitting_set",
@@ -102,6 +103,7 @@ __all__ = [
     "precision_recall_fmeasure",
     "remove_mapping",
     "repair",
+    "repair_alignment",
     "resolved_conflicts",
     "write_alignment_tsv",
     "write_ontology_file",

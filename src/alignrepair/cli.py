@@ -31,30 +31,10 @@ from .fragments import extract_core_fragments
 from .generator import GeneratorError, GeneratorParams, generate_instance
 from .model import ModelError, merged_view
 from .oracle import precision_recall_fmeasure
-from .pipeline import analyze
-from .repair import RemovalCause, RepairConfig, repair
+from .pipeline import analyze, repair_alignment
+from .repair import RemovalCause, RepairConfig
 
 SCHEMA_VERSION = 1
-
-
-class _Timer:
-    def __init__(self) -> None:
-        self.phases: list[tuple[str, float]] = []
-        self._last = time.perf_counter()
-
-    def mark(self, name: str) -> None:
-        now = time.perf_counter()
-        self.phases.append((name, now - self._last))
-        self._last = now
-
-    def add(self, phases: dict[str, float]) -> None:
-        """Record phases timed elsewhere, in order, ending now."""
-        self.phases.extend(phases.items())
-        self._last = time.perf_counter()
-
-    def report(self) -> None:
-        for name, seconds in self.phases:
-            print(f"{name}: {seconds:.3f}s", file=sys.stderr)
 
 
 def _pct(part: int, total: int) -> float:
@@ -97,20 +77,16 @@ def _emit(report: dict, path: str | None) -> None:
 
 
 def _cmd_repair(args) -> int:
-    timer = _Timer()
+    start = time.perf_counter()
     o1, o2, align = _load_inputs(args)
-    timer.mark("load")
-    analysis = analyze(o1, o2, align)
-    timer.add(analysis.phases)
+    load_s = time.perf_counter() - start
     config = RepairConfig(
         epsilon=args.epsilon,
         search_depth=args.search_depth,
         use_clusters=not args.no_clusters,
     )
-    result = repair(analysis.conflicts, align, config)
-    timer.mark("repair")
-    incoherent_after, _ = count_incoherent_classes(merged_view(o1, o2, result.kept))
-    timer.mark("verify")
+    run = repair_alignment(o1, o2, align, config)
+    analysis, result = run.analysis, run.result
 
     Path(args.out).write_text(write_alignment_tsv(result.kept), encoding="utf-8")
     filtered = sum(1 for r in result.removed if r.cause is RemovalCause.FILTERED)
@@ -130,7 +106,7 @@ def _cmd_repair(args) -> int:
         },
         "incoherent": {
             "before": analysis.incoherent_before,
-            "after": incoherent_after,
+            "after": run.incoherent_after,
         },
         "config": {
             "epsilon": config.epsilon,
@@ -141,7 +117,8 @@ def _cmd_repair(args) -> int:
     if args.report:
         _emit(report, args.report)
     _emit(report, None)
-    timer.report()
+    for name, seconds in {"load": load_s, **run.phases}.items():
+        print(f"{name}: {seconds:.3f}s", file=sys.stderr)
     return 0
 
 

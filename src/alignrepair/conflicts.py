@@ -120,7 +120,7 @@ def find_conflict_sets(
     """Enumerate every minimal conflict set of the alignment.
 
     Witnesses are the fragment start classes, which contain
-    `fragments.checkset`, the classes of the given checkset, and the
+    `fragments.checkset_ranks`, the classes of the given checkset, and the
     disjointness endpoints.  One backward label search per endpoint finds
     the minimal label sets of the walks from each node into it; all the
     searches run in one loop, by label-set size.  A set is settled at a

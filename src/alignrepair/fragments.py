@@ -52,8 +52,9 @@ class CoreFragments:
     of the mappings they consider.  `starts` are
     the entry points for conflict enumeration (checkset plus divergence
     classes; see extract_core_fragments), so they contain
-    `checkset_ranks`.  The reverse graph and the ClassId views of these
-    fields are built on first use.
+    `checkset_ranks`.  The reverse graph and the ClassId views
+    `core_classes`, `reduced_edges` and `start_classes` are built on
+    first use.
     """
 
     ids: GlobalIds
@@ -74,17 +75,8 @@ class CoreFragments:
         return tuple(ReducedEdge(cls[c], cls[p], via) for c, p, via in self.edges)
 
     @cached_property
-    def disjoint_pairs(self) -> tuple[tuple[ClassId, ClassId], ...]:
-        cls = self.core_classes
-        return tuple((cls[a], cls[b]) for a, b in self.pairs)
-
-    @cached_property
     def start_classes(self) -> tuple[ClassId, ...]:
         return tuple(self.core_classes[r] for r in self.starts)
-
-    @cached_property
-    def checkset(self) -> tuple[ClassId, ...]:
-        return tuple(self.core_classes[r] for r in self.checkset_ranks)
 
     def rank(self, c: ClassId) -> int | None:
         """Position of a class in `core`, or None for a non-core class."""
@@ -186,7 +178,7 @@ def _reduced_edges_for_side(
 
     The strict-ancestor test uses bitmasks over core rank only: a core
     class's strict core ancestors are its covers plus their own strict
-    core ancestors, known once the pass reaches it.
+    core ancestors, known once the pass gets to it.
     """
     if not core_side:
         return []

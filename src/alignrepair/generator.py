@@ -205,7 +205,7 @@ def _targeted_endpoints(
         return None
     x = cone_u[rng.randrange(len(cone_u))]
     k = mapped_in_v[rng.randrange(len(mapped_in_v))]
-    # One leg sits below u directly (index x); the other reaches below v
+    # One leg sits below u directly (index x); the other leads below v
     # through the reference mapping at index k.  Cones of a pair never
     # intersect, so x != k and the mapping is genuinely wrong.
     if side == 1:

@@ -4,10 +4,11 @@ All functions work on integer node ids 0..n-1 with adjacency lists.
 `tarjan_scc` gives the components, the condensation (with
 `condensation_edges`), a topological order and the cycle check, since
 its component ids are a reverse topological order.  `reachable` gives
-the cone of a node: every node it reaches over the lists it is handed,
-so parent lists give ancestors and child lists give descendants.  No
-all-pairs closure is built: reachability is answered by these searches
-or by passes over component ids, whose cost grows with the edges visited.
+the cone of a node: every node reachable from it over the lists it is
+handed, so parent lists give ancestors and child lists give
+descendants.  No all-pairs closure is built: reachability is answered
+by these searches or by passes over component ids, whose cost grows
+with the edges visited.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 The merged graph combines the subclass edges of two ontologies with the
 directed edges contributed by an alignment.  Equivalence mappings create
-cycles, so subsumption queries run on the SCC condensation.  Neither an
+cycles, so component queries run on the SCC condensation.  Neither an
 ontology nor the merged graph stores an all-pairs closure: both keep
-parent lists, and queries search upward from them.
+adjacency lists, and queries search cones over them.
 
 The engine runs on dense int ids: local ids inside an ontology, global
 ids (name order across both sides) in the merged graph.  `ClassId`s are
@@ -146,8 +146,8 @@ class Ontology:
     superclasses in ascending order, `order` puts every superclass
     before its subclasses (Tarjan's component order, which the build
     also uses to detect cycles), and `disjoint` holds the sorted pairs
-    in sorted order.  They are read-only.  `reaches` searches the
-    upward cone of a class.  The ClassId views `classes`,
+    in sorted order.  They are read-only; `reachable(parents, v)` is the
+    upward cone of class v.  The ClassId views `classes`,
     `subclass_edges` and `disjointness` are built on first use.
     """
 
@@ -195,17 +195,6 @@ class Ontology:
         if name not in self.index:
             raise OntologyError(f"unknown class {name!r} in ontology side {self.side}")
         return ClassId(name, self.side)
-
-    def reaches(self, a: ClassId, b: ClassId) -> bool:
-        """Reflexive-transitive subclass relation inside this ontology:
-        whether b is in the upward cone of a."""
-        source, target = self._local(a), self._local(b)
-        return target in reachable(self.parents, source)
-
-    def _local(self, c: ClassId) -> int:
-        if c.side != self.side or c.id not in self.index:
-            raise OntologyError(f"class {c.id!r} not in ontology side {self.side}")
-        return self.index[c.id]
 
 
 def build_ontology(
@@ -374,14 +363,15 @@ class MergedGraph:
     adjacency with the mapping edges merged into their tails' lists
     (sorted, distinct; shared, so do not modify them).  Component
     queries run on the SCC condensation, computed on first use, whose
-    ids put every parent before its children (smaller id).  `entails`
-    searches the upward cone of a component; `component_covers`, on the
-    checkset's hot path, runs its own upward search that skips ids
-    below the smallest parent.  Lazy caches are filled idempotently, so
-    concurrent readers are safe.
+    ids put every parent before its children (smaller id).
+    `nodes_below` searches the downward cone of a class, so a is
+    subsumed by b iff a's id is in `nodes_below` of b's;
+    `component_covers`, on the checkset's hot path, runs its own upward
+    search that skips ids below the smallest parent.  Lazy caches are
+    filled idempotently, so concurrent readers are safe.
     """
 
-    __slots__ = ("alignment", "ids", "adj", "_down_extra", "_scc", "_classes")
+    __slots__ = ("alignment", "ids", "adj", "_down_extra", "_scc")
 
     def __init__(self, o1: Ontology, o2: Ontology, alignment: Alignment):
         if o1.side != 1 or o2.side != 2:
@@ -407,22 +397,10 @@ class MergedGraph:
             for v in ups:
                 self._down_extra.setdefault(v, []).append(u)
         self._scc: tuple[int, list[int], list[list[int]]] | None = None
-        self._classes: tuple[ClassId, ...] | None = None
 
     def __repr__(self) -> str:
         return (f"MergedGraph(classes={len(self.adj)}, "
                 f"components={self.component_count}, mappings={len(self.alignment)})")
-
-    @property
-    def classes(self) -> tuple[ClassId, ...]:
-        """Every class of both sides, in global id (name) order."""
-        if self._classes is None:
-            self._classes = tuple(map(self.ids.class_at, range(len(self.adj))))
-        return self._classes
-
-    def out_neighbors(self, c: ClassId) -> tuple[ClassId, ...]:
-        """Distinct direct successors (ontology and mapping edges alike)."""
-        return tuple(map(self.ids.class_at, self.adj[self.ids.node(c)]))
 
     def nodes_below(self, g: int) -> set[int]:
         """Nodes from which `g` is reachable (reflexive)."""
@@ -442,15 +420,9 @@ class MergedGraph:
     def component_count(self) -> int:
         return self._components()[0]
 
-    def component_of(self, c: ClassId) -> int:
-        return self._components()[1][self.ids.node(c)]
-
     def members_of(self, comps: set[int]) -> list[int]:
         """Global ids of every member of the given components, ascending."""
         return [g for g, c in enumerate(self._components()[1]) if c in comps]
-
-    def component_members(self, comp: int) -> tuple[ClassId, ...]:
-        return tuple(map(self.ids.class_at, self.members_of({comp})))
 
     def component_parents(self) -> list[list[int]]:
         """Direct successors of every component in the condensation, in
@@ -466,7 +438,7 @@ class MergedGraph:
         parents are the covers.  Otherwise one upward search from the
         parents' parents finds the parents that lie above another one;
         it skips ids below the smallest parent, since nothing there
-        reaches back up to a parent.
+        leads back up to a parent.
         """
         cond_parents = self._components()[2]
         parents = cond_parents[comp]
@@ -484,26 +456,6 @@ class MergedGraph:
                 g for g in cond_parents[u] if g >= floor and g not in seen
             )
         return tuple(q for q in parents if q not in seen)
-
-    # -- class-level queries ----------------------------------------------
-
-    def entails(self, a: ClassId, b: ClassId) -> bool:
-        """True iff a is (reflexively, transitively) subsumed by b."""
-        _, comp, cond_parents = self._components()
-        cb = comp[self.ids.node(b)]
-        return cb in reachable(cond_parents, comp[self.ids.node(a)])
-
-    def direct_superclasses(self, a: ClassId) -> tuple[ClassId, ...]:
-        """Representatives of the components covering a's component.
-
-        One representative (smallest class id) per covering component;
-        members of a's own component are never reported.
-        """
-        comp = self._components()[1]
-        reps: dict[int, int] = {}
-        for g in self.members_of(set(self.component_covers(comp[self.ids.node(a)]))):
-            reps.setdefault(comp[g], g)
-        return tuple(map(self.ids.class_at, sorted(reps.values())))
 
 
 def merged_view(o1: Ontology, o2: Ontology, alignment: Alignment) -> MergedGraph:

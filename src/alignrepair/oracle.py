@@ -60,7 +60,7 @@ def exhaustive_incoherence(
 ) -> set[ClassId]:
     """Every class subsumed by both members of some disjoint pair.
 
-    A class reaches B upward iff it is downward-reachable from B, so the
+    A class lies under B iff it is downward-reachable from B, so the
     scan intersects the downward cones of each disjoint pair over the
     full merged graph.
     """

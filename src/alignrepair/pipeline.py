@@ -1,6 +1,6 @@
-"""The analysis half of the pipeline, wired up once: merged view, core
-fragments, then conflict enumeration.  Repair and verification run on
-its result."""
+"""The repair pipeline, wired up once: merged view, core fragments,
+conflict enumeration (`analyze`), then repair and verification
+(`repair_alignment`, which runs the whole chain)."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from .conflicts import ConflictList, count_incoherent_classes, find_conflict_sets
 from .fragments import CoreFragments, extract_core_fragments
 from .model import Alignment, Ontology, merged_view
+from .repair import RepairConfig, RepairResult, repair
 
 
 @dataclass(frozen=True)
@@ -23,6 +24,22 @@ class Analysis:
     incoherent_before: int
     fragments: CoreFragments
     conflicts: ConflictList
+    phases: dict[str, float]
+
+
+@dataclass(frozen=True)
+class RepairRun:
+    """One run of the whole pipeline.
+
+    `incoherent_after` counts the incoherent classes of the merged view
+    of the kept mappings.  `phases` maps "merge", "fragments",
+    "conflicts", "repair" and "verify", in that order, to seconds.
+    Neither merged view is kept.
+    """
+
+    analysis: Analysis
+    result: RepairResult
+    incoherent_after: int
     phases: dict[str, float]
 
 
@@ -46,5 +63,31 @@ def analyze(o1: Ontology, o2: Ontology, alignment: Alignment) -> Analysis:
             "merge": merged - start,
             "fragments": extracted - merged,
             "conflicts": done - extracted,
+        },
+    )
+
+
+def repair_alignment(
+    o1: Ontology,
+    o2: Ontology,
+    alignment: Alignment,
+    config: RepairConfig = RepairConfig(),
+) -> RepairRun:
+    """Analyze the alignment, repair it, and count the incoherent
+    classes that the kept mappings leave."""
+    analysis = analyze(o1, o2, alignment)
+    start = time.perf_counter()
+    result = repair(analysis.conflicts, alignment, config)
+    repaired = time.perf_counter()
+    incoherent_after, _ = count_incoherent_classes(merged_view(o1, o2, result.kept))
+    done = time.perf_counter()
+    return RepairRun(
+        analysis=analysis,
+        result=result,
+        incoherent_after=incoherent_after,
+        phases={
+            **analysis.phases,
+            "repair": repaired - start,
+            "verify": done - repaired,
         },
     )

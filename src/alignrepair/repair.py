@@ -54,7 +54,6 @@ class RemovedMapping:
 
 @dataclass(frozen=True)
 class RepairStats:
-    input_mappings: int
     clusters_processed: int
     lookahead_tiebreaks: int
 
@@ -206,7 +205,6 @@ def repair(
         kept=Alignment(m for m in set_maps if m.key not in removed_keys),
         removed=tuple(removed),
         stats=RepairStats(
-            input_mappings=len(set_maps),
             clusters_processed=clusters_processed,
             lookahead_tiebreaks=lookahead_tiebreaks,
         ),

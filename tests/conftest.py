@@ -167,6 +167,17 @@ def renamed_instance(o1, o2, alignment, seed: int):
     )
 
 
+def core_pairs(fragments) -> list[tuple[ClassId, ClassId]]:
+    """The fragments' disjoint pairs as ClassIds: `pairs` by core rank."""
+    cls = fragments.core_classes
+    return [(cls[a], cls[b]) for a, b in fragments.pairs]
+
+
+def checkset_classes(fragments) -> tuple[ClassId, ...]:
+    """The fragments' checkset as ClassIds: `checkset_ranks` by core rank."""
+    return tuple(fragments.core_classes[r] for r in fragments.checkset_ranks)
+
+
 # -- brute-force oracles ---------------------------------------------------
 # Deliberately naive: plain adjacency dictionaries and quadratic scans,
 # sharing nothing with the package's condensation/bitmask machinery.

@@ -22,14 +22,13 @@ from alignrepair import (
     RepairConfig,
     analyze,
     brute_force_min_hitting_set,
-    count_incoherent_classes,
     exhaustive_incoherence,
     extract_core_fragments,
     filter_conflicts,
     fragments_incoherent,
     generate_instance,
-    merged_view,
     repair,
+    repair_alignment,
 )
 from alignrepair.cli import cli_dispatch
 
@@ -227,11 +226,10 @@ def test_criterion_6_fragment_reduction_at_scale():
     o1, o2, produced, _ = generate_instance(params)
     start = time.perf_counter()
     frags = extract_core_fragments(o1, o2, produced)
-    checkset = frags.checkset
     elapsed = time.perf_counter() - start
     total = len(o1) + len(o2)
     core_pct = 100 * len(frags.core_classes) / total
-    checkset_pct = 100 * len(checkset) / total
+    checkset_pct = 100 * len(frags.checkset_ranks) / total
     assert core_pct < 20, f"core fragments {core_pct:.1f}%"
     assert checkset_pct < 15, f"checkset {checkset_pct:.1f}%"
     assert elapsed < 10, f"extraction took {elapsed:.1f}s"
@@ -253,13 +251,13 @@ def test_criterion_7_engineering_budget():
     )
     o1, o2, produced, _ = generate_instance(params)
     start = time.perf_counter()
-    conflicts = analyze(o1, o2, produced).conflicts
-    result = repair(conflicts, produced, RepairConfig())
-    after, _ = count_incoherent_classes(merged_view(o1, o2, result.kept))
+    run = repair_alignment(o1, o2, produced, RepairConfig())
     elapsed = time.perf_counter() - start
+    conflicts, result = run.analysis.conflicts, run.result
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6
+    assert list(run.phases) == ["merge", "fragments", "conflicts", "repair", "verify"]
     assert 200 <= len(conflicts) <= 900, f"{len(conflicts)} conflict sets"
-    assert after == 0
+    assert run.incoherent_after == 0
     assert elapsed < 60, f"end-to-end repair took {elapsed:.1f}s"
     assert peak_gb < 4.0, f"peak RSS {peak_gb:.2f} GB"
     print(

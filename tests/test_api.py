@@ -1,11 +1,15 @@
 """The package's public surface: the export list, so that a deleted name
-fails here first, and the graph primitives, each of which must keep a
-caller in the engine."""
+fails here first; the graph primitives, each of which must keep a
+caller in the engine; and the public methods of the engine's classes,
+each of which must keep a reader outside the tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import alignrepair
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -30,3 +34,48 @@ def test_every_graph_primitive_is_called_from_another_module():
                 func = node.func
                 called.add(getattr(func, "id", None) or getattr(func, "attr", None))
     assert sorted(defined - called) == []
+
+
+def readme_library_block() -> str:
+    """The Python block under README's "Library use" heading."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names used as an attribute or called by name, with their counts."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            names[node.func.id] += 1
+    return names
+
+
+def test_every_engine_method_has_a_reader():
+    """Each public method or property of a class in `model.py` and
+    `fragments.py` is referenced outside its own def: by the package, by
+    the benchmark, or by the README's library example.  Names are matched
+    without their class, so a name shared with another class passes."""
+    package = Path(alignrepair.__file__).parent
+    paths = [*package.glob("*.py"), *(REPO / "perfbench").glob("*.py")]
+    sources = [path.read_text(encoding="utf-8") for path in paths]
+    sources.append(readme_library_block())
+    used = sum((_references(ast.parse(text)) for text in sources), Counter())
+    unread = []
+    for module in ("model.py", "fragments.py"):
+        tree = ast.parse((package / module).read_text(encoding="utf-8"))
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            public = [m for m in cls.body
+                      if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+            for method in public:
+                if used[method.name] <= _references(method)[method.name]:
+                    unread.append(f"{cls.name}.{method.name}")
+    assert unread == []
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    exec(compile(readme_library_block(), "README.md", "exec"), {})
+    assert capsys.readouterr().out == "2\n['C1 > A2']\n"

@@ -2,6 +2,7 @@
 byte-stable reports."""
 
 import json
+import re
 
 import pytest
 
@@ -57,6 +58,19 @@ class TestRepairCommand:
         assert data["repair"]["kept"] == 1
         assert data["incoherent"] == {"before": 2, "after": 0}
         assert data["conflicts"]["sets"] == 1
+
+    def test_phase_lines_on_stderr(self, f1_files, capsys):
+        """stderr holds one wall-time line per phase, in pipeline order,
+        and nothing else."""
+        status = cli_dispatch(
+            ["repair", *_inputs(f1_files), "--out", str(f1_files / "repaired.tsv")]
+        )
+        assert status == 0
+        lines = capsys.readouterr().err.splitlines()
+        names = ["load", "merge", "fragments", "conflicts", "repair", "verify"]
+        assert len(lines) == len(names)
+        for name, line in zip(names, lines):
+            assert re.fullmatch(rf"{name}: \d+\.\d{{3}}s", line), line
 
     def test_flags_forwarded(self, f1_files, capsys):
         out = f1_files / "repaired.tsv"

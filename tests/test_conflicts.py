@@ -32,12 +32,20 @@ from alignrepair.conflicts import contains_conflict
 from alignrepair.generator import GeneratorParams, generate_instance
 from alignrepair.graphs import iter_bits
 
-from conftest import PAIR, antichain, generated_instances, mk_mapping, mk_set
+from conftest import (
+    PAIR,
+    antichain,
+    checkset_classes,
+    core_pairs,
+    generated_instances,
+    mk_mapping,
+    mk_set,
+)
 
 
 def _enumerate(o1, o2, align, **kw):
     frags = extract_core_fragments(o1, o2, align)
-    return find_conflict_sets(frags, frags.checkset, align, **kw)
+    return find_conflict_sets(frags, checkset_classes(frags), align, **kw)
 
 
 class TestFindConflictSets:
@@ -188,7 +196,8 @@ def _start_pair_reference(fragments, checkset, alignment, max_work):
     label maps were tried, on ClassIds and a node-index dict.  Returns the
     conflicts and the steps spent, counted as the engine counted them
     then: every inserted label set and every path pair of a witness."""
-    if not fragments.disjoint_pairs or not len(alignment):
+    pairs = core_pairs(fragments)
+    if not pairs or not len(alignment):
         return ConflictList(), 0
     mappings = sorted(alignment, key=lambda m: m.key)
     node_of = {c: i for i, c in enumerate(fragments.core_classes)}
@@ -200,17 +209,17 @@ def _start_pair_reference(fragments, checkset, alignment, max_work):
             radj[node_of[sup]].append((node_of[sub], mi))
     states_to = {}
     budget = max_work
-    for e in sorted({node_of[c] for pair in fragments.disjoint_pairs for c in pair}):
+    for e in sorted({node_of[c] for pair in pairs for c in pair}):
         states_to[e], budget = _pareto_label_search(radj, e, budget)
     start_classes = sorted(
         set(fragments.start_classes)
         | set(checkset)
-        | {c for pair in fragments.disjoint_pairs for c in pair}
+        | {c for pair in pairs for c in pair}
     )
     found = {}
     for start in start_classes:
         s_idx = node_of[start]
-        for pair in fragments.disjoint_pairs:
+        for pair in pairs:
             sets_a = states_to[node_of[pair[0]]].get(s_idx)
             if not sets_a:
                 continue
@@ -247,13 +256,14 @@ def test_witnesses_match_the_start_pair_loop(instance):
     witness in start-class order, then pair order."""
     o1, o2, align = instance
     frags = extract_core_fragments(o1, o2, align)
+    checkset = checkset_classes(frags)
     try:
-        got = find_conflict_sets(frags, frags.checkset, align, max_work=20_000)
-        expected, _ = _start_pair_reference(frags, frags.checkset, align, 20_000)
+        got = find_conflict_sets(frags, checkset, align, max_work=20_000)
+        expected, _ = _start_pair_reference(frags, checkset, align, 20_000)
     except EnumerationCapExceeded:
         assume(False)
     assert got == expected
-    assert got == find_conflict_sets(frags, tuple(frags.checkset), align)
+    assert got == find_conflict_sets(frags, checkset, align)
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,11 +276,12 @@ def test_no_input_needs_more_steps_than_the_old_search(instance):
     draw that runs to 200,000 steps take half a minute."""
     o1, o2, align = instance
     frags = extract_core_fragments(o1, o2, align)
+    checkset = checkset_classes(frags)
     try:
-        expected, steps = _start_pair_reference(frags, frags.checkset, align, 20_000)
+        expected, steps = _start_pair_reference(frags, checkset, align, 20_000)
     except EnumerationCapExceeded:
         assume(False)
-    assert find_conflict_sets(frags, frags.checkset, align, max_work=steps) == expected
+    assert find_conflict_sets(frags, checkset, align, max_work=steps) == expected
 
 
 @pytest.mark.parametrize("params, minimal", [
@@ -287,7 +298,8 @@ def test_non_minimal_recorded_masks_are_dropped(params, minimal):
     assert len(conflicts) == minimal
     assert not any(a.mappings < b.mappings for a in conflicts for b in conflicts)
     frags = extract_core_fragments(o1, o2, align)
-    expected, _ = _start_pair_reference(frags, frags.checkset, align, 1_000_000)
+    checkset = checkset_classes(frags)
+    expected, _ = _start_pair_reference(frags, checkset, align, 1_000_000)
     assert conflicts == expected
 
 

@@ -25,6 +25,8 @@ from alignrepair.fragments import ReducedEdge
 from conftest import (
     brute_entails,
     brute_reachable,
+    checkset_classes,
+    core_pairs,
     generated_instances,
     merged_edge_list,
 )
@@ -100,14 +102,15 @@ class TestExtractCoreFragments:
     def test_core_contains_all_condition_classes(self, f1):
         frags = extract_core_fragments(f1.o1, f1.o2, f1.alignment)
         core = set(frags.core_classes)
-        for a, b in frags.disjoint_pairs:
+        for a, b in core_pairs(frags):
             assert a in core and b in core
         for m in f1.alignment:
             assert m.source in core and m.target in core
         view = merged_view(f1.o1, f1.o2, f1.alignment)
-        assert frags.checkset == compute_checkset(view)
-        assert set(frags.checkset) <= set(frags.start_classes)
-        for c in frags.checkset:
+        checkset = checkset_classes(frags)
+        assert checkset == compute_checkset(view)
+        assert set(checkset) <= set(frags.start_classes)
+        for c in checkset:
             assert c in core
 
 
@@ -217,9 +220,8 @@ def test_start_classes_witness_every_incoherent_subset():
         if not (o1.disjointness or o2.disjointness):
             continue
         frags = extract_core_fragments(o1, o2, align)
-        entry = set(frags.start_classes) | {
-            c for pair in frags.disjoint_pairs for c in pair
-        }
+        pairs = core_pairs(frags)
+        entry = set(frags.start_classes) | {c for pair in pairs for c in pair}
         maps = list(align)
         subsets = [
             list(c)
@@ -230,7 +232,7 @@ def test_start_classes_witness_every_incoherent_subset():
             full = brute_entails(o1, o2, subset)
             incoherent = any(
                 full(x, a) and full(x, b)
-                for a, b in frags.disjoint_pairs
+                for a, b in pairs
                 for x in list(o1.classes) + list(o2.classes)
             )
             if not incoherent:
@@ -239,7 +241,7 @@ def test_start_classes_witness_every_incoherent_subset():
             witness = any(
                 fragment_entails(frags, subset, s, a)
                 and fragment_entails(frags, subset, s, b)
-                for a, b in frags.disjoint_pairs
+                for a, b in pairs
                 for s in entry
             )
             assert witness, (seed, [m.key for m in subset])

@@ -17,6 +17,7 @@ from alignrepair import (
     generate_instance,
     precision_recall_fmeasure,
     repair,
+    repair_alignment,
     write_alignment_tsv,
     write_ontology_file,
 )
@@ -104,11 +105,10 @@ class TestPinnedRegression:
     def test_frozen_trace(self, instance):
         o1, o2, produced, reference = instance
         assert len(produced) == 13
-        analysis = analyze(o1, o2, produced)
-        assert analysis.incoherent_before == 5
-        conflicts = analysis.conflicts
-        assert len(conflicts) == 2
-        result = repair(conflicts, produced, RepairConfig())
+        run = repair_alignment(o1, o2, produced, RepairConfig())
+        assert run.analysis.incoherent_before == 5
+        assert len(run.analysis.conflicts) == 2
+        result = run.result
         assert [r.mapping.key for r in result.removed] == [
             ("a0002", "b0002", "=")
         ]

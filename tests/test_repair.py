@@ -27,7 +27,14 @@ from alignrepair import (
 )
 from alignrepair.repair import _select_worst
 
-from conftest import antichain, generated_instances, mk_mapping, mk_set, renamed_instance
+from conftest import (
+    antichain,
+    checkset_classes,
+    generated_instances,
+    mk_mapping,
+    mk_set,
+    renamed_instance,
+)
 
 
 class TestFilterConflicts:
@@ -187,7 +194,6 @@ class TestRepair:
 
     def test_stats_counts(self, f2):
         result = repair(f2.conflicts, f2.alignment)
-        assert result.stats.input_mappings == 5
         assert result.stats.clusters_processed == 2
 
 
@@ -265,8 +271,9 @@ def test_renamed_classes_count_and_repair_agree_with_the_oracle(instance, seed):
     assert count == len(expected) and set(classes) == expected
     assert list(classes) == sorted(classes)
     frags = extract_core_fragments(o1, o2, align)
+    checkset = checkset_classes(frags)
     try:
-        conflicts = find_conflict_sets(frags, frags.checkset, align, max_work=20_000)
+        conflicts = find_conflict_sets(frags, checkset, align, max_work=20_000)
     except EnumerationCapExceeded:
         assume(False)  # ROADMAP item 3: no repair without complete enumeration
     result = repair(conflicts, align)
