@@ -52,9 +52,7 @@ from .repair import (
     RepairResult,
     RepairStats,
     filter_conflicts,
-    remove_mapping,
     repair,
-    resolved_conflicts,
 )
 
 __version__ = "0.1.0"
@@ -101,10 +99,8 @@ __all__ = [
     "parse_alignment_tsv",
     "parse_ontology_file",
     "precision_recall_fmeasure",
-    "remove_mapping",
     "repair",
     "repair_alignment",
-    "resolved_conflicts",
     "write_alignment_tsv",
     "write_ontology_file",
 ]

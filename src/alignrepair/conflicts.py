@@ -136,7 +136,7 @@ def find_conflict_sets(
     if not fragments.pairs or not len(alignment):
         return ConflictList()
 
-    mappings = sorted(alignment, key=lambda m: m.key)
+    mappings = alignment.mappings
 
     # The reverse graph on core ranks: the reduced edges carry no label,
     # and each mapping edge is labelled with the mapping's index.

@@ -3,9 +3,9 @@
 The repair loop removes one mapping at a time until no conflict set is
 unresolved.  An optional confidence-interval filter first discharges
 sets whose lowest-confidence mapping is clearly worse than the rest;
-the greedy step then always removes a mapping occurring in the most
-unresolved sets, breaking ties by lowest confidence, then by a
-depth-limited lookahead, then canonically.
+the greedy step then removes a mapping occurring in the most unresolved
+sets, breaking ties by lowest confidence, then by the most sets that
+`search_depth` further greedy removals resolve, then canonically.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class RepairConfig:
 
     A negative epsilon disables the confidence filter entirely; a
     non-finite one is rejected, since the report could not hold it as
-    JSON.  `search_depth` bounds the tie-breaking lookahead;
+    JSON.  `search_depth`, an int, bounds the tie-breaking lookahead;
     `use_clusters` processes independent conflict clusters separately.
     """
 
@@ -42,6 +42,8 @@ class RepairConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite")
+        if type(self.search_depth) is not int:
+            raise ValueError("search_depth must be an int")
         if self.search_depth < 0:
             raise ValueError("search_depth must be nonnegative")
 
@@ -101,62 +103,48 @@ def filter_conflicts(
     return remaining, removed
 
 
-def _count_sim_candidates(sets: Sequence[ConflictSet]) -> list[Mapping]:
-    """Mappings with maximal occurrence count, then minimal confidence."""
-    counts: Counter[tuple] = Counter()
-    by_key: dict[tuple, Mapping] = {}
-    for s in sets:
-        for m in s.mappings:
-            counts[m.key] += 1
-            by_key.setdefault(m.key, m)
-    max_count = max(counts.values())
-    tied = [by_key[k] for k, c in counts.items() if c == max_count]
-    min_sim = min(m.confidence for m in tied)
-    tied = [m for m in tied if m.confidence == min_sim]
-    tied.sort(key=lambda m: m.key)
-    return tied
+def _residue(sets: Sequence[ConflictSet], m: Mapping) -> tuple[ConflictSet, ...]:
+    """The sets that removing `m` leaves unresolved."""
+    return tuple(s for s in sets if m not in s.mappings)
 
 
-def resolved_conflicts(
-    sets: Sequence[ConflictSet], mapping: Mapping, depth: int
-) -> int:
-    """Conflict sets resolvable by removing `mapping` plus `depth` more
-    greedy removals, each chosen among the residue's worst candidates."""
-    hit = sum(1 for s in sets if mapping in s.mappings)
-    if depth <= 0:
-        return hit
-    residue = tuple(s for s in sets if mapping not in s.mappings)
-    if not residue:
-        return hit
-    best = 0
-    for candidate in _count_sim_candidates(residue):
-        score = resolved_conflicts(residue, candidate, depth - 1)
-        if score > best:
-            best = score
-    return hit + best
+def _worst_candidates(sets: Sequence[ConflictSet]) -> tuple[int, list[Mapping]]:
+    """The top occurrence count, and the mappings with that count and the
+    lowest confidence among them, in key order."""
+    counts = Counter(m for s in sets for m in s.mappings)
+    top = max(counts.values())
+    tied = [m for m, c in counts.items() if c == top]
+    low = min(m.confidence for m in tied)
+    return top, sorted((m for m in tied if m.confidence == low),
+                       key=lambda m: m.key)
+
+
+def _lookahead(sets: Sequence[ConflictSet], depth: int) -> int:
+    """The most sets that `depth` further greedy removals resolve.
+
+    Each removal takes one of the residue's worst candidates.  They all
+    resolve the same `top` sets, so the last level only counts.
+    """
+    if depth == 0 or not sets:
+        return 0
+    top, candidates = _worst_candidates(sets)
+    if depth == 1:
+        return top
+    return top + max(_lookahead(_residue(sets, m), depth - 1) for m in candidates)
 
 
 def _select_worst(
     sets: Sequence[ConflictSet], search_depth: int
 ) -> tuple[Mapping, bool]:
-    """One greedy pick; second value reports whether lookahead scores
-    actually distinguished tied candidates."""
-    candidates = _count_sim_candidates(sets)
+    """One greedy pick, and whether the lookahead told tied candidates
+    apart.  Tied candidates resolve the same number of sets themselves,
+    so only the lookaheads of their residues are compared."""
+    _, candidates = _worst_candidates(sets)
     if len(candidates) == 1 or search_depth == 0:
         return candidates[0], False
-    scored = [(resolved_conflicts(sets, m, search_depth), m) for m in candidates]
-    best_score = max(score for score, _ in scored)
-    decisive = any(score != best_score for score, _ in scored)
-    winners = sorted((m for score, m in scored if score == best_score),
-                     key=lambda m: m.key)
-    return winners[0], decisive
-
-
-def remove_mapping(
-    sets: Sequence[ConflictSet], mapping: Mapping
-) -> tuple[ConflictSet, ...]:
-    """Residue after resolving every set that contains the mapping."""
-    return tuple(s for s in sets if mapping not in s.mappings)
+    scores = [_lookahead(_residue(sets, m), search_depth) for m in candidates]
+    best = max(scores)
+    return candidates[scores.index(best)], min(scores) != best
 
 
 def repair(
@@ -177,28 +165,21 @@ def repair(
         work, filtered = filter_conflicts(work, config.epsilon)
         removed.extend(RemovedMapping(m, RemovalCause.FILTERED) for m in filtered)
 
-    pending: list[tuple[ConflictSet, ...]]
-    if config.use_clusters:
-        pending = list(disjoint_conflict_clusters(work.sets))
-    else:
-        pending = [work.sets] if len(work) else []
+    # Clustering changes only how a residue splits into work items.
+    split = (disjoint_conflict_clusters if config.use_clusters
+             else lambda sets: (sets,) if sets else ())
 
+    pending = list(split(work.sets))
     clusters_processed = 0
     lookahead_tiebreaks = 0
     while pending:
         pending.sort(key=lambda sets: sets[0].key)
         sets = pending.pop(0)
         clusters_processed += 1
-        worst, used_lookahead = _select_worst(sets, config.search_depth)
-        if used_lookahead:
-            lookahead_tiebreaks += 1
+        worst, decisive = _select_worst(sets, config.search_depth)
+        lookahead_tiebreaks += decisive
         removed.append(RemovedMapping(worst, RemovalCause.GREEDY))
-        residue = remove_mapping(sets, worst)
-        if residue:
-            if config.use_clusters:
-                pending.extend(disjoint_conflict_clusters(residue))
-            else:
-                pending.append(residue)
+        pending.extend(split(_residue(sets, worst)))
 
     removed_keys = {r.mapping.key for r in removed}
     return RepairResult(

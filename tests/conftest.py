@@ -10,7 +10,7 @@ F3: a single diamond-shaped hierarchy with a multi-parent bottom class.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import pytest
@@ -241,3 +241,57 @@ def brute_direct_superclasses(o1, o2, mappings, a):
             continue
         out.add(b)
     return out
+
+
+# -- reference greedy pick -------------------------------------------------
+# The greedy step as it was before its lookahead stopped branching on the
+# last level: every tied candidate is rescored from scratch at every
+# level.  Exponential in the depth, but obviously the rule; the engine's
+# `_select_worst` must make the same pick and report the same flag.
+
+
+def ref_count_sim_candidates(sets) -> list[Mapping]:
+    """Mappings with maximal occurrence count, then minimal confidence."""
+    counts: Counter[tuple] = Counter()
+    by_key: dict[tuple, Mapping] = {}
+    for s in sets:
+        for m in s.mappings:
+            counts[m.key] += 1
+            by_key.setdefault(m.key, m)
+    max_count = max(counts.values())
+    tied = [by_key[k] for k, c in counts.items() if c == max_count]
+    min_sim = min(m.confidence for m in tied)
+    tied = [m for m in tied if m.confidence == min_sim]
+    tied.sort(key=lambda m: m.key)
+    return tied
+
+
+def ref_resolved_conflicts(sets, mapping: Mapping, depth: int) -> int:
+    """Conflict sets resolvable by removing `mapping` plus `depth` more
+    greedy removals, each chosen among the residue's worst candidates."""
+    hit = sum(1 for s in sets if mapping in s.mappings)
+    if depth <= 0:
+        return hit
+    residue = tuple(s for s in sets if mapping not in s.mappings)
+    if not residue:
+        return hit
+    best = 0
+    for candidate in ref_count_sim_candidates(residue):
+        score = ref_resolved_conflicts(residue, candidate, depth - 1)
+        if score > best:
+            best = score
+    return hit + best
+
+
+def ref_select_worst(sets, search_depth: int) -> tuple[Mapping, bool]:
+    """One greedy pick; second value reports whether lookahead scores
+    actually distinguished tied candidates."""
+    candidates = ref_count_sim_candidates(sets)
+    if len(candidates) == 1 or search_depth == 0:
+        return candidates[0], False
+    scored = [(ref_resolved_conflicts(sets, m, search_depth), m) for m in candidates]
+    best_score = max(score for score, _ in scored)
+    decisive = any(score != best_score for score, _ in scored)
+    winners = sorted((m for score, m in scored if score == best_score),
+                     key=lambda m: m.key)
+    return winners[0], decisive

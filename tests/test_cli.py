@@ -228,6 +228,17 @@ class TestErrorsAndExitCodes:
         assert "epsilon must be finite" in capsys.readouterr().err
         assert not out.exists() and not report.exists()
 
+    def test_negative_search_depth_rejected(self, f1_files, capsys):
+        out = f1_files / "repaired.tsv"
+        report = f1_files / "report.json"
+        status = cli_dispatch(
+            ["repair", *_inputs(f1_files), "--out", str(out),
+             "--report", str(report), "--search-depth", "-1"]
+        )
+        assert status == 1
+        assert "search_depth must be nonnegative" in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_branching_rejected(self, tmp_path, capsys, value):
         out = tmp_path / "instance"

@@ -2,6 +2,7 @@
 full loop, pinned to hand-simulated traces."""
 
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,12 +21,10 @@ from alignrepair import (
     filter_conflicts,
     find_conflict_sets,
     merged_view,
-    remove_mapping,
     analyze,
     repair,
-    resolved_conflicts,
 )
-from alignrepair.repair import _select_worst
+from alignrepair.repair import _lookahead, _residue, _select_worst
 
 from conftest import (
     antichain,
@@ -33,8 +32,21 @@ from conftest import (
     generated_instances,
     mk_mapping,
     mk_set,
+    ref_select_worst,
     renamed_instance,
 )
+
+
+def resolved(sets, m, depth):
+    """Sets resolved by removing `m` and then `depth` greedy removals."""
+    residue = _residue(sets, m)
+    return len(sets) - len(residue) + _lookahead(residue, depth)
+
+
+def ring(n):
+    """n tied mappings, with the conflict sets {m_i, m_(i+1 mod n)}."""
+    maps = [mk_mapping(i) for i in range(n)]
+    return maps, ConflictList(mk_set(maps[i], maps[(i + 1) % n]) for i in range(n))
 
 
 class TestFilterConflicts:
@@ -101,31 +113,84 @@ class TestWorstMapping:
 
 
 class TestResolvedConflicts:
+    """Removal plus lookahead, through the test-side `resolved`."""
+
     def test_depth_zero_counts_sets(self, f2):
-        assert resolved_conflicts([f2.s1, f2.s2], f2.m1, 0) == 2
+        assert resolved([f2.s1, f2.s2], f2.m1, 0) == 2
 
     def test_depth_one_adds_best_followup(self, f2):
-        assert resolved_conflicts([f2.s1, f2.s2], f2.m2, 1) == 2
+        assert resolved([f2.s1, f2.s2], f2.m2, 1) == 2
 
     def test_singleton_cluster_any_depth(self, f2):
-        assert resolved_conflicts([f2.s3], f2.m4, 5) == 1
+        assert resolved([f2.s3], f2.m4, 5) == 1
 
     def test_triangle_depth_two_totals_three(self):
         a, b, c = mk_mapping(1, 0.7), mk_mapping(2, 0.7), mk_mapping(3, 0.7)
         cluster = [mk_set(a, b), mk_set(b, c), mk_set(a, c)]
         for candidate in (a, b, c):
-            assert resolved_conflicts(cluster, candidate, 2) == 3
+            assert resolved(cluster, candidate, 2) == 3
 
 
 class TestRemoveMapping:
+    """What a removal leaves, `_residue`."""
+
     def test_removes_all_containing_sets(self, f2):
-        assert remove_mapping([f2.s1, f2.s2], f2.m1) == ()
+        assert _residue([f2.s1, f2.s2], f2.m1) == ()
 
     def test_keeps_unrelated_sets(self, f2):
-        assert remove_mapping([f2.s1, f2.s2], f2.m2) == (f2.s2,)
+        assert _residue([f2.s1, f2.s2], f2.m2) == (f2.s2,)
 
     def test_empty_identity(self, f2):
-        assert remove_mapping([], f2.m1) == ()
+        assert _residue([], f2.m1) == ()
+
+
+@st.composite
+def tied_families(draw):
+    """A conflict list over at most 10 mappings whose confidences tie
+    often, with at least one set."""
+    confs = draw(st.lists(st.sampled_from([0.5, 0.7, 1.0]), min_size=1, max_size=10))
+    maps = [mk_mapping(i, c) for i, c in enumerate(confs)]
+    members = st.sets(st.sampled_from(range(len(maps))), min_size=1, max_size=3)
+    sets = draw(st.lists(members, min_size=1, max_size=12))
+    return ConflictList(antichain(mk_set(*(maps[i] for i in s)) for s in sets))
+
+
+def assert_picks_match_reference(sets, depth):
+    """Along a whole unclustered greedy run, each pick and its flag equal
+    the reference's."""
+    while sets:
+        pick = _select_worst(sets, depth)
+        assert pick == ref_select_worst(sets, depth)
+        sets = _residue(sets, pick[0])
+
+
+class TestSelectWorstMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(tied_families(), st.integers(0, 3))
+    def test_tied_families(self, conflicts, depth):
+        assert_picks_match_reference(conflicts.sets, depth)
+
+    @pytest.mark.parametrize("n", range(3, 25))
+    def test_rings(self, n):
+        """Depth 3 stops at n = 16, where the reference takes seconds."""
+        _, conflicts = ring(n)
+        for depth in range(4 if n <= 16 else 3):
+            assert_picks_match_reference(conflicts.sets, depth)
+
+    @pytest.mark.parametrize("depth, expected, tiebreaks", [
+        (0, [1, 0, 3], 0),
+        (1, [2, 4], 1),
+        (2, [1, 0, 3], 0),
+        (3, [1, 0, 3], 0),
+    ])
+    def test_pinned_case_the_lookahead_decides(self, depth, expected, tiebreaks):
+        maps = [mk_mapping(i) for i in range(5)]
+        conflicts = ConflictList(
+            mk_set(maps[a], maps[b]) for a, b in ((0, 2), (1, 2), (1, 4), (3, 4))
+        )
+        result = repair(conflicts, Alignment(maps), RepairConfig(search_depth=depth))
+        assert [r.mapping for r in result.removed] == [maps[i] for i in expected]
+        assert result.stats.lookahead_tiebreaks == tiebreaks
 
 
 class TestRepair:
@@ -195,6 +260,23 @@ class TestRepair:
     def test_stats_counts(self, f2):
         result = repair(f2.conflicts, f2.alignment)
         assert result.stats.clusters_processed == 2
+
+    def test_tied_ring_of_forty_at_default_depth(self):
+        """A ring is one cluster in which every mapping ties; the
+        lookahead's last level only counts, so 40 of them repair within
+        3 s."""
+        maps, conflicts = ring(40)
+        start = time.perf_counter()
+        result = repair(conflicts, Alignment(maps))
+        elapsed = time.perf_counter() - start
+        assert [r.mapping for r in result.removed] == maps[::2]
+        assert result.stats.lookahead_tiebreaks == 1
+        assert elapsed < 3.0
+
+    @pytest.mark.parametrize("depth", [-1, 2.5, True])
+    def test_search_depth_must_be_a_nonnegative_int(self, depth):
+        with pytest.raises(ValueError, match="search_depth"):
+            RepairConfig(search_depth=depth)
 
 
 def test_cluster_decomposition_preserves_per_cluster_optimality():
