@@ -15,11 +15,7 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from .conflicts import (
-    EnumerationCapExceeded,
-    conflict_statistics,
-    count_incoherent_classes,
-)
+from .conflicts import EnumerationCapExceeded, _incoherent_ids, conflict_statistics
 from .formats import (
     FormatError,
     parse_alignment_tsv,
@@ -124,10 +120,11 @@ def _cmd_repair(args) -> int:
 
 def _cmd_check(args) -> int:
     o1, o2, align = _load_inputs(args)
-    count, classes = count_incoherent_classes(merged_view(o1, o2, align))
-    print(count)
-    for c in classes:
-        print(c.id)
+    view = merged_view(o1, o2, align)
+    bad = sorted(_incoherent_ids(view))
+    # One write: with unbuffered output, each print would be a system call.
+    lines = [str(len(bad)), *(view.ids.names[g] for g in bad)]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

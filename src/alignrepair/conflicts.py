@@ -268,11 +268,17 @@ def disjoint_conflict_clusters(
 
 def count_incoherent_classes(view: MergedGraph) -> tuple[int, tuple[ClassId, ...]]:
     """All classes entailed to sit under both members of a disjoint pair."""
+    ordered = sorted(_incoherent_ids(view))
+    return len(ordered), tuple(map(view.ids.class_at, ordered))
+
+
+def _incoherent_ids(view: MergedGraph) -> set[int]:
+    """Global ids of the classes that `count_incoherent_classes` names,
+    for callers that need only the count or the names."""
     bad: set[int] = set()
     for a, b in view.ids.disjoint:
         bad |= view.nodes_below(a) & view.nodes_below(b)
-    ordered = sorted(bad)
-    return len(ordered), tuple(map(view.ids.class_at, ordered))
+    return bad
 
 
 def conflict_statistics(conflicts: ConflictList) -> dict:

@@ -9,6 +9,12 @@ cones of disjoint pairs so that wrong mappings actually produce
 incoherence; the rest are uniform.  Every draw flows from one seeded
 RNG, so identical parameters produce identical instances.  For fixed
 mapping and pair counts, time grows linearly with the class count.
+
+Class names are zero-padded, so name order is index order and a node
+index is the class's local id: each side's names are made once, and
+every draw indexes its ontologies from int edges without building or
+resolving name pairs.  The reference check counts incoherent classes
+by id and never builds the merged view's parent lists.
 """
 
 from __future__ import annotations
@@ -19,14 +25,15 @@ from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable
 
-from .conflicts import count_incoherent_classes
+from .conflicts import _incoherent_ids
 from .graphs import reachable
 from .model import (
     Alignment,
+    ClassId,
     Mapping,
     Ontology,
     Relation,
-    build_ontology,
+    _index_ontology,
     merged_view,
 )
 
@@ -100,18 +107,19 @@ def _tree_parents(rng: random.Random, params: GeneratorParams) -> list[int]:
 def _cross_links(
     rng: random.Random, n: int, parents: list[int]
 ) -> list[tuple[int, int]]:
-    """Extra child->parent edges toward earlier nodes (keeps the DAG)."""
+    """Extra child->parent edges toward earlier nodes (keeps the DAG),
+    each distinct from the tree edges and from one another."""
     links: list[tuple[int, int]] = []
-    taken = {(i, parents[i]) for i in range(1, n)}
+    drawn: set[tuple[int, int]] = set()
     target = max(0, round(n * CROSS_LINK_FRACTION))
     attempts = 0
     while len(links) < target and attempts < target * 20 + 20:
         attempts += 1
         child = rng.randrange(1, n)
         parent = rng.randrange(0, child)
-        if (child, parent) in taken:
+        if parent == parents[child] or (child, parent) in drawn:
             continue
-        taken.add((child, parent))
+        drawn.add((child, parent))
         links.append((child, parent))
     return links
 
@@ -155,17 +163,24 @@ def _sample_disjoint_pairs(
     return pairs
 
 
+def _side_names(n: int, side: int) -> list[str]:
+    """Class names of one side, zero-padded so that name order is index
+    order: index i is also the class's local id."""
+    width = max(4, len(str(n - 1)))
+    prefix = "a" if side == 1 else "b"
+    return [f"{prefix}{i:0{width}d}" for i in range(n)]
+
+
 def _build_side(
     rng: random.Random,
     params: GeneratorParams,
     side: int,
+    names: list[str],
+    index: dict[str, int],
     parents: list[int],
     disjoint_count: int,
 ) -> _Side:
     n = params.classes_per_side
-    width = max(4, len(str(n - 1)))
-    prefix = "a" if side == 1 else "b"
-    names = [f"{prefix}{i:0{width}d}" for i in range(n)]
     edges = [(i, parents[i]) for i in range(1, n)]
     edges += _cross_links(rng, n, parents)
     children: list[list[int]] = [[] for _ in range(n)]
@@ -173,12 +188,7 @@ def _build_side(
         children[parent].append(child)
     cone = cache(partial(reachable, children))
     pair_indices = _sample_disjoint_pairs(rng, n, children, cone, disjoint_count)
-    ontology = build_ontology(
-        side,
-        names,
-        [(names[c], names[p]) for c, p in edges],
-        [(names[a], names[b]) for a, b in pair_indices],
-    )
+    ontology = _index_ontology(side, names, index, edges, pair_indices)
     return _Side(ontology, cone, pair_indices)
 
 
@@ -239,7 +249,8 @@ def _noise_mappings(
             continue  # structurally corresponding, not "wrong"
         relation = relations[rng.randrange(3)]
         confidence = round(rng.uniform(0.2, 0.7), 6)
-        m = Mapping(o1.classes[i], o2.classes[j], relation, confidence)
+        m = Mapping(ClassId(o1.names[i], 1), ClassId(o2.names[j], 2),
+                    relation, confidence)
         if m.key in taken:
             continue
         taken.add(m.key)
@@ -263,11 +274,15 @@ def generate_instance(
     rng = random.Random(params.seed)
     disjoints_side1 = (params.disjoint_pairs + 1) // 2
     disjoints_side2 = params.disjoint_pairs // 2
+    names = [_side_names(params.classes_per_side, side) for side in (1, 2)]
+    indexes = [{name: i for i, name in enumerate(ns)} for ns in names]
     for _ in range(REDRAW_ATTEMPTS):
         parents = _tree_parents(rng, params)
         try:
-            side1 = _build_side(rng, params, 1, parents, disjoints_side1)
-            side2 = _build_side(rng, params, 2, parents, disjoints_side2)
+            side1 = _build_side(rng, params, 1, names[0], indexes[0], parents,
+                                disjoints_side1)
+            side2 = _build_side(rng, params, 2, names[1], indexes[1], parents,
+                                disjoints_side2)
         except GeneratorError:
             continue
         o1, o2 = side1.ontology, side2.ontology
@@ -275,11 +290,11 @@ def generate_instance(
             rng.sample(range(params.classes_per_side), params.mapping_count)
         )
         reference = Alignment(
-            Mapping(o1.classes[i], o2.classes[i], Relation.EQUIVALENCE, 1.0)
+            Mapping(ClassId(names[0][i], 1), ClassId(names[1][i], 2),
+                    Relation.EQUIVALENCE, 1.0)
             for i in mapped
         )
-        count, _ = count_incoherent_classes(merged_view(o1, o2, reference))
-        if count == 0:
+        if not _incoherent_ids(merged_view(o1, o2, reference)):
             taken = {m.key for m in reference}
             noise = _noise_mappings(
                 rng, params, side1, side2, set(mapped), taken

@@ -1,9 +1,11 @@
-"""Directed-graph primitives: one ordering pass and one cone search.
+"""Directed-graph primitives: one component pass and one cone search.
 
 All functions work on integer node ids 0..n-1 with adjacency lists.
-`tarjan_scc` gives the components, the condensation (with
-`condensation_edges`), a topological order and the cycle check, since
-its component ids are a reverse topological order.  `reachable` gives
+`tarjan_scc` gives the components of the merged graph and, with
+`condensation_edges`, its condensation; its component ids are a
+reverse topological order.  An ontology is ordered by Kahn's algorithm
+on its child lists instead, and Tarjan's components only name a class
+on a cycle when Kahn's order stops short.  `reachable` gives
 the cone of a node: every node reachable from it over the lists it is
 handed, so parent lists give ancestors and child lists give
 descendants.  No all-pairs closure is built: reachability is answered

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .graphs import condensation_edges, reachable, tarjan_scc
 
@@ -144,11 +144,12 @@ class Ontology:
     local ids, the positions of the classes in the sorted `names`:
     `index` maps a name to its id, `parents` lists every class's direct
     superclasses in ascending order, `order` puts every superclass
-    before its subclasses (Tarjan's component order, which the build
-    also uses to detect cycles), and `disjoint` holds the sorted pairs
-    in sorted order.  They are read-only; `reachable(parents, v)` is the
-    upward cone of class v.  The ClassId views `classes`,
-    `subclass_edges` and `disjointness` are built on first use.
+    before its subclasses (Kahn's order; a class it never reaches is on
+    a cycle), and `disjoint` holds the sorted pairs in sorted order.
+    They are read-only; `reachable(parents, v)` is the upward cone of
+    class v.  The child lists that the build orders and checks with are
+    not kept.  The ClassId views `classes`, `subclass_edges` and
+    `disjointness` are built on first use.
     """
 
     __slots__ = ("side", "names", "index", "order", "parents", "disjoint",
@@ -214,43 +215,68 @@ def build_ontology(
         raise OntologyError(f"side must be 1 or 2, got {side!r}")
     names = sorted(set(classes))
     index = {name: i for i, name in enumerate(names)}
-    n = len(names)
-
-    edge_set = set(_resolve_pairs(index, list(subclass_edges), "SUBCLASS",
-                                  "subclass cycle: {!r} declared under itself"))
-    disjoint_set = {(min(p), max(p)) for p in _resolve_pairs(
+    edges = set(_resolve_pairs(index, list(subclass_edges), "SUBCLASS",
+                               "subclass cycle: {!r} declared under itself"))
+    disjoint = {(min(p), max(p)) for p in _resolve_pairs(
         index, list(disjointness), "DISJOINT", "class {!r} declared disjoint with itself"
     )}
+    return _index_ontology(side, names, index, edges, disjoint)
 
+
+def _index_ontology(
+    side: int,
+    names: list[str],
+    index: dict[str, int],
+    edges: Collection[tuple[int, int]],
+    disjoint: Collection[tuple[int, int]],
+) -> Ontology:
+    """The int half of :func:`build_ontology`: index and validate one
+    ontology given as local ids.  `names` must be sorted, and `index`
+    must map each name to its position.
+
+    `edges` holds distinct (child, parent) pairs and `disjoint` distinct
+    (smaller, larger) pairs, each in any order.  One loop fills the
+    parent and child lists; the child lists serve the ordering and the
+    coherence check and are then dropped.
+    """
+    n = len(names)
     parents: list[list[int]] = [[] for _ in range(n)]
-    for ic, ip in sorted(edge_set):
-        parents[ic].append(ip)
-
-    # A call of its own, so Tarjan's component list is freed before the
-    # coherence check, where the build's memory peaks.
-    order = _roots_first_order(side, names, parents)
-    _check_coherent(names, parents, disjoint_set)
+    children: list[list[int]] = [[] for _ in range(n)]
+    for c, p in edges:
+        parents[c].append(p)
+        children[p].append(c)
+    for ps in parents:
+        if len(ps) > 1:
+            ps.sort()
+    order = _roots_first_order(side, names, parents, children)
+    _check_coherent(names, children, disjoint)
+    del children  # freed before the tuples below, where the build peaks
     return Ontology(side, names, index, order,
-                    tuple(map(tuple, parents)), tuple(sorted(disjoint_set)))
+                    tuple(map(tuple, parents)), tuple(sorted(disjoint)))
 
 
 def _roots_first_order(
-    side: int, names: list[str], parents: list[list[int]]
+    side: int, names: list[str], parents: list[list[int]], children: list[list[int]]
 ) -> tuple[int, ...]:
-    """Every class after its parents: on acyclic input, Tarjan's
-    component ids are that order.  A component with more than one class
-    is a cycle; the error names the smallest class in any such one."""
+    """Every class after its parents, by Kahn's algorithm: a class joins
+    the order once its last parent has.  If some class never joins, the
+    graph has a cycle, and Tarjan's components name the smallest class
+    that lies on one."""
+    waiting = list(map(len, parents))
+    order = [v for v, k in enumerate(waiting) if not k]
+    for v in order:  # the loop also visits what it appends
+        for c in children[v]:
+            waiting[c] -= 1
+            if not waiting[c]:
+                order.append(c)
     n = len(names)
-    count, comp = tarjan_scc(n, parents)
-    if count < n:
+    if len(order) < n:
+        _, comp = tarjan_scc(n, parents)
         size = Counter(comp)
         in_cycle = next(v for v in range(n) if size[comp[v]] > 1)
         raise OntologyError(
             f"subclass cycle in ontology side {side} (involves {names[in_cycle]!r})"
         )
-    order = [0] * n
-    for v, c in enumerate(comp):
-        order[c] = v
     return tuple(order)
 
 
@@ -276,7 +302,7 @@ def _resolve_pairs(
 
 
 def _check_coherent(
-    names: list[str], parents: list[list[int]], disjoint_set: set[tuple[int, int]]
+    names: list[str], children: list[list[int]], disjoint: Collection[tuple[int, int]]
 ) -> None:
     """Reject the first disjoint pair, in sorted order, with a common
     subclass, naming its smallest one.
@@ -284,15 +310,11 @@ def _check_coherent(
     Each pair intersects the two members' descendant sets; a class can
     sit in several pairs, so its set is computed once.
     """
-    if not disjoint_set:
+    if not disjoint:
         return
-    children: list[list[int]] = [[] for _ in names]
-    for v, ps in enumerate(parents):
-        for p in ps:
-            children[p].append(v)
-    members = {x for pair in disjoint_set for x in pair}
+    members = {x for pair in disjoint for x in pair}
     below = {x: reachable(children, x) for x in members}
-    for ia, ib in sorted(disjoint_set):
+    for ia, ib in sorted(disjoint):
         both = below[ia] & below[ib]
         if both:
             raise OntologyError(
@@ -307,12 +329,13 @@ class GlobalIds:
     Global ids number the classes of both sides in name order, so int
     order is ClassId order.  `glob[side - 1]` maps a side's local ids to
     global ids; the map is monotone, so the mapped parent lists in `adj`
-    stay sorted.  `down` holds the child lists.  One instance serves
-    every view of the pair (it is cached on the side-1 ontology); its
-    lists are shared and never modified.
+    stay sorted.  `down` holds the child lists.  `adj`, the parent
+    lists, is built on first use: only fragment extraction reads it.
+    One instance serves every view of the pair (it is cached on the
+    side-1 ontology); its lists are shared and never modified.
     """
 
-    __slots__ = ("names", "index", "glob", "adj", "down", "disjoint")
+    __slots__ = ("names", "index", "glob", "down", "disjoint", "_parents", "_adj")
 
     def __init__(self, o1: Ontology, o2: Ontology):
         names = sorted(o1.names + o2.names)  # timsort: one merge of two runs
@@ -325,17 +348,28 @@ class GlobalIds:
         self.names = names
         self.index = (o1.index, o2.index)
         self.glob = tuple(list(map(at.__getitem__, o.names)) for o in (o1, o2))
-        self.adj: list[Sequence[int]] = [()] * len(names)
+        self._parents = (o1.parents, o2.parents)
+        self._adj: list[Sequence[int]] | None = None
         self.down: list[list[int]] = [[] for _ in names]
-        for o, g in zip((o1, o2), self.glob):
-            for gi, ps in zip(g, o.parents):
-                if ps:
-                    self.adj[gi] = ups = [g[p] for p in ps]
-                    for p in ups:
-                        self.down[p].append(gi)
+        for ps_of, g in zip(self._parents, self.glob):
+            for gi, ps in zip(g, ps_of):
+                for p in ps:
+                    self.down[g[p]].append(gi)
         self.disjoint = tuple(sorted(
             (g[a], g[b]) for o, g in zip((o1, o2), self.glob) for a, b in o.disjoint
         ))
+
+    @property
+    def adj(self) -> list[Sequence[int]]:
+        """Parent lists by global id (classes without parents share `()`)."""
+        if self._adj is None:
+            adj: list[Sequence[int]] = [()] * len(self.names)
+            for ps_of, g in zip(self._parents, self.glob):
+                for gi, ps in zip(g, ps_of):
+                    if ps:
+                        adj[gi] = [g[p] for p in ps]
+            self._adj = adj
+        return self._adj
 
     def node(self, c: ClassId) -> int:
         """Global id of a class."""
@@ -359,19 +393,20 @@ class MergedGraph:
     Nodes are all classes of both sides, under the pair's `GlobalIds`;
     edges are the ontology subclass edges plus the directed edges induced
     by each mapping (two for an equivalence, one for a subsumption).  A
-    view builds only the mapping edges: `adj` is the pair's ontology
-    adjacency with the mapping edges merged into their tails' lists
-    (sorted, distinct; shared, so do not modify them).  Component
-    queries run on the SCC condensation, computed on first use, whose
-    ids put every parent before its children (smaller id).
-    `nodes_below` searches the downward cone of a class, so a is
-    subsumed by b iff a's id is in `nodes_below` of b's;
-    `component_covers`, on the checkset's hot path, runs its own upward
-    search that skips ids below the smallest parent.  Lazy caches are
-    filled idempotently, so concurrent readers are safe.
+    view builds only the mapping edges, as child lists beside the pair's
+    `down`; `nodes_below` searches the downward cone of a class over
+    both, so a is subsumed by b iff a's id is in `nodes_below` of b's.
+    `adj` is built on first use: the pair's parent lists with the
+    mapping edges merged into their tails' lists (sorted, distinct;
+    shared, so do not modify them).  Component queries run on the SCC
+    condensation of `adj`, computed on first use, whose ids put every
+    parent before its children (smaller id).  `component_covers`, on the
+    checkset's hot path, runs its own upward search that skips ids below
+    the smallest parent.  Lazy caches are filled idempotently, so
+    concurrent readers are safe.
     """
 
-    __slots__ = ("alignment", "ids", "adj", "_down_extra", "_scc")
+    __slots__ = ("alignment", "ids", "_down_extra", "_adj", "_scc")
 
     def __init__(self, o1: Ontology, o2: Ontology, alignment: Alignment):
         if o1.side != 1 or o2.side != 2:
@@ -382,25 +417,34 @@ class MergedGraph:
         self.ids = ids = cached[1]
         self.alignment = alignment
 
-        extra: dict[int, set[int]] = {}
+        self._down_extra: dict[int, list[int]] = {}
         for m in alignment:
             for c, onto in ((m.source, o1), (m.target, o2)):
                 if not onto.has_class(c.id):
                     raise AlignmentError(f"dangling mapping endpoint {c.id!r} "
                                          f"(not in ontology {onto.side})")
             for sub, sup in m.edges():
-                extra.setdefault(ids.node(sub), set()).add(ids.node(sup))
-        self.adj = list(ids.adj)
-        self._down_extra: dict[int, list[int]] = {}
-        for u, ups in extra.items():
-            self.adj[u] = sorted(ups.union(self.adj[u]))
-            for v in ups:
-                self._down_extra.setdefault(v, []).append(u)
+                self._down_extra.setdefault(ids.node(sup), []).append(ids.node(sub))
+        self._adj: list[Sequence[int]] | None = None
         self._scc: tuple[int, list[int], list[list[int]]] | None = None
 
     def __repr__(self) -> str:
-        return (f"MergedGraph(classes={len(self.adj)}, "
+        return (f"MergedGraph(classes={len(self.ids.names)}, "
                 f"components={self.component_count}, mappings={len(self.alignment)})")
+
+    @property
+    def adj(self) -> list[Sequence[int]]:
+        """Parent lists by global id, mapping edges included."""
+        if self._adj is None:
+            tails: dict[int, set[int]] = {}
+            for v, us in self._down_extra.items():
+                for u in us:
+                    tails.setdefault(u, set()).add(v)
+            adj = list(self.ids.adj)
+            for u, ups in tails.items():
+                adj[u] = sorted(ups.union(adj[u]))
+            self._adj = adj
+        return self._adj
 
     def nodes_below(self, g: int) -> set[int]:
         """Nodes from which `g` is reachable (reflexive)."""
@@ -411,9 +455,9 @@ class MergedGraph:
     def _components(self) -> tuple[int, list[int], list[list[int]]]:
         """(count, component of every node, condensation parent lists)."""
         if self._scc is None:
-            n = len(self.adj)
-            count, comp = tarjan_scc(n, self.adj)
-            self._scc = (count, comp, condensation_edges(n, self.adj, comp, count))
+            adj = self.adj
+            count, comp = tarjan_scc(len(adj), adj)
+            self._scc = (count, comp, condensation_edges(len(adj), adj, comp, count))
         return self._scc
 
     @property

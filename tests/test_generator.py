@@ -15,6 +15,7 @@ from alignrepair import (
     analyze,
     exhaustive_incoherence,
     generate_instance,
+    parse_ontology_file,
     precision_recall_fmeasure,
     repair,
     repair_alignment,
@@ -22,12 +23,15 @@ from alignrepair import (
     write_ontology_file,
 )
 from alignrepair.generator import (
+    CROSS_LINK_FRACTION,
     GeneratorError,
     _cross_links,
     _sample_disjoint_pairs,
     _tree_parents,
 )
 from alignrepair.graphs import reachable
+
+from conftest import generated_instances
 
 
 class TestDeterminism:
@@ -138,6 +142,24 @@ def _rescanning_tree_parents(rng, params):
     return parents
 
 
+def _taken_set_cross_links(rng, n, parents):
+    """The earlier `_cross_links`, which put every tree edge in the set
+    of taken edges before drawing."""
+    links = []
+    taken = {(i, parents[i]) for i in range(1, n)}
+    target = max(0, round(n * CROSS_LINK_FRACTION))
+    attempts = 0
+    while len(links) < target and attempts < target * 20 + 20:
+        attempts += 1
+        child = rng.randrange(1, n)
+        parent = rng.randrange(0, child)
+        if (child, parent) in taken:
+            continue
+        taken.add((child, parent))
+        links.append((child, parent))
+    return links
+
+
 def _descendant_set_pairs(rng, n, children, count):
     """The earlier `_sample_disjoint_pairs`, which tested each candidate
     against descendant sets built for all n nodes."""
@@ -219,6 +241,51 @@ def test_disjoint_pairs_match_the_descendant_set_predicate(params, count):
         _descendant_set_pairs, ref, n, children, count
     )
     assert ours.getstate() == ref.getstate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_params)
+def test_cross_links_match_the_taken_set_loop(params):
+    """Same links from the same number of draws."""
+    n = params.classes_per_side
+    parents = _tree_parents(random.Random(params.seed), params)
+    ours, ref = random.Random(params.seed), random.Random(params.seed)
+    assert _cross_links(ours, n, parents) == _taken_set_cross_links(ref, n, parents)
+    assert ours.getstate() == ref.getstate()
+
+
+def _assert_string_path_matches(onto):
+    """The generator indexes its ontologies from ints; parsing the
+    written file goes through names.  Both give the same ontology, and
+    each `order` puts every parent before its children."""
+    again = parse_ontology_file(write_ontology_file(onto), onto.side)
+    assert again.names == onto.names
+    assert again.index == onto.index
+    assert again.parents == onto.parents
+    assert again.disjoint == onto.disjoint
+    for o in (onto, again):
+        assert sorted(o.order) == list(range(len(o)))
+        position = {v: i for i, v in enumerate(o.order)}
+        for child, ps in enumerate(o.parents):
+            assert all(position[p] < position[child] for p in ps)
+
+
+# The instances of tests/test_golden.py.
+@pytest.mark.parametrize("params", [
+    GeneratorParams(400, 120, 8, 0.4, 3),
+    GeneratorParams(300, 80, 6, 0.3, 7, 30, 1.15),
+], ids=["bushy", "deep"])
+def test_int_path_matches_string_path_on_golden_instances(params):
+    o1, o2, _, _ = generate_instance(params)
+    for onto in (o1, o2):
+        _assert_string_path_matches(onto)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_instances())
+def test_int_path_matches_string_path(instance):
+    for onto in instance[:2]:
+        _assert_string_path_matches(onto)
 
 
 def test_tree_parents_at_depth_one_is_linear():

@@ -15,6 +15,7 @@ from alignrepair import (
     OntologyError,
     Relation,
     build_ontology,
+    count_incoherent_classes,
     merged_view,
 )
 from alignrepair.graphs import reachable
@@ -432,3 +433,21 @@ def test_global_ids_are_name_order_and_round_trip(instance, seed):
         # Every class is a member of exactly one component.
         members = [g for c in range(view.component_count) for g in view.members_of({c})]
         assert sorted(members) == list(range(len(view.adj)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(generated_instances())
+def test_adjacency_is_built_on_first_use(instance):
+    """Counting incoherent classes searches child lists only, so the
+    parent lists stay unbuilt, on the view and on the pair's ids (which
+    the generator's own reference check built).  Once read, they are the
+    oracle's merged graph by global id, each list sorted and distinct."""
+    o1, o2, align = instance
+    view = merged_view(o1, o2, align)
+    count_incoherent_classes(view)
+    assert view._adj is None and view.ids._adj is None
+    ups = [set() for _ in view.ids.names]
+    for sup, subs in _merged_adjacency(o1, o2, align).items():
+        for sub in subs:
+            ups[view.ids.node(sub)].add(view.ids.node(sup))
+    assert [list(ps) for ps in view.adj] == [sorted(u) for u in ups]
