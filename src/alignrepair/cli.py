@@ -3,19 +3,22 @@
 Reports are JSON objects with stable key order so that repeated runs
 with the same inputs are byte-identical.  Phase wall times go to stderr
 only; they never enter report files.
+
+Each command imports the modules it runs when it runs, so a process
+loads only those: `check` loads `formats`, `model` and `graphs`, and
+neither `dataclasses` nor `json`.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
+import os
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
+from typing import NoReturn
 
-from .conflicts import EnumerationCapExceeded, _incoherent_ids, conflict_statistics
 from .formats import (
     FormatError,
     parse_alignment_tsv,
@@ -23,12 +26,7 @@ from .formats import (
     write_alignment_tsv,
     write_ontology_file,
 )
-from .fragments import extract_core_fragments
-from .generator import GeneratorError, GeneratorParams, generate_instance
-from .model import ModelError, merged_view
-from .oracle import precision_recall_fmeasure
-from .pipeline import analyze, repair_alignment
-from .repair import RemovalCause, RepairConfig
+from .model import EnumerationCapExceeded, GeneratorError, ModelError
 
 SCHEMA_VERSION = 1
 
@@ -65,6 +63,8 @@ def _fragment_section(o1, o2, fragments) -> dict:
 
 
 def _emit(report: dict, path: str | None) -> None:
+    import json
+
     text = json.dumps(report, indent=2) + "\n"
     if path:
         Path(path).write_text(text, encoding="utf-8")
@@ -73,6 +73,10 @@ def _emit(report: dict, path: str | None) -> None:
 
 
 def _cmd_repair(args) -> int:
+    from .conflicts import conflict_statistics
+    from .greedy import RemovalCause, RepairConfig
+    from .pipeline import repair_alignment
+
     start = time.perf_counter()
     o1, o2, align = _load_inputs(args)
     load_s = time.perf_counter() - start
@@ -119,9 +123,11 @@ def _cmd_repair(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .model import merged_view
+
     o1, o2, align = _load_inputs(args)
     view = merged_view(o1, o2, align)
-    bad = sorted(_incoherent_ids(view))
+    bad = sorted(view.incoherent_ids())
     # One write: with unbuffered output, each print would be a system call.
     lines = [str(len(bad)), *(view.ids.names[g] for g in bad)]
     sys.stdout.write("\n".join(lines) + "\n")
@@ -129,6 +135,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fragments(args) -> int:
+    from .fragments import extract_core_fragments
+
     o1, o2, align = _load_inputs(args)
     fragments = extract_core_fragments(o1, o2, align)
     report = {
@@ -142,6 +150,9 @@ def _cmd_fragments(args) -> int:
 
 
 def _cmd_conflicts(args) -> int:
+    from .conflicts import conflict_statistics
+    from .pipeline import analyze
+
     o1, o2, align = _load_inputs(args)
     conflicts = analyze(o1, o2, align).conflicts
     report = {
@@ -155,6 +166,8 @@ def _cmd_conflicts(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .oracle import precision_recall_fmeasure
+
     produced = parse_alignment_tsv(Path(args.produced).read_text(encoding="utf-8"))
     reference = parse_alignment_tsv(Path(args.reference).read_text(encoding="utf-8"))
     ev = precision_recall_fmeasure(produced, reference)
@@ -172,6 +185,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    import json
+    from dataclasses import asdict
+
+    from .generator import GeneratorParams, generate_instance
+
     params = GeneratorParams(
         classes_per_side=args.classes,
         mapping_count=args.mappings,
@@ -273,12 +291,29 @@ def cli_dispatch(argv: list[str]) -> int:
         return 1
 
 
-def main() -> int:
+def main() -> NoReturn:
+    """Run the command in `sys.argv` and end the process with its status.
+
+    Every output file is closed when the command returns, so once the
+    standard streams are flushed the process ends at once, without
+    tearing down the interpreter object by object.  A failed flush
+    exits 1.
+    """
     # The engine makes no reference cycles (tests/test_memory.py checks
     # it), so a one-shot process loses nothing by skipping cyclic GC.
     gc.disable()
-    return cli_dispatch(sys.argv[1:])
+    status = cli_dispatch(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except (OSError, ValueError) as exc:
+        print(f"error: standard output: {exc}", file=sys.stderr)
+        status = 1
+    try:
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        status = 1
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    main()

@@ -20,12 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .fragments import CoreFragments, FragmentError
 from .graphs import iter_bits
-from .model import Alignment, ClassId, Mapping, MergedGraph
-
-
-class EnumerationCapExceeded(RuntimeError):
-    """Raised when conflict enumeration exceeds its work budget instead of
-    silently truncating (truncation would break completeness)."""
+from .model import Alignment, ClassId, EnumerationCapExceeded, Mapping, MergedGraph
 
 
 @dataclass(frozen=True)
@@ -268,17 +263,8 @@ def disjoint_conflict_clusters(
 
 def count_incoherent_classes(view: MergedGraph) -> tuple[int, tuple[ClassId, ...]]:
     """All classes entailed to sit under both members of a disjoint pair."""
-    ordered = sorted(_incoherent_ids(view))
+    ordered = sorted(view.incoherent_ids())
     return len(ordered), tuple(map(view.ids.class_at, ordered))
-
-
-def _incoherent_ids(view: MergedGraph) -> set[int]:
-    """Global ids of the classes that `count_incoherent_classes` names,
-    for callers that need only the count or the names."""
-    bad: set[int] = set()
-    for a, b in view.ids.disjoint:
-        bad |= view.nodes_below(a) & view.nodes_below(b)
-    return bad
 
 
 def conflict_statistics(conflicts: ConflictList) -> dict:

@@ -125,17 +125,20 @@ def _checkset_ids(view: MergedGraph) -> list[int]:
 
     Component ids put every parent before its children, so one pass over
     descending ids passes "a multi-parent component lies below" from
-    each component to its parents after all its children are done.
+    each component to its parents after all its children are done.  A
+    component with one below is never kept and marks its parents
+    either way, so its covers are not searched.
     """
     parents = view.component_parents()
     multi_below = bytearray(len(parents))
     kept: set[int] = set()
     for c in range(len(parents) - 1, -1, -1):
         ps = parents[c]
-        multi = len(ps) >= 2 and len(view.component_covers(c)) >= 2
-        if multi or multi_below[c]:
-            if not multi_below[c]:
-                kept.add(c)
+        below = multi_below[c]
+        if not below and len(ps) >= 2 and len(view.component_covers(c)) >= 2:
+            kept.add(c)
+            below = 1
+        if below:
             for p in ps:
                 multi_below[p] = 1
     return view.members_of(kept)

@@ -12,9 +12,10 @@ mapping and pair counts, time grows linearly with the class count.
 
 Class names are zero-padded, so name order is index order and a node
 index is the class's local id: each side's names are made once, and
-every draw indexes its ontologies from int edges without building or
-resolving name pairs.  The reference check counts incoherent classes
-by id and never builds the merged view's parent lists.
+every draw indexes its ontologies from int edges and the child lists
+its disjoint-pair sampler built, without building or resolving name
+pairs.  The reference check counts incoherent classes by id and never
+builds the merged view's parent lists.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable
 
-from .conflicts import _incoherent_ids
 from .graphs import reachable
 from .model import (
     Alignment,
     ClassId,
+    GeneratorError,
     Mapping,
     Ontology,
     Relation,
@@ -41,10 +42,6 @@ CROSS_LINK_FRACTION = 0.05
 TARGETED_NOISE_PROB = 0.65
 REDRAW_ATTEMPTS = 50
 PLACEMENT_ATTEMPTS = 400
-
-
-class GeneratorError(RuntimeError):
-    """Parameter combination could not produce a coherent instance."""
 
 
 @dataclass(frozen=True)
@@ -188,7 +185,8 @@ def _build_side(
         children[parent].append(child)
     cone = cache(partial(reachable, children))
     pair_indices = _sample_disjoint_pairs(rng, n, children, cone, disjoint_count)
-    ontology = _index_ontology(side, names, index, edges, pair_indices)
+    # The indexer orders and checks the ontology with these same lists.
+    ontology = _index_ontology(side, names, index, edges, pair_indices, children)
     return _Side(ontology, cone, pair_indices)
 
 
@@ -294,7 +292,7 @@ def generate_instance(
                     Relation.EQUIVALENCE, 1.0)
             for i in mapped
         )
-        if not _incoherent_ids(merged_view(o1, o2, reference)):
+        if not merged_view(o1, o2, reference).incoherent_ids():
             taken = {m.key for m in reference}
             noise = _noise_mappings(
                 rng, params, side1, side2, set(mapped), taken

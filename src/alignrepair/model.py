@@ -17,9 +17,8 @@ MergedGraph concurrently.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import condensation_edges, reachable, tarjan_scc
 
@@ -36,8 +35,19 @@ class AlignmentError(ModelError):
     pass
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ClassId:
+# The CLI reports these two as input errors.  They live here, beside the
+# other errors, so that `check` can catch them without importing the
+# generator or conflict enumeration; those modules re-export them.
+class GeneratorError(RuntimeError):
+    """Parameter combination could not produce a coherent instance."""
+
+
+class EnumerationCapExceeded(RuntimeError):
+    """Raised when conflict enumeration exceeds its work budget instead of
+    silently truncating (truncation would break completeness)."""
+
+
+class ClassId(NamedTuple):
     """A named class, tagged with the ontology side (1 or 2) it belongs to."""
 
     id: str
@@ -52,36 +62,60 @@ class Relation(str, Enum):
     SUBSUMES = ">"  # source is a superclass of target
 
 
-@dataclass(frozen=True, slots=True)
 class Mapping:
     """A weighted correspondence from a side-1 class to a side-2 class.
 
     Equality and hashing ignore the confidence: the canonical identity of
     a mapping is (source, target, relation).  `key` spells that identity
     out as strings, for deterministic ordering; it is computed once.
+    Mappings are immutable.
     """
+
+    __slots__ = ("source", "target", "relation", "confidence", "key")
 
     source: ClassId
     target: ClassId
     relation: Relation
-    confidence: float = field(default=1.0, compare=False)
-    key: tuple[str, str, str] = field(init=False, repr=False, compare=False)
+    confidence: float
+    key: tuple[str, str, str]
 
-    def __post_init__(self) -> None:
-        if self.source.side != 1 or self.target.side != 2:
+    def __init__(self, source: ClassId, target: ClassId, relation: Relation,
+                 confidence: float = 1.0):
+        if source.side != 1 or target.side != 2:
             raise AlignmentError(
                 f"mapping must go from side 1 to side 2, got "
-                f"{self.source.id} (side {self.source.side}) -> "
-                f"{self.target.id} (side {self.target.side})"
+                f"{source.id} (side {source.side}) -> "
+                f"{target.id} (side {target.side})"
             )
-        if not 0.0 <= self.confidence <= 1.0:
+        if not 0.0 <= confidence <= 1.0:
             raise AlignmentError(
-                f"confidence {self.confidence!r} outside [0, 1] for "
-                f"{self.source.id} {self.relation.value} {self.target.id}"
+                f"confidence {confidence!r} outside [0, 1] for "
+                f"{source.id} {relation.value} {target.id}"
             )
-        object.__setattr__(
-            self, "key", (self.source.id, self.target.id, self.relation.value)
-        )
+        init = object.__setattr__
+        init(self, "source", source)
+        init(self, "target", target)
+        init(self, "relation", relation)
+        init(self, "confidence", confidence)
+        init(self, "key", (source.id, target.id, relation.value))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.relation))
+
+    def __repr__(self) -> str:
+        return (f"Mapping(source={self.source!r}, target={self.target!r}, "
+                f"relation={self.relation!r}, confidence={self.confidence!r})")
 
     def describe(self) -> str:
         return f"{self.source.id} {self.relation.value} {self.target.id}"
@@ -229,6 +263,7 @@ def _index_ontology(
     index: dict[str, int],
     edges: Collection[tuple[int, int]],
     disjoint: Collection[tuple[int, int]],
+    children: list[list[int]] | None = None,
 ) -> Ontology:
     """The int half of :func:`build_ontology`: index and validate one
     ontology given as local ids.  `names` must be sorted, and `index`
@@ -236,21 +271,26 @@ def _index_ontology(
 
     `edges` holds distinct (child, parent) pairs and `disjoint` distinct
     (smaller, larger) pairs, each in any order.  One loop fills the
-    parent and child lists; the child lists serve the ordering and the
-    coherence check and are then dropped.
+    parent lists and, unless the caller passes the child lists of the
+    same edges as `children`, those too.  The child lists serve the
+    ordering and the coherence check and are then dropped.
     """
     n = len(names)
     parents: list[list[int]] = [[] for _ in range(n)]
-    children: list[list[int]] = [[] for _ in range(n)]
-    for c, p in edges:
-        parents[c].append(p)
-        children[p].append(c)
+    if children is None:
+        children = [[] for _ in range(n)]
+        for c, p in edges:
+            parents[c].append(p)
+            children[p].append(c)
+    else:
+        for c, p in edges:
+            parents[c].append(p)
     for ps in parents:
         if len(ps) > 1:
             ps.sort()
     order = _roots_first_order(side, names, parents, children)
     _check_coherent(names, children, disjoint)
-    del children  # freed before the tuples below, where the build peaks
+    del children  # freed before the tuples below, unless the caller keeps them
     return Ontology(side, names, index, order,
                     tuple(map(tuple, parents)), tuple(sorted(disjoint)))
 
@@ -449,6 +489,13 @@ class MergedGraph:
     def nodes_below(self, g: int) -> set[int]:
         """Nodes from which `g` is reachable (reflexive)."""
         return reachable(self.ids.down, g, self._down_extra)
+
+    def incoherent_ids(self) -> set[int]:
+        """Global ids of every class under both members of a disjoint pair."""
+        bad: set[int] = set()
+        for a, b in self.ids.disjoint:
+            bad |= self.nodes_below(a) & self.nodes_below(b)
+        return bad
 
     # -- component-level queries ------------------------------------------
 

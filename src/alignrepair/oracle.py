@@ -11,10 +11,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .conflicts import ConflictSet
 from .model import Alignment, ClassId, Mapping, Ontology, Relation
+
+if TYPE_CHECKING:
+    from .conflicts import ConflictSet
 
 
 @dataclass(frozen=True)

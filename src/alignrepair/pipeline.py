@@ -7,10 +7,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .conflicts import ConflictList, _incoherent_ids, find_conflict_sets
+from .conflicts import ConflictList, find_conflict_sets
 from .fragments import CoreFragments, extract_core_fragments
+from .greedy import RepairConfig, RepairResult, repair
 from .model import Alignment, Ontology, merged_view
-from .repair import RepairConfig, RepairResult, repair
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def analyze(o1: Ontology, o2: Ontology, alignment: Alignment) -> Analysis:
     every minimal conflict set of the alignment."""
     start = time.perf_counter()
     view = merged_view(o1, o2, alignment)
-    incoherent_before = len(_incoherent_ids(view))
+    incoherent_before = len(view.incoherent_ids())
     merged = time.perf_counter()
     fragments = extract_core_fragments(o1, o2, alignment, view=view)
     extracted = time.perf_counter()
@@ -79,7 +79,7 @@ def repair_alignment(
     start = time.perf_counter()
     result = repair(analysis.conflicts, alignment, config)
     repaired = time.perf_counter()
-    incoherent_after = len(_incoherent_ids(merged_view(o1, o2, result.kept)))
+    incoherent_after = len(merged_view(o1, o2, result.kept).incoherent_ids())
     done = time.perf_counter()
     return RepairRun(
         analysis=analysis,

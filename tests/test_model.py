@@ -156,12 +156,37 @@ class TestMapping:
         assert a == b
         assert len({a, b}) == 1
 
+    def test_value_semantics(self):
+        """Fields, repr, hash, order and immutability of the two value
+        types; the reprs keep the dataclass form."""
+        c = ClassId("x", 1)
+        m = Mapping(c, ClassId("y", 2), Relation.SUBSUMES, 0.3)
+        assert repr(c) == "ClassId(id='x', side=1)"
+        assert repr(m) == (
+            "Mapping(source=ClassId(id='x', side=1), target=ClassId(id='y', "
+            "side=2), relation=<Relation.SUBSUMES: '>'>, confidence=0.3)"
+        )
+        assert (c.id, c.side, m.key, m.confidence) == ("x", 1, ("x", "y", ">"), 0.3)
+        assert hash(c) == hash(("x", 1))
+        assert hash(m) == hash((m.source, m.target, m.relation))
+        assert sorted([ClassId("b", 1), ClassId("a", 2), c]) == [
+            ClassId("a", 2), ClassId("b", 1), c
+        ]
+        assert m != Mapping(c, ClassId("y", 2), Relation.SUBSUMED_BY, 0.3)
+        for mutate in (lambda: setattr(c, "id", "z"),
+                       lambda: setattr(m, "confidence", 1.0),
+                       lambda: delattr(m, "key")):
+            with pytest.raises(AttributeError):
+                mutate()
+
     def test_sides_enforced(self):
-        with pytest.raises(AlignmentError):
+        with pytest.raises(AlignmentError, match=r"^mapping must go from side 1 "
+                           r"to side 2, got x \(side 2\) -> y \(side 2\)$"):
             Mapping(ClassId("x", 2), ClassId("y", 2), Relation.EQUIVALENCE)
 
     def test_confidence_range_enforced(self):
-        with pytest.raises(AlignmentError):
+        with pytest.raises(AlignmentError,
+                           match=r"^confidence 1\.5 outside \[0, 1\] for x = y$"):
             Mapping(ClassId("x", 1), ClassId("y", 2), Relation.EQUIVALENCE, 1.5)
 
     def test_alignment_rejects_duplicate_identity(self):

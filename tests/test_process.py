@@ -1,0 +1,153 @@
+"""The CLI as its own process: `python -m alignrepair` gives the outputs
+and exit statuses of in-process `cli_dispatch`, each command loads only
+the modules it runs, and the package name `repair` stays the function
+whatever submodule is imported first."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from alignrepair.cli import cli_dispatch
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Without PYTHONUNBUFFERED, output to a pipe stays in the buffer until
+# `main` flushes it, the case the exit path must handle.
+ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+ENV["PYTHONPATH"] = str(SRC)
+
+GEN_ARGS = ["gen", "--classes", "40", "--mappings", "12", "--disjoints", "3",
+            "--noise", "0.4", "--seed", "3"]
+PHASE_LINE = re.compile(r"(\w+): \d+\.\d{3}s")
+
+# Runs one command in a fresh interpreter and writes the names of the
+# loaded modules, one a line, to the file named first.
+LOADED_MODULES = """\
+import sys
+from alignrepair.cli import cli_dispatch
+status = cli_dispatch(sys.argv[2:])
+with open(sys.argv[1], "w", encoding="utf-8") as f:
+    f.write("\\n".join(sorted(sys.modules)))
+sys.exit(status)
+"""
+
+
+def python(*args, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=ENV, capture_output=True,
+                          timeout=60, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def instance(tmp_path_factory):
+    out = tmp_path_factory.mktemp("instance")
+    assert python("-m", "alignrepair", *GEN_ARGS, "--out-dir", str(out)).returncode == 0
+    return out
+
+
+def inputs(d: Path) -> list[str]:
+    return ["--onto1", str(d / "onto1.txt"), "--onto2", str(d / "onto2.txt"),
+            "--align", str(d / "produced.tsv")]
+
+
+def loaded_modules(tmp_path: Path, argv: list[str]) -> set[str]:
+    listing = tmp_path / "modules.txt"
+    run = python("-c", LOADED_MODULES, str(listing), *argv)
+    assert run.returncode == 0, run.stderr
+    return set(listing.read_text(encoding="utf-8").split())
+
+
+def test_check_loads_only_what_it_runs(instance, tmp_path):
+    modules = loaded_modules(tmp_path, ["check", *inputs(instance)])
+    ours = {m for m in modules if m.startswith("alignrepair.")}
+    assert ours == {"alignrepair.cli", "alignrepair.formats", "alignrepair.model",
+                    "alignrepair.graphs"}
+    assert "dataclasses" not in modules
+    assert "json" not in modules
+
+
+def test_gen_loads_no_repair_machinery(tmp_path):
+    modules = loaded_modules(tmp_path, [*GEN_ARGS, "--out-dir", str(tmp_path / "g")])
+    assert "alignrepair.generator" in modules
+    for name in ("conflicts", "fragments", "pipeline", "greedy", "oracle"):
+        assert f"alignrepair.{name}" not in modules
+
+
+def test_repair_check_and_gen_match_in_process_runs(instance, tmp_path, capsys):
+    """Same stdout bytes, files and stderr phase names as `cli_dispatch`."""
+    commands = {
+        "check": ["check", *inputs(instance)],
+        "repair": ["repair", *inputs(instance), "--epsilon", "0.05",
+                   "--out", "{out}/repaired.tsv", "--report", "{out}/report.json"],
+        "gen": [*GEN_ARGS, "--out-dir", "{out}/gen"],
+    }
+    for name, argv in commands.items():
+        runs = []
+        for where in ("process", "in-process"):
+            out = tmp_path / name / where
+            out.mkdir(parents=True)
+            args = [a.format(out=out) for a in argv]
+            if where == "process":
+                run = python("-m", "alignrepair", *args)
+                status, stdout, stderr = run.returncode, run.stdout.decode(), run.stderr.decode()
+            else:
+                status = cli_dispatch(args)
+                stdout, stderr = capsys.readouterr()
+            files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            phases = [PHASE_LINE.fullmatch(line).group(1) for line in stderr.splitlines()]
+            runs.append((status, stdout.replace(str(out), "OUT"), files, phases))
+        assert runs[0] == runs[1], name
+        assert runs[0][0] == 0
+    assert runs[0][1] == "wrote instance to OUT/gen\n"
+
+
+def test_bad_input_exits_1_with_an_error_line(tmp_path):
+    (tmp_path / "onto1.txt").write_text("CLASS a\nSUBCLASS a b\n")
+    (tmp_path / "onto2.txt").write_text("CLASS z\n")
+    (tmp_path / "produced.tsv").write_text("")
+    run = python("-m", "alignrepair", "check", *inputs(tmp_path))
+    assert run.returncode == 1
+    assert run.stdout == b""
+    assert run.stderr.decode() == "error: undeclared class 'b' in SUBCLASS a b\n"
+
+
+def test_help_exits_0():
+    run = python("-m", "alignrepair", "--help")
+    assert run.returncode == 0
+    assert run.stdout.decode().startswith("usage: alignrepair")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_failed_stdout_flush_exits_1(instance):
+    with open("/dev/full", "wb") as full:
+        run = subprocess.run(
+            [sys.executable, "-m", "alignrepair", "check", *inputs(instance)],
+            env=ENV, stdout=full, stderr=subprocess.PIPE, timeout=60,
+        )
+    assert run.returncode == 1
+    assert run.stderr.decode().startswith("error: ")
+
+
+@pytest.mark.parametrize("first", ["alignrepair.pipeline", "alignrepair.greedy",
+                                   "alignrepair.repair"])
+def test_package_repair_is_the_function_after_any_import(first):
+    code = (f"import {first}\n"
+            "from alignrepair import repair\n"
+            "import alignrepair.greedy\n"
+            "assert repair is alignrepair.greedy.repair, repair\n"
+            "assert alignrepair.repair is repair\n")
+    run = python("-c", code)
+    assert run.returncode == 0, run.stderr.decode()
+
+
+def test_old_repair_module_provides_the_traced_run_names():
+    """perfbench/traced.py imports `alignrepair.repair` by name."""
+    code = ("import importlib\n"
+            "import alignrepair.greedy as greedy\n"
+            "module = importlib.import_module('alignrepair.repair')\n"
+            "for name in ('repair', 'RepairConfig', 'RemovalCause'):\n"
+            "    assert getattr(module, name) is getattr(greedy, name), name\n")
+    run = python("-c", code)
+    assert run.returncode == 0, run.stderr.decode()

@@ -24,7 +24,7 @@ from alignrepair import (
     analyze,
     repair,
 )
-from alignrepair.repair import _lookahead, _residue, _select_worst
+from alignrepair.greedy import _lookahead, _residue, _select_worst
 
 from conftest import (
     antichain,
