@@ -57,8 +57,8 @@ def _fragment_section(o1, o2, fragments) -> dict:
         "total_classes": total,
         "core_classes": len(fragments.core),
         "core_pct": _pct(len(fragments.core), total),
-        "checkset": len(fragments.checkset_ranks),
-        "checkset_pct": _pct(len(fragments.checkset_ranks), total),
+        "checkset": len(fragments.checkset),
+        "checkset_pct": _pct(len(fragments.checkset), total),
     }
 
 

@@ -114,30 +114,32 @@ def find_conflict_sets(
 ) -> ConflictList:
     """Enumerate every minimal conflict set of the alignment.
 
-    Witnesses are the fragment start classes, which contain
-    `fragments.checkset_ranks`, the classes of the given checkset, and the
-    disjointness endpoints.  One backward label search per endpoint finds
-    the minimal label sets of the walks from each node into it; all the
-    searches run in one loop, by label-set size.  A set is settled at a
-    node unless a set settled there is a subset of it, or it strictly
-    contains a conflict found so far.  When a witness's set for one
-    member of a pair settles, its union with each settled set for the
-    other member is a conflict, and each mask keeps its smallest (start
-    class, pair index) witness.  `max_work` caps the total work of the
-    call: every settled label set (an endpoint's own empty set aside) and
-    every union spend one step of one shared budget; exhausting it raises
-    EnumerationCapExceeded.
+    The search runs on the core graph, whose classes are the merged
+    view's global ids.  Witnesses are the fragment start classes, which
+    contain `fragments.checkset`, the classes of the given checkset, and
+    the disjointness endpoints.  One backward label search per endpoint
+    finds the minimal label sets of the walks from each node into it;
+    all the searches run in one loop, by label-set size.  A set is
+    settled at a node unless a set settled there is a subset of it, or
+    it strictly contains a conflict found so far.  When a witness's set
+    for one member of a pair settles, its union with each settled set
+    for the other member is a conflict, and each mask keeps its smallest
+    (start class, pair index) witness.  `max_work` caps the total work
+    of the call: every settled label set (an endpoint's own empty set
+    aside) and every union spend one step of one shared budget;
+    exhausting it raises EnumerationCapExceeded.
     """
-    if not fragments.pairs or not len(alignment):
+    pairs = fragments.ids.disjoint
+    if not pairs or not len(alignment):
         return ConflictList()
 
     mappings = alignment.mappings
 
-    # The reverse graph on core ranks: the reduced edges carry no label,
-    # and each mapping edge is labelled with the mapping's index.
-    # Parallel edges with distinct labels all matter.
+    # The reverse core graph: the reduced edges carry no label, and each
+    # mapping edge is labelled with the mapping's index.  Parallel edges
+    # with distinct labels all matter.
     radj = fragments.radj
-    labelled: list[list[tuple[int, int]]] = [[] for _ in radj]
+    labelled: dict[int, list[tuple[int, int]]] = {g: [] for g in radj}
     for mi, m in enumerate(mappings):
         try:
             edges = fragments.subset_edges((m,))
@@ -149,14 +151,14 @@ def find_conflict_sets(
         for sub, sup in edges:
             labelled[sup].append((sub, mi))
 
-    ends = sorted({r for pair in fragments.pairs for r in pair})
+    ends = sorted({g for pair in pairs for g in pair})
     starts = set(fragments.starts).union(ends)
     starts.update(map(fragments._require, checkset))
     partners: dict[int, list[tuple[int, int]]] = {e: [] for e in ends}
-    for pi, (a, b) in enumerate(fragments.pairs):
+    for pi, (a, b) in enumerate(pairs):
         partners[a].append((pi, b))
         partners[b].append((pi, a))
-    name, core = fragments.ids.names, fragments.core
+    name = fragments.ids.names
 
     # settled[e][v]: the label sets of walks v -> e settled so far.  found
     # maps each conflict mask to its smallest (start, pair index) witness;
@@ -179,7 +181,7 @@ def find_conflict_sets(
                 budget -= 1
                 if budget < 0:
                     raise EnumerationCapExceeded(
-                        f"label-set search into {name[core[e]]} exhausts "
+                        f"label-set search into {name[e]} exhausts "
                         f"the budget of {max_work} steps"
                     )
             if v in starts:
@@ -187,11 +189,10 @@ def find_conflict_sets(
                     for mb in settled[other].get(v, ()):
                         budget -= 1
                         if budget < 0:
-                            a, b = fragments.pairs[pi]
+                            a, b = pairs[pi]
                             raise EnumerationCapExceeded(
-                                f"witness ({name[core[v]]}, {name[core[a]]}|"
-                                f"{name[core[b]]}) exhausts the budget of "
-                                f"{max_work} steps with its path pairs"
+                                f"witness ({name[v]}, {name[a]}|{name[b]}) exhausts "
+                                f"the budget of {max_work} steps with its path pairs"
                             )
                         union = mask | mb
                         witness = found.get(union)
@@ -216,8 +217,8 @@ def find_conflict_sets(
     return ConflictList(
         ConflictSet(
             mappings=frozenset(mappings[i] for i in iter_bits(mask)),
-            witness_class=at(core[v]),
-            witness_pair=tuple(at(core[r]) for r in fragments.pairs[pi]),
+            witness_class=at(v),
+            witness_pair=tuple(map(at, pairs[pi])),
         )
         for mask, (v, pi) in found.items()
         if not contains_conflict(mask, by_low)

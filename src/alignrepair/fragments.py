@@ -12,7 +12,7 @@ view's global ids and the ontologies' local ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -36,34 +36,30 @@ class FragmentError(ModelError):
 class ReducedEdge(NamedTuple):
     child: ClassId
     parent: ClassId
-    via_path: bool  # True when the edge abbreviates a multi-edge path
 
 
 @dataclass(frozen=True)
 class CoreFragments:
     """Reduced per-side hierarchies over the core classes.
 
-    The engine fields hold ints.  `core` lists the core classes' global
-    ids in ascending (name) order, and `ranks` maps each one to its
-    position there; the other fields name a core class by that rank,
-    which `rank` looks up.  `edges` are (child, parent, via_path) and
-    carry no mapping edges; `radj` is their reverse graph, to which
-    conflict search and `fragments_incoherent` add the `subset_edges`
-    of the mappings they consider.  `starts` are
-    the entry points for conflict enumeration (checkset plus divergence
-    classes; see extract_core_fragments), so they contain
-    `checkset_ranks`.  The reverse graph and the ClassId views
+    The engine fields name every class by its merged-view global id, in
+    `ids`.  `core` lists the core classes in ascending (name) order.
+    `edges` are the reduced (child, parent) edges, sorted; they carry no
+    mapping edges.  `radj` maps each core class to its children there,
+    the reverse reduced graph, to which conflict search and
+    `fragments_incoherent` add the `subset_edges` of the mappings they
+    consider.  `starts` are the entry points for conflict enumeration
+    (checkset plus divergence classes; see extract_core_fragments), so
+    they contain `checkset`.  The reverse graph and the ClassId views
     `core_classes`, `reduced_edges` and `start_classes` are built on
     first use.
     """
 
     ids: GlobalIds
     core: tuple[int, ...]
-    ranks: dict[int, int] = field(compare=False, repr=False)
-    edges: tuple[tuple[int, int, bool], ...]
-    pairs: tuple[tuple[int, int], ...]
+    edges: tuple[tuple[int, int], ...]
     starts: tuple[int, ...]
-    checkset_ranks: tuple[int, ...]
+    checkset: tuple[int, ...]
 
     @cached_property
     def core_classes(self) -> tuple[ClassId, ...]:
@@ -71,36 +67,33 @@ class CoreFragments:
 
     @cached_property
     def reduced_edges(self) -> tuple[ReducedEdge, ...]:
-        cls = self.core_classes
-        return tuple(ReducedEdge(cls[c], cls[p], via) for c, p, via in self.edges)
+        at = self.ids.class_at
+        return tuple(ReducedEdge(at(c), at(p)) for c, p in self.edges)
 
     @cached_property
     def start_classes(self) -> tuple[ClassId, ...]:
-        return tuple(self.core_classes[r] for r in self.starts)
-
-    def rank(self, c: ClassId) -> int | None:
-        """Position of a class in `core`, or None for a non-core class."""
-        try:
-            return self.ranks.get(self.ids.node(c))
-        except ModelError:
-            return None
+        return tuple(map(self.ids.class_at, self.starts))
 
     @cached_property
-    def radj(self) -> list[list[int]]:
-        """Reverse reduced graph: the children of each core rank."""
-        radj: list[list[int]] = [[] for _ in self.core]
-        for child, parent, _ in self.edges:
+    def radj(self) -> dict[int, list[int]]:
+        """Reverse reduced graph: the children of each core class."""
+        radj: dict[int, list[int]] = {g: [] for g in self.core}
+        for child, parent in self.edges:
             radj[parent].append(child)
         return radj
 
     def _require(self, c: ClassId) -> int:
-        r = self.rank(c)
-        if r is None:
+        """Global id of a core class."""
+        try:
+            g = self.ids.node(c)
+        except ModelError:
+            g = -1
+        if g not in self.radj:
             raise FragmentError(f"class {c.id!r} is not a core class")
-        return r
+        return g
 
     def subset_edges(self, subset: Iterable[Mapping]) -> list[tuple[int, int]]:
-        """Directed core-rank edges contributed by a mapping subset."""
+        """Directed edges, on global ids, contributed by a mapping subset."""
         return [
             (self._require(sub), self._require(sup))
             for m in subset
@@ -170,31 +163,31 @@ def _divergence_starts(view: MergedGraph, o1: Ontology, o2: Ontology) -> list[in
 
 def _reduced_edges_for_side(
     onto: Ontology, core_side: list[int]
-) -> list[tuple[int, int, bool]]:
+) -> list[tuple[int, int]]:
     """Covering relation of ontology-only reachability restricted to core,
-    as (child, parent, via_path) over the ascending local ids `core_side`.
+    as (child, parent) over the ascending local ids `core_side`.
 
     One roots-first pass gives every class its nearest core ancestors:
     the candidates are its core parents plus the nearest core ancestors
     of its other parents, minus any candidate that is a strict ancestor
     of another.  A core class's nearest core ancestors are its covers.
 
-    The strict-ancestor test uses bitmasks over core rank only: a core
-    class's strict core ancestors are its covers plus their own strict
-    core ancestors, known once the pass gets to it.
+    The strict-ancestor test uses bitmasks with one bit per core class
+    of the side: a core class's strict core ancestors are its covers
+    plus their own strict core ancestors, known once the pass gets to it.
     """
     if not core_side:
         return []
-    rank = {v: r for r, v in enumerate(core_side)}
+    bit = {v: i for i, v in enumerate(core_side)}
     parents = onto.parents
-    above = [0] * len(core_side)  # strict core ancestors, by core rank
+    above = [0] * len(core_side)  # strict core ancestors, by bit
 
     nearest: list[tuple[int, ...]] = [()] * len(onto)
-    edges: list[tuple[int, int, bool]] = []
+    edges: list[tuple[int, int]] = []
     for v in onto.order:
         candidates: set[int] = set()
         for p in parents[v]:
-            if p in rank:
+            if p in bit:
                 candidates.add(p)
             else:
                 candidates.update(nearest[p])
@@ -202,16 +195,16 @@ def _reduced_edges_for_side(
         if len(parents[v]) > 1 and len(candidates) > 1:
             blocked = 0
             for c in candidates:
-                blocked |= above[rank[c]]
-            candidates = {c for c in candidates if not (blocked >> rank[c]) & 1}
+                blocked |= above[bit[c]]
+            candidates = {c for c in candidates if not (blocked >> bit[c]) & 1}
         nearest[v] = tuple(candidates)
-        r = rank.get(v)
-        if r is not None:
+        i = bit.get(v)
+        if i is not None:
             mask = 0
             for j in candidates:
-                mask |= above[rank[j]] | (1 << rank[j])
-            above[r] = mask
-            edges.extend((v, j, j not in parents[v]) for j in candidates)
+                mask |= above[bit[j]] | (1 << bit[j])
+            above[i] = mask
+            edges.extend((v, j) for j in candidates)
     return edges
 
 
@@ -235,27 +228,24 @@ def extract_core_fragments(
     core = starts.union(g for pair in ids.disjoint for g in pair)
     core.update(ids.node(c) for m in alignment for c in (m.source, m.target))
     core_ids = sorted(core)
-    rank = {g: r for r, g in enumerate(core_ids)}
 
     by_side: tuple[list[int], list[int]] = ([], [])
     for g in core_ids:
         side, local = ids.locate(g)
         by_side[side - 1].append(local)
     edges = [
-        (rank[glob[c]], rank[glob[p]], via)
+        (glob[c], glob[p])
         for onto, side_core, glob in zip((o1, o2), by_side, ids.glob)
-        for c, p, via in _reduced_edges_for_side(onto, side_core)
+        for c, p in _reduced_edges_for_side(onto, side_core)
     ]
     edges.sort()
 
     return CoreFragments(
         ids=ids,
         core=tuple(core_ids),
-        ranks=rank,
         edges=tuple(edges),
-        pairs=tuple((rank[a], rank[b]) for a, b in ids.disjoint),
-        starts=tuple(sorted(rank[g] for g in starts)),
-        checkset_ranks=tuple(rank[g] for g in checkset),
+        starts=tuple(sorted(starts)),
+        checkset=tuple(checkset),
     )
 
 
@@ -263,8 +253,10 @@ def fragments_incoherent(
     fragments: CoreFragments, subset: Iterable[Mapping]
 ) -> bool:
     """True iff some core class lands under both members of a disjoint pair
-    when the subset's mapping edges are added to the reduced structure."""
-    if not fragments.pairs:
+    when the subset's mapping edges are added to the reduced structure.
+    Like the core graph, the search names classes by their global ids."""
+    disjoint = fragments.ids.disjoint
+    if not disjoint:
         return False
     extra_down: dict[int, list[int]] = {}
     for u, v in fragments.subset_edges(subset):
@@ -272,5 +264,5 @@ def fragments_incoherent(
     radj = fragments.radj
     return any(
         reachable(radj, a, extra_down) & reachable(radj, b, extra_down)
-        for a, b in fragments.pairs
+        for a, b in disjoint
     )

@@ -10,6 +10,7 @@ sets, breaking ties by lowest confidence, then by the most sets that
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -165,21 +166,26 @@ def repair(
         work, filtered = filter_conflicts(work, config.epsilon)
         removed.extend(RemovedMapping(m, RemovalCause.FILTERED) for m in filtered)
 
-    # Clustering changes only how a residue splits into work items.
+    # Clustering confines each pick, and its lookahead, to one cluster:
+    # a lookahead that empties its cluster cannot count sets elsewhere,
+    # so the two modes can remove different mappings (ROADMAP item 7).
     split = (disjoint_conflict_clusters if config.use_clusters
              else lambda sets: (sets,) if sets else ())
 
-    pending = list(split(work.sets))
+    # Clusters share no set, so their first keys are distinct and the
+    # heap takes them in the same order as a sort would.
+    pending = [(sets[0].key, sets) for sets in split(work.sets)]
+    heapq.heapify(pending)
     clusters_processed = 0
     lookahead_tiebreaks = 0
     while pending:
-        pending.sort(key=lambda sets: sets[0].key)
-        sets = pending.pop(0)
+        _, sets = heapq.heappop(pending)
         clusters_processed += 1
         worst, decisive = _select_worst(sets, config.search_depth)
         lookahead_tiebreaks += decisive
         removed.append(RemovedMapping(worst, RemovalCause.GREEDY))
-        pending.extend(split(_residue(sets, worst)))
+        for rest in split(_residue(sets, worst)):
+            heapq.heappush(pending, (rest[0].key, rest))
 
     removed_keys = {r.mapping.key for r in removed}
     return RepairResult(

@@ -368,14 +368,14 @@ class GlobalIds:
 
     Global ids number the classes of both sides in name order, so int
     order is ClassId order.  `glob[side - 1]` maps a side's local ids to
-    global ids; the map is monotone, so the mapped parent lists in `adj`
-    stay sorted.  `down` holds the child lists.  `adj`, the parent
-    lists, is built on first use: only fragment extraction reads it.
-    One instance serves every view of the pair (it is cached on the
-    side-1 ontology); its lists are shared and never modified.
+    global ids; the map is monotone, so mapped parent lists stay sorted.
+    `parents[side - 1]` holds a side's parent lists on local ids, and
+    `down` the child lists on global ids.  One instance serves every
+    view of the pair (it is cached on the side-1 ontology); its lists
+    are shared and never modified.
     """
 
-    __slots__ = ("names", "index", "glob", "down", "disjoint", "_parents", "_adj")
+    __slots__ = ("names", "index", "glob", "parents", "down", "disjoint")
 
     def __init__(self, o1: Ontology, o2: Ontology):
         names = sorted(o1.names + o2.names)  # timsort: one merge of two runs
@@ -388,28 +388,15 @@ class GlobalIds:
         self.names = names
         self.index = (o1.index, o2.index)
         self.glob = tuple(list(map(at.__getitem__, o.names)) for o in (o1, o2))
-        self._parents = (o1.parents, o2.parents)
-        self._adj: list[Sequence[int]] | None = None
+        self.parents = (o1.parents, o2.parents)
         self.down: list[list[int]] = [[] for _ in names]
-        for ps_of, g in zip(self._parents, self.glob):
+        for ps_of, g in zip(self.parents, self.glob):
             for gi, ps in zip(g, ps_of):
                 for p in ps:
                     self.down[g[p]].append(gi)
         self.disjoint = tuple(sorted(
             (g[a], g[b]) for o, g in zip((o1, o2), self.glob) for a, b in o.disjoint
         ))
-
-    @property
-    def adj(self) -> list[Sequence[int]]:
-        """Parent lists by global id (classes without parents share `()`)."""
-        if self._adj is None:
-            adj: list[Sequence[int]] = [()] * len(self.names)
-            for ps_of, g in zip(self._parents, self.glob):
-                for gi, ps in zip(g, ps_of):
-                    if ps:
-                        adj[gi] = [g[p] for p in ps]
-            self._adj = adj
-        return self._adj
 
     def node(self, c: ClassId) -> int:
         """Global id of a class."""
@@ -436,14 +423,14 @@ class MergedGraph:
     view builds only the mapping edges, as child lists beside the pair's
     `down`; `nodes_below` searches the downward cone of a class over
     both, so a is subsumed by b iff a's id is in `nodes_below` of b's.
-    `adj` is built on first use: the pair's parent lists with the
-    mapping edges merged into their tails' lists (sorted, distinct;
-    shared, so do not modify them).  Component queries run on the SCC
-    condensation of `adj`, computed on first use, whose ids put every
-    parent before its children (smaller id).  `component_covers`, on the
-    checkset's hot path, runs its own upward search that skips ids below
-    the smallest parent.  Lazy caches are filled idempotently, so
-    concurrent readers are safe.
+    `adj`, the parent lists, is built on first use: each class's
+    ontology parents and mapping heads in one sorted, distinct list (do
+    not modify them).  Only fragment extraction reads it.  Component
+    queries run on the SCC condensation of `adj`, computed on first use,
+    whose ids put every parent before its children (smaller id).
+    `component_covers`, on the checkset's hot path, runs its own upward
+    search that skips ids below the smallest parent.  Lazy caches are
+    filled idempotently, so concurrent readers are safe.
     """
 
     __slots__ = ("alignment", "ids", "_down_extra", "_adj", "_scc")
@@ -476,13 +463,18 @@ class MergedGraph:
     def adj(self) -> list[Sequence[int]]:
         """Parent lists by global id, mapping edges included."""
         if self._adj is None:
-            tails: dict[int, set[int]] = {}
+            heads: dict[int, set[int]] = {}
             for v, us in self._down_extra.items():
                 for u in us:
-                    tails.setdefault(u, set()).add(v)
-            adj = list(self.ids.adj)
-            for u, ups in tails.items():
-                adj[u] = sorted(ups.union(adj[u]))
+                    heads.setdefault(u, set()).add(v)
+            adj: list[Sequence[int]] = [()] * len(self.ids.names)
+            for ps_of, g in zip(self.ids.parents, self.ids.glob):
+                for gi, ps in zip(g, ps_of):
+                    extra = heads.get(gi)
+                    if extra:
+                        adj[gi] = sorted(extra.union(g[p] for p in ps))
+                    elif ps:
+                        adj[gi] = [g[p] for p in ps]
             self._adj = adj
         return self._adj
 

@@ -168,14 +168,14 @@ def renamed_instance(o1, o2, alignment, seed: int):
 
 
 def core_pairs(fragments) -> list[tuple[ClassId, ClassId]]:
-    """The fragments' disjoint pairs as ClassIds: `pairs` by core rank."""
-    cls = fragments.core_classes
-    return [(cls[a], cls[b]) for a, b in fragments.pairs]
+    """The fragments' disjoint pairs as ClassIds, from their global ids."""
+    at = fragments.ids.class_at
+    return [(at(a), at(b)) for a, b in fragments.ids.disjoint]
 
 
 def checkset_classes(fragments) -> tuple[ClassId, ...]:
-    """The fragments' checkset as ClassIds: `checkset_ranks` by core rank."""
-    return tuple(fragments.core_classes[r] for r in fragments.checkset_ranks)
+    """The fragments' checkset as ClassIds, from its global ids."""
+    return tuple(map(fragments.ids.class_at, fragments.checkset))
 
 
 # -- brute-force oracles ---------------------------------------------------

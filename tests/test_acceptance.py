@@ -229,7 +229,7 @@ def test_criterion_6_fragment_reduction_at_scale():
     elapsed = time.perf_counter() - start
     total = len(o1) + len(o2)
     core_pct = 100 * len(frags.core_classes) / total
-    checkset_pct = 100 * len(frags.checkset_ranks) / total
+    checkset_pct = 100 * len(frags.checkset) / total
     assert core_pct < 20, f"core fragments {core_pct:.1f}%"
     assert checkset_pct < 15, f"checkset {checkset_pct:.1f}%"
     assert elapsed < 10, f"extraction took {elapsed:.1f}s"

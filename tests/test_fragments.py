@@ -76,7 +76,8 @@ class TestExtractCoreFragments:
         assert [(e.child.id, e.parent.id) for e in frags.reduced_edges] == [
             ("A1", "B1")
         ]
-        assert frags.reduced_edges[0].via_path is False
+        # A direct ontology edge, not a path through a dropped class.
+        assert tuple(frags.reduced_edges[0]) in f1.o1.subclass_edges
 
     def test_intermediate_class_dropped_edge_collapsed(self):
         # A <= X <= B with X not core: reduced edge A -> B abbreviates a path
@@ -88,8 +89,9 @@ class TestExtractCoreFragments:
         align = Alignment([m])
         frags = extract_core_fragments(o1, o2, align)
         assert {c.id for c in frags.core_classes} == {"A", "B", "C", "A2"}
-        edges = {(e.child.id, e.parent.id): e.via_path for e in frags.reduced_edges}
-        assert edges == {("A", "B"): True}
+        edges = [(e.child.id, e.parent.id) for e in frags.reduced_edges]
+        assert edges == [("A", "B")]
+        assert tuple(frags.reduced_edges[0]) not in o1.subclass_edges
 
     def test_chains_with_nothing_to_check_are_empty(self):
         o1 = build_ontology(1, ["A", "B"], [("A", "B")])
@@ -289,14 +291,13 @@ def _covering_edges(onto, core):
     """Every (a, b) of core classes of one side with a strictly below b
     and no core class strictly between, found by comparing all pairs."""
     closure = brute_reachable(list(onto.subclass_edges))
-    direct = set(onto.subclass_edges)
     side_core = [c for c in core if c.side == onto.side]
 
     def below(a, b):
         return a != b and b in closure.get(a, ())
 
     return [
-        ReducedEdge(a, b, (a, b) not in direct)
+        ReducedEdge(a, b)
         for a in side_core
         for b in side_core
         if below(a, b) and not any(below(a, k) and below(k, b) for k in side_core)

@@ -273,6 +273,39 @@ class TestRepair:
         assert result.stats.lookahead_tiebreaks == 1
         assert elapsed < 3.0
 
+    def test_ten_thousand_independent_sets(self):
+        """The cluster queue takes clusters by first key without
+        re-sorting the rest: 10,000 clusters repair within 2 s, each
+        losing its lower-confidence mapping, in key order."""
+        n = 10_000
+        maps = [mk_mapping(i, 0.1 + 0.8 * (i * 7919 % (2 * n)) / (2 * n))
+                for i in range(2 * n)]
+        conflicts = ConflictList(mk_set(maps[2 * i], maps[2 * i + 1])
+                                 for i in range(n))
+        start = time.perf_counter()
+        result = repair(conflicts, Alignment(maps))
+        elapsed = time.perf_counter() - start
+        expected = [min(s.mappings, key=lambda m: m.confidence) for s in conflicts]
+        assert [r.mapping for r in result.removed] == expected
+        assert result.stats.clusters_processed == n
+        assert elapsed < 2.0
+
+    def test_clustering_can_remove_more(self):
+        """Clustering confines the lookahead to one cluster.  Here every
+        pick in the big cluster ties within it, so the clustered repair
+        takes s01 canonically and needs four removals; unclustered, the
+        lookahead also counts {s02} and finds the optimum of three.
+        ROADMAP item 7 tracks the gap."""
+        maps = [mk_mapping(i) for i in range(6)]
+        conflicts = ConflictList(
+            mk_set(*(maps[i] for i in ix))
+            for ix in ((0, 3), (1, 3), (1, 4), (2,), (4, 5))
+        )
+        for flag, expected in ((True, (1, 0, 2, 4)), (False, (3, 4, 2))):
+            result = repair(conflicts, Alignment(maps), RepairConfig(use_clusters=flag))
+            assert [r.mapping for r in result.removed] == [maps[i] for i in expected]
+        assert len(brute_force_min_hitting_set(conflicts.sets)) == 3
+
     @pytest.mark.parametrize("depth", [-1, 2.5, True])
     def test_search_depth_must_be_a_nonnegative_int(self, depth):
         with pytest.raises(ValueError, match="search_depth"):
