@@ -87,6 +87,10 @@ def _cmd_repair(args) -> int:
     )
     run = repair_alignment(o1, o2, align, config)
     analysis, result = run.analysis, run.result
+    if run.incoherent_after:
+        print(f"error: repair left {run.incoherent_after} incoherent classes",
+              file=sys.stderr)
+        return 1
 
     Path(args.out).write_text(write_alignment_tsv(result.kept), encoding="utf-8")
     filtered = sum(1 for r in result.removed if r.cause is RemovalCause.FILTERED)

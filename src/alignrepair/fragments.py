@@ -7,16 +7,17 @@ search entry points.  Reduced edges compress mapping-free paths between
 core classes of one side, so that for every alignment subset M' the
 fragment graph plus M' infers exactly the same subsumptions between core
 classes as the full merged graph plus M'.  Extraction runs on the merged
-view's global ids and the ontologies' local ids.
+view's global ids and the ontologies' local ids; it builds the merged
+graph's parent lists and condensation itself, once, and drops them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .graphs import reachable
+from .graphs import condensation_edges, reachable, tarjan_scc
 from .model import (
     Alignment,
     ClassId,
@@ -108,36 +109,95 @@ def compute_checkset(view: MergedGraph) -> tuple[ClassId, ...]:
     components; it is kept only if no class in a strictly lower component
     is itself multi-parent.  All members of a qualifying component are
     included.  Incoherence checks on these classes suffice alongside the
-    disjointness endpoints.
+    disjointness endpoints.  Builds its own parent lists and condensation.
     """
-    return tuple(map(view.ids.class_at, _checkset_ids(view)))
+    return tuple(map(view.ids.class_at, _checkset_ids(_parent_lists(view))))
 
 
-def _checkset_ids(view: MergedGraph) -> list[int]:
-    """The checkset as ascending global ids.
+def _parent_lists(view: MergedGraph) -> list[Sequence[int]]:
+    """Parent lists by global id, mapping edges included: each class's
+    ontology parents and mapping heads in one sorted, distinct list."""
+    ids = view.ids
+    heads: dict[int, set[int]] = {}
+    for v, us in view.down_extra.items():
+        for u in us:
+            heads.setdefault(u, set()).add(v)
+    adj: list[Sequence[int]] = [()] * len(ids.names)
+    for ps_of, g in zip(ids.parents, ids.glob):
+        for gi, ps in zip(g, ps_of):
+            extra = heads.get(gi)
+            if extra:
+                adj[gi] = sorted(extra.union(g[p] for p in ps))
+            elif ps:
+                adj[gi] = [g[p] for p in ps]
+    return adj
 
-    Component ids put every parent before its children, so one pass over
-    descending ids passes "a multi-parent component lies below" from
-    each component to its parents after all its children are done.  A
-    component with one below is never kept and marks its parents
-    either way, so its covers are not searched.
+
+def _condensation(adj: list[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """(component of every node, condensation parent lists).
+
+    Tarjan runs on the parent lists, so component ids put every parent
+    before its children: each condensation parent has a smaller id than
+    its component, and the lists are ascending.
     """
-    parents = view.component_parents()
+    count, comp = tarjan_scc(len(adj), adj)
+    return comp, condensation_edges(len(adj), adj, comp, count)
+
+
+def _has_two_covers(cond_parents: list[list[int]], c: int) -> bool:
+    """Whether component `c` has two or more covering components.
+
+    A parent is a cover unless it lies above another parent.  Parents
+    come before their children, so only the last (highest-id) parent
+    can lie below all the others, and `c` has one cover exactly when an
+    upward search from that parent reaches every other one.  The search
+    skips ids below the first parent, since nothing there leads back up
+    to a parent, and stops once the last other parent is reached.
+    """
+    ps = cond_parents[c]
+    if len(ps) < 2:
+        return False
+    floor, last = ps[0], ps[-1]
+    others = set(ps[:-1])
+    seen = {last}
+    stack = [last]
+    while stack:
+        for g in cond_parents[stack.pop()]:
+            if g >= floor and g not in seen:
+                seen.add(g)
+                if g in others:
+                    others.discard(g)
+                    if not others:
+                        return False
+                stack.append(g)
+    return True
+
+
+def _checkset_ids(adj: list[Sequence[int]]) -> list[int]:
+    """The checkset as ascending global ids, from the parent lists.
+
+    One pass over descending component ids passes "a multi-parent
+    component lies below" from each component to its parents after all
+    its children are done.  A component with one below is never kept
+    and marks its parents either way, so its covers are not searched.
+    """
+    comp, parents = _condensation(adj)
     multi_below = bytearray(len(parents))
     kept: set[int] = set()
     for c in range(len(parents) - 1, -1, -1):
-        ps = parents[c]
         below = multi_below[c]
-        if not below and len(ps) >= 2 and len(view.component_covers(c)) >= 2:
+        if not below and _has_two_covers(parents, c):
             kept.add(c)
             below = 1
         if below:
-            for p in ps:
+            for p in parents[c]:
                 multi_below[p] = 1
-    return view.members_of(kept)
+    return [g for g, c in enumerate(comp) if c in kept]
 
 
-def _divergence_starts(view: MergedGraph, o1: Ontology, o2: Ontology) -> list[int]:
+def _divergence_starts(
+    adj: list[Sequence[int]], ids: GlobalIds, o1: Ontology, o2: Ontology
+) -> list[int]:
     """Conflict-search entry points beyond the checkset, as global ids.
 
     Any class where two upward walks can split has at least two distinct
@@ -150,8 +210,8 @@ def _divergence_starts(view: MergedGraph, o1: Ontology, o2: Ontology) -> list[in
     candidate strictly below it.
     """
     kept: list[int] = []
-    for onto, glob in zip((o1, o2), view.ids.glob):
-        is_candidate = [len(view.adj[g]) >= 2 for g in glob]
+    for onto, glob in zip((o1, o2), ids.glob):
+        is_candidate = [len(adj[g]) >= 2 for g in glob]
         below = bytearray(len(onto))
         for v in reversed(onto.order):
             if is_candidate[v] or below[v]:
@@ -217,13 +277,17 @@ def extract_core_fragments(
 ) -> CoreFragments:
     """Extract the core classes and their reduced subclass structure.
 
-    Pass a prebuilt merged view to avoid recomputing the condensation.
+    Pass a prebuilt merged view to avoid rebuilding its mapping edges.
+    The merged graph's parent lists and condensation are built here and
+    dropped before the reduced edges.
     """
     if view is None:
         view = merged_view(o1, o2, alignment)
     ids = view.ids
-    checkset = _checkset_ids(view)
-    starts = set(checkset).union(_divergence_starts(view, o1, o2))
+    adj = _parent_lists(view)
+    checkset = _checkset_ids(adj)
+    starts = set(checkset).union(_divergence_starts(adj, ids, o1, o2))
+    del adj
 
     core = starts.union(g for pair in ids.disjoint for g in pair)
     core.update(ids.node(c) for m in alignment for c in (m.source, m.target))

@@ -2,9 +2,8 @@
 
 The merged graph combines the subclass edges of two ontologies with the
 directed edges contributed by an alignment.  Equivalence mappings create
-cycles, so component queries run on the SCC condensation.  Neither an
-ontology nor the merged graph stores an all-pairs closure: both keep
-adjacency lists, and queries search cones over them.
+cycles.  Neither an ontology nor the merged graph stores an all-pairs
+closure: both keep adjacency lists, and queries search cones over them.
 
 The engine runs on dense int ids: local ids inside an ontology, global
 ids (name order across both sides) in the merged graph.  `ClassId`s are
@@ -18,9 +17,9 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple
 
-from .graphs import condensation_edges, reachable, tarjan_scc
+from .graphs import reachable, tarjan_scc
 
 
 class ModelError(ValueError):
@@ -421,19 +420,14 @@ class MergedGraph:
     edges are the ontology subclass edges plus the directed edges induced
     by each mapping (two for an equivalence, one for a subsumption).  A
     view builds only the mapping edges, as child lists beside the pair's
-    `down`; `nodes_below` searches the downward cone of a class over
-    both, so a is subsumed by b iff a's id is in `nodes_below` of b's.
-    `adj`, the parent lists, is built on first use: each class's
-    ontology parents and mapping heads in one sorted, distinct list (do
-    not modify them).  Only fragment extraction reads it.  Component
-    queries run on the SCC condensation of `adj`, computed on first use,
-    whose ids put every parent before its children (smaller id).
-    `component_covers`, on the checkset's hot path, runs its own upward
-    search that skips ids below the smallest parent.  Lazy caches are
-    filled idempotently, so concurrent readers are safe.
+    `down`: `down_extra` maps a mapping edge's superclass end to its
+    subclass ends (do not modify it).  `nodes_below` searches the
+    downward cone of a class over both, so a is subsumed by b iff a's id
+    is in `nodes_below` of b's.  Fragment extraction builds the parent
+    lists and the condensation it needs from these child lists.
     """
 
-    __slots__ = ("alignment", "ids", "_down_extra", "_adj", "_scc")
+    __slots__ = ("alignment", "ids", "down_extra")
 
     def __init__(self, o1: Ontology, o2: Ontology, alignment: Alignment):
         if o1.side != 1 or o2.side != 2:
@@ -444,43 +438,22 @@ class MergedGraph:
         self.ids = ids = cached[1]
         self.alignment = alignment
 
-        self._down_extra: dict[int, list[int]] = {}
+        self.down_extra: dict[int, list[int]] = {}
         for m in alignment:
             for c, onto in ((m.source, o1), (m.target, o2)):
                 if not onto.has_class(c.id):
                     raise AlignmentError(f"dangling mapping endpoint {c.id!r} "
                                          f"(not in ontology {onto.side})")
             for sub, sup in m.edges():
-                self._down_extra.setdefault(ids.node(sup), []).append(ids.node(sub))
-        self._adj: list[Sequence[int]] | None = None
-        self._scc: tuple[int, list[int], list[list[int]]] | None = None
+                self.down_extra.setdefault(ids.node(sup), []).append(ids.node(sub))
 
     def __repr__(self) -> str:
         return (f"MergedGraph(classes={len(self.ids.names)}, "
                 f"components={self.component_count}, mappings={len(self.alignment)})")
 
-    @property
-    def adj(self) -> list[Sequence[int]]:
-        """Parent lists by global id, mapping edges included."""
-        if self._adj is None:
-            heads: dict[int, set[int]] = {}
-            for v, us in self._down_extra.items():
-                for u in us:
-                    heads.setdefault(u, set()).add(v)
-            adj: list[Sequence[int]] = [()] * len(self.ids.names)
-            for ps_of, g in zip(self.ids.parents, self.ids.glob):
-                for gi, ps in zip(g, ps_of):
-                    extra = heads.get(gi)
-                    if extra:
-                        adj[gi] = sorted(extra.union(g[p] for p in ps))
-                    elif ps:
-                        adj[gi] = [g[p] for p in ps]
-            self._adj = adj
-        return self._adj
-
     def nodes_below(self, g: int) -> set[int]:
         """Nodes from which `g` is reachable (reflexive)."""
-        return reachable(self.ids.down, g, self._down_extra)
+        return reachable(self.ids.down, g, self.down_extra)
 
     def incoherent_ids(self) -> set[int]:
         """Global ids of every class under both members of a disjoint pair."""
@@ -489,56 +462,13 @@ class MergedGraph:
             bad |= self.nodes_below(a) & self.nodes_below(b)
         return bad
 
-    # -- component-level queries ------------------------------------------
-
-    def _components(self) -> tuple[int, list[int], list[list[int]]]:
-        """(count, component of every node, condensation parent lists)."""
-        if self._scc is None:
-            adj = self.adj
-            count, comp = tarjan_scc(len(adj), adj)
-            self._scc = (count, comp, condensation_edges(len(adj), adj, comp, count))
-        return self._scc
-
     @property
     def component_count(self) -> int:
-        return self._components()[0]
-
-    def members_of(self, comps: set[int]) -> list[int]:
-        """Global ids of every member of the given components, ascending."""
-        return [g for g, c in enumerate(self._components()[1]) if c in comps]
-
-    def component_parents(self) -> list[list[int]]:
-        """Direct successors of every component in the condensation, in
-        ascending order; each has a smaller id than its component.  The
-        lists are shared: do not modify them."""
-        return self._components()[2]
-
-    def component_covers(self, comp: int) -> tuple[int, ...]:
-        """Components that cover `comp` in the condensation order.
-
-        A parent component q is a cover unless another parent sits
-        strictly between comp and q, so with fewer than two parents the
-        parents are the covers.  Otherwise one upward search from the
-        parents' parents finds the parents that lie above another one;
-        it skips ids below the smallest parent, since nothing there
-        leads back up to a parent.
-        """
-        cond_parents = self._components()[2]
-        parents = cond_parents[comp]
-        if len(parents) < 2:
-            return tuple(parents)
-        floor = parents[0]
-        seen: set[int] = set()
-        stack = [g for q in parents for g in cond_parents[q] if g >= floor]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(
-                g for g in cond_parents[u] if g >= floor and g not in seen
-            )
-        return tuple(q for q in parents if q not in seen)
+        """Strongly connected components, counted on each read over the
+        child lists: a graph and its reverse have the same components."""
+        down, extra = self.ids.down, self.down_extra
+        lists = [[*ds, *extra[g]] if g in extra else ds for g, ds in enumerate(down)]
+        return tarjan_scc(len(lists), lists)[0]
 
 
 def merged_view(o1: Ontology, o2: Ontology, alignment: Alignment) -> MergedGraph:

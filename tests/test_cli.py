@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from alignrepair import EnumerationCapExceeded, pipeline
+from alignrepair import EnumerationCapExceeded, RepairResult, RepairStats, pipeline
 from alignrepair.cli import cli_dispatch
 
 F1_ONTO1 = """\
@@ -215,6 +215,22 @@ class TestErrorsAndExitCodes:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_incoherent_repair_is_error_before_any_file(
+        self, f1_files, capsys, monkeypatch
+    ):
+        def remove_nothing(conflicts, alignment, config):
+            return RepairResult(alignment, (), RepairStats(0, 0))
+
+        monkeypatch.setattr(pipeline, "repair", remove_nothing)
+        out = f1_files / "repaired.tsv"
+        report = f1_files / "report.json"
+        status = cli_dispatch(["repair", *_inputs(f1_files), "--out", str(out),
+                               "--report", str(report)])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: repair left 2 incoherent classes\n"
+        assert not out.exists() and not report.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_epsilon_rejected(self, f1_files, capsys, value):

@@ -9,17 +9,23 @@ from collections import deque
 import pytest
 from hypothesis import given, settings
 
+import alignrepair.fragments
+import alignrepair.model
 from alignrepair import (
     Alignment,
     FragmentError,
     Mapping,
     Relation,
+    analyze,
     build_ontology,
     compute_checkset,
     extract_core_fragments,
     fragments_incoherent,
     merged_view,
+    write_alignment_tsv,
+    write_ontology_file,
 )
+from alignrepair.cli import cli_dispatch
 from alignrepair.fragments import ReducedEdge
 
 from conftest import (
@@ -382,3 +388,30 @@ def test_start_classes_match_the_divergence_pruning(instance):
     expected = set(_brute_checkset(o1, o2, produced))
     expected.update(_brute_divergence_starts(o1, o2, produced))
     assert list(frags.start_classes) == sorted(expected)
+
+
+def test_one_component_pass_per_analysis(f1, tmp_path, monkeypatch, capsys):
+    """Fragment extraction runs Tarjan once, and nothing else in an
+    analysis does; counting incoherent classes, in the library and in
+    `check`, runs it not at all."""
+    calls = []
+    for module in (alignrepair.fragments, alignrepair.model):
+        def counted(n, adj, real=module.tarjan_scc):
+            calls.append(n)
+            return real(n, adj)
+
+        monkeypatch.setattr(module, "tarjan_scc", counted)
+    analyze(f1.o1, f1.o2, f1.alignment)
+    assert len(calls) == 1
+    calls.clear()
+    assert merged_view(f1.o1, f1.o2, f1.alignment).incoherent_ids()
+    files = {"o1.txt": write_ontology_file(f1.o1),
+             "o2.txt": write_ontology_file(f1.o2),
+             "align.tsv": write_alignment_tsv(f1.alignment)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert cli_dispatch(["check", "--onto1", str(tmp_path / "o1.txt"),
+                         "--onto2", str(tmp_path / "o2.txt"),
+                         "--align", str(tmp_path / "align.tsv")]) == 0
+    assert capsys.readouterr().out.startswith("2\n")
+    assert calls == []

@@ -11,8 +11,16 @@ import hashlib
 
 import pytest
 
-from alignrepair import analyze, parse_alignment_tsv, parse_ontology_file
+from alignrepair import (
+    analyze,
+    parse_alignment_tsv,
+    parse_ontology_file,
+    write_alignment_tsv,
+    write_ontology_file,
+)
 from alignrepair.cli import cli_dispatch
+
+from conftest import renamed_instance
 
 INSTANCES = {
     "bushy": ["--classes", "400", "--mappings", "120", "--disjoints", "8",
@@ -85,6 +93,47 @@ GOLDEN_CONFLICTS = {
     "deep": "134142ead2751b6495a6659875fa31754fa68151431b9c2547b8b5accdefff86",
 }
 
+# The command outputs and the conflict rows again, on
+# `conftest.renamed_instance(..., 1)` of each instance.
+GOLDEN_RENAMED = {
+    "bushy": {
+        "repair.tsv":
+            "5708a0aef178d9ef3f51913819f646e246bd04f58bea4ff8985b6550e9fb2cbf",
+        "repair.json":
+            "882b1a53959269fda4a0b0295a39cfb0abeaf896d77aa49c8347db48e17985ef",
+        "repair-eps.tsv":
+            "f102a05eb2ea35adf349cb6ac17a37945d56e3c7d8f855e9ce4d7e4d00d4724f",
+        "repair-eps.json":
+            "fd69f5011d4a94d30735d26f5c50312198a3b0afb5f87a97657049cb6c84a4a9",
+        "check":
+            "d436ca72c90969629f506c1784b5f81225a3e56d251998d0cb4b747ead6c6d72",
+        "fragments":
+            "83d522c49818e81b4629f50213af4d5b24c4edcbc4857d8e235b489e788d886b",
+        "conflicts":
+            "a95efa8a7be803dcce06aa00b44802f8bb03f1f5dee444349bf25958332c4afa",
+        "conflict-rows":
+            "cdce9ae722f38b488720638bc476c1b1d068e372320dc229763bfd71118a9d99",
+    },
+    "deep": {
+        "repair.tsv":
+            "83e922de5bb54c66ee3a1becd7987ba812823781dfda8fe8cf64ef9749ec50a5",
+        "repair.json":
+            "0add1edf0fa85ee8c4d9792c70994fb4d31971fd2ce2c48122e66910a067fe21",
+        "repair-eps.tsv":
+            "03e25e9026a4f3541774c6403bcd5181dc533f77463af01b5c2cbd75ab0a61f6",
+        "repair-eps.json":
+            "846c99856ccb832ab43862860f252d1a7704c1e4b5b46aff05530b2a0fe830bd",
+        "check":
+            "6a583fa41be50b27a6fc56227bdc45cf580b8388a291df4263443dd11ddf0b6c",
+        "fragments":
+            "dd4d5028ce14e48c8917bcebccdcd7f7f4b851b3cf5abd9483fd0b17436d2e60",
+        "conflicts":
+            "402371c1d3c9e5c32a4525914cd463a4517b2f1c8546cf1166394e76c80e8799",
+        "conflict-rows":
+            "cbf0997d9b636f8eed5ac1abcbae3ef7e8a653063be0a4a15e2d62d3c7369eac",
+    },
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -99,6 +148,12 @@ def _outputs(d, gen_args, capsys) -> dict[str, str]:
         for name in ("onto1.txt", "onto2.txt", "produced.tsv",
                      "reference.tsv", "params.json")
     }
+    return {**out, **_command_outputs(d, capsys)}
+
+
+def _command_outputs(d, capsys) -> dict[str, str]:
+    """sha256 of every command's output on the instance in `d`."""
+    out = {}
     inputs = ["--onto1", str(d / "onto1.txt"), "--onto2", str(d / "onto2.txt"),
               "--align", str(d / "produced.tsv")]
     for label, flags in (("repair", []), ("repair-eps", ["--epsilon", "0.05"])):
@@ -120,17 +175,43 @@ def test_cli_outputs_match_golden_hashes(name, tmp_path, capsys):
     assert _outputs(tmp_path, INSTANCES[name], capsys) == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", sorted(INSTANCES))
-def test_conflict_list_matches_golden_hash(name, tmp_path, capsys):
-    assert cli_dispatch(["gen", *INSTANCES[name], "--out-dir", str(tmp_path)]) == 0
+def _generated(d, name, capsys):
+    """(o1, o2, produced) of a golden instance, generated into `d`."""
+    assert cli_dispatch(["gen", *INSTANCES[name], "--out-dir", str(d)]) == 0
     capsys.readouterr()
     o1, o2 = (
-        parse_ontology_file((tmp_path / f"onto{side}.txt").read_text(), side)
+        parse_ontology_file((d / f"onto{side}.txt").read_text(), side)
         for side in (1, 2)
     )
-    align = parse_alignment_tsv((tmp_path / "produced.tsv").read_text())
+    return o1, o2, parse_alignment_tsv((d / "produced.tsv").read_text())
+
+
+def _conflict_rows_sha(o1, o2, align) -> str:
     rows = [
         (s.key, s.witness_class, s.witness_pair)
         for s in analyze(o1, o2, align).conflicts
     ]
-    assert _sha(repr(rows).encode()) == GOLDEN_CONFLICTS[name]
+    return _sha(repr(rows).encode())
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_conflict_list_matches_golden_hash(name, tmp_path, capsys):
+    instance = _generated(tmp_path, name, capsys)
+    assert _conflict_rows_sha(*instance) == GOLDEN_CONFLICTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_renamed_instance_matches_golden_hashes(name, tmp_path, capsys):
+    """The golden instances with every class renamed (seed 1), so that
+    the two sides interleave in global-id order and names follow no
+    hierarchy order; "conflict-rows" hashes the conflict list as
+    GOLDEN_CONFLICTS does."""
+    o1, o2, align = renamed_instance(*_generated(tmp_path, name, capsys), 1)
+    d = tmp_path / "renamed"
+    d.mkdir()
+    (d / "onto1.txt").write_text(write_ontology_file(o1))
+    (d / "onto2.txt").write_text(write_ontology_file(o2))
+    (d / "produced.tsv").write_text(write_alignment_tsv(align))
+    out = _command_outputs(d, capsys)
+    out["conflict-rows"] = _conflict_rows_sha(o1, o2, align)
+    assert out == GOLDEN_RENAMED[name]

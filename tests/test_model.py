@@ -16,9 +16,12 @@ from alignrepair import (
     Relation,
     build_ontology,
     count_incoherent_classes,
+    extract_core_fragments,
     merged_view,
 )
-from alignrepair.graphs import reachable
+from alignrepair.fragments import _condensation, _has_two_covers, _parent_lists
+from alignrepair.graphs import reachable, tarjan_scc
+from alignrepair.model import MergedGraph
 from alignrepair.oracle import _merged_adjacency
 
 from conftest import (
@@ -37,18 +40,28 @@ def entails(view, a, b):
 
 
 def components(view):
-    """The component of every node, found through `members_of`."""
-    comp = [-1] * len(view.adj)
-    for c in range(view.component_count):
-        for g in view.members_of({c}):
-            comp[g] = c
-    return comp
+    """The component of every node, by Tarjan on the parent lists that
+    fragment extraction builds."""
+    adj = _parent_lists(view)
+    return tarjan_scc(len(adj), adj)[1]
 
 
-def direct_superclasses(view, a):
-    """Every member of the components covering a's component."""
-    covers = view.component_covers(components(view)[view.ids.node(a)])
-    return {view.ids.class_at(g) for g in view.members_of(set(covers))}
+def has_two_covers(view, a):
+    """Whether a's component has two or more covering components, by
+    the two-cover test of the checkset."""
+    comp, cond_parents = _condensation(_parent_lists(view))
+    return _has_two_covers(cond_parents, comp[view.ids.node(a)])
+
+
+def brute_cover_count(o1, o2, align, a):
+    """Covering components of a's component, by the brute closure: its
+    direct superclasses, one per class of mutually subsumed ones."""
+    reach = brute_entails(o1, o2, align)
+    covers = sorted(brute_direct_superclasses(o1, o2, align, a))
+    return sum(
+        1 for i, b in enumerate(covers)
+        if not any(reach(b, c) and reach(c, b) for c in covers[:i])
+    )
 
 
 def onto_reaches(onto, a, b):
@@ -208,18 +221,20 @@ class TestMapping:
 class TestMergedView:
     def test_f1_full_has_equivalence_component(self, f1):
         view = merged_view(f1.o1, f1.o2, f1.alignment)
-        assert len(view.adj) == 6
+        assert len(view.ids.names) == 6
         comp = components(view)
         assert comp[view.ids.node(f1.cid("A1"))] == comp[view.ids.node(f1.cid("A2"))]
 
     def test_f1_empty_alignment_all_singletons(self, f1):
         view = merged_view(f1.o1, f1.o2, Alignment())
-        assert view.component_count == len(view.adj)
+        assert view.component_count == len(view.ids.names)
+        assert sorted(components(view)) == list(range(len(view.ids.names)))
 
     def test_f1_only_m2_edge_present(self, f1):
         view = merged_view(f1.o1, f1.o2, Alignment([f1.m2]))
-        assert view.component_count == len(view.adj)
-        assert view.ids.node(f1.cid("C1")) in view.adj[view.ids.node(f1.cid("A2"))]
+        assert view.component_count == len(view.ids.names)
+        adj = _parent_lists(view)
+        assert view.ids.node(f1.cid("C1")) in adj[view.ids.node(f1.cid("A2"))]
 
     def test_relation_edge_directions(self):
         o1 = build_ontology(1, ["s"])
@@ -233,6 +248,7 @@ class TestMergedView:
         assert entails(eq, s, t) and entails(eq, t, s)
         comp = components(eq)
         assert comp[eq.ids.node(s)] == comp[eq.ids.node(t)]
+        assert eq.component_count == 1
 
     def test_dangling_endpoint_rejected(self, f1):
         stray = Mapping(ClassId("nope", 1), f1.cid("A2"), Relation.EQUIVALENCE)
@@ -270,21 +286,27 @@ class TestDirectSuperclasses:
     def test_f3_diamond(self, f3):
         o2 = build_ontology(2, ["z"])
         view = merged_view(f3, o2, Alignment())
-        got = direct_superclasses(view, f3.class_id("D"))
-        assert {c.id for c in got} == {"B", "C"}
+        d = f3.class_id("D")
+        assert {c.id for c in brute_direct_superclasses(f3, o2, [], d)} == {"B", "C"}
+        assert brute_cover_count(f3, o2, [], d) == 2
+        assert has_two_covers(view, d)
 
     def test_chain_single_cover(self):
         o1 = build_ontology(1, ["A", "B", "C"], [("A", "B"), ("B", "C")])
         o2 = build_ontology(2, ["z"])
         view = merged_view(o1, o2, Alignment())
-        got = direct_superclasses(view, o1.class_id("A"))
-        assert {c.id for c in got} == {"B"}
+        a = o1.class_id("A")
+        assert {c.id for c in brute_direct_superclasses(o1, o2, [], a)} == {"B"}
+        assert not has_two_covers(view, a)
 
     def test_f1_component_covered_by_three(self, f1):
         view = merged_view(f1.o1, f1.o2, f1.alignment)
-        got = direct_superclasses(view, f1.cid("A2"))
-        assert {c.id for c in got} == {"B1", "C1", "X2"}
-        assert got == direct_superclasses(view, f1.cid("A1"))
+        for name in ("A1", "A2"):
+            a = f1.cid(name)
+            got = brute_direct_superclasses(f1.o1, f1.o2, f1.alignment, a)
+            assert {c.id for c in got} == {"B1", "C1", "X2"}
+            assert brute_cover_count(f1.o1, f1.o2, f1.alignment, a) == 3
+            assert has_two_covers(view, a)
 
 
 # -- randomized cross-checks against the naive closure ----------------------
@@ -405,20 +427,15 @@ def test_entails_matches_brute_closure(seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_direct_superclasses_matches_brute_covers(seed):
+    """The two-cover test agrees with the brute closure's count of
+    covering components."""
     rng = random.Random(seed)
     o1, o2, align = _random_instance(rng)
     view = merged_view(o1, o2, align)
-    comp = components(view)
     classes = list(o1.classes) + list(o2.classes)
     for a in rng.sample(classes, min(6, len(classes))):
-        expected = brute_direct_superclasses(o1, o2, align, a)
-        got = direct_superclasses(view, a)
-        expected_comps = {comp[view.ids.node(c)] for c in expected}
-        got_comps = {comp[view.ids.node(c)] for c in got}
-        assert got_comps == expected_comps
-        assert comp[view.ids.node(a)] not in got_comps
-        for b in got:
-            assert entails(view, a, b) and not entails(view, b, a)
+        expected = brute_cover_count(o1, o2, align, a) >= 2
+        assert has_two_covers(view, a) == expected, a
 
 
 @settings(max_examples=25, deadline=None)
@@ -444,10 +461,10 @@ def test_removing_a_mapping_never_adds_entailments(seed):
 def test_global_ids_are_name_order_and_round_trip(instance, seed):
     """Global ids follow sorted ClassId order, with the generator's names
     and with renamed, interleaved ones; every class maps to its global id
-    and back through both its local id and its component."""
+    and back through its local id, and lies in one component."""
     for o1, o2, align in (instance, renamed_instance(*instance, seed)):
         view = merged_view(o1, o2, align)
-        classes = tuple(map(view.ids.class_at, range(len(view.adj))))
+        classes = tuple(map(view.ids.class_at, range(len(view.ids.names))))
         assert classes == tuple(sorted(o1.classes + o2.classes))
         for onto, glob in zip((o1, o2), view.ids.glob):
             for local, c in enumerate(onto.classes):
@@ -455,23 +472,33 @@ def test_global_ids_are_name_order_and_round_trip(instance, seed):
                 assert onto.index[c.id] == local
                 assert view.ids.node(c) == g and classes[g] == c
                 assert view.ids.locate(g) == (onto.side, local)
-        # Every class is a member of exactly one component.
-        members = [g for c in range(view.component_count) for g in view.members_of({c})]
-        assert sorted(members) == list(range(len(view.adj)))
+        # Every class is a member of exactly one component, and the
+        # parent lists and the child lists have the same components.
+        comp = components(view)
+        assert len(comp) == len(classes)
+        assert sorted(set(comp)) == list(range(view.component_count))
 
 
 @settings(max_examples=30, deadline=None)
 @given(generated_instances())
-def test_adjacency_is_built_on_first_use(instance):
-    """Counting incoherent classes searches child lists only, so the
-    parent lists stay unbuilt.  Once read, they are the oracle's merged
-    graph by global id, each list sorted and distinct."""
+def test_parent_lists_are_built_only_by_extraction(instance):
+    """The merged view holds no parent lists and no lazy state: its
+    fields are the ones `__init__` sets, and queries leave them as they
+    were.  The parent lists that fragment extraction builds are the
+    oracle's merged graph by global id, each list sorted and distinct."""
     o1, o2, align = instance
+    assert MergedGraph.__slots__ == ("alignment", "ids", "down_extra")
     view = merged_view(o1, o2, align)
+    fields = [getattr(view, name) for name in MergedGraph.__slots__]
+    extra = {g: list(us) for g, us in view.down_extra.items()}
     count_incoherent_classes(view)
-    assert view._adj is None
+    extract_core_fragments(o1, o2, align, view=view)
+    repr(view)  # counts the components
+    assert all(getattr(view, name) is f
+               for name, f in zip(MergedGraph.__slots__, fields))
+    assert view.down_extra == extra
     ups = [set() for _ in view.ids.names]
     for sup, subs in _merged_adjacency(o1, o2, align).items():
         for sub in subs:
             ups[view.ids.node(sub)].add(view.ids.node(sup))
-    assert [list(ps) for ps in view.adj] == [sorted(u) for u in ups]
+    assert [list(ps) for ps in _parent_lists(view)] == [sorted(u) for u in ups]
