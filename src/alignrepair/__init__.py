@@ -26,6 +26,7 @@ _MODULES = {
     "FragmentError": "fragments",
     "GeneratorError": "model",
     "GeneratorParams": "generator",
+    "GlobalIds": "model",
     "Mapping": "model",
     "MergedGraph": "model",
     "ModelError": "model",

@@ -124,10 +124,14 @@ def find_conflict_sets(
     it strictly contains a conflict found so far.  When a witness's set
     for one member of a pair settles, its union with each settled set
     for the other member is a conflict, and each mask keeps its smallest
-    (start class, pair index) witness.  `max_work` caps the total work
-    of the call: every settled label set (an endpoint's own empty set
+    (start class, pair index) witness.  `max_work` caps the steps of
+    the call: every settled label set (an endpoint's own empty set
     aside) and every union spend one step of one shared budget;
-    exhausting it raises EnumerationCapExceeded.
+    exhausting it raises EnumerationCapExceeded.  The scans behind each
+    step, a candidate's subset test against the node's settled sets and
+    its conflict test against the found masks, are not charged, so the
+    cap bounds steps, not time (the `find_conflict_sets` FOUND entry in
+    CHANGES.md; ROADMAP item 3(a)).
     """
     pairs = fragments.ids.disjoint
     if not pairs or not len(alignment):

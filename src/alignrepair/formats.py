@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from .model import (
     Alignment,
-    AlignmentError,
     ClassId,
     Mapping,
     Ontology,
@@ -118,10 +117,7 @@ def parse_alignment_tsv(text: str) -> Alignment:
             )
         seen.add(mapping.key)
         mappings.append(mapping)
-    try:
-        return Alignment(mappings)
-    except AlignmentError as exc:  # pragma: no cover - duplicates caught above
-        raise FormatError(str(exc)) from None
+    return Alignment(mappings)
 
 
 def format_confidence(value: float) -> str:

@@ -13,8 +13,7 @@ graph's parent lists and condensation itself, once, and drops them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import condensation_edges, reachable, tarjan_scc
@@ -51,9 +50,9 @@ class CoreFragments:
     `fragments_incoherent` add the `subset_edges` of the mappings they
     consider.  `starts` are the entry points for conflict enumeration
     (checkset plus divergence classes; see extract_core_fragments), so
-    they contain `checkset`.  The reverse graph and the ClassId views
-    `core_classes`, `reduced_edges` and `start_classes` are built on
-    first use.
+    they contain `checkset`.  `extract_core_fragments` builds the
+    reverse graph with the rest; the ClassId views `core_classes`,
+    `reduced_edges` and `start_classes` are built on each access.
     """
 
     ids: GlobalIds
@@ -61,27 +60,20 @@ class CoreFragments:
     edges: tuple[tuple[int, int], ...]
     starts: tuple[int, ...]
     checkset: tuple[int, ...]
+    radj: dict[int, list[int]] = field(compare=False, repr=False)
 
-    @cached_property
+    @property
     def core_classes(self) -> tuple[ClassId, ...]:
         return tuple(map(self.ids.class_at, self.core))
 
-    @cached_property
+    @property
     def reduced_edges(self) -> tuple[ReducedEdge, ...]:
         at = self.ids.class_at
         return tuple(ReducedEdge(at(c), at(p)) for c, p in self.edges)
 
-    @cached_property
+    @property
     def start_classes(self) -> tuple[ClassId, ...]:
         return tuple(map(self.ids.class_at, self.starts))
-
-    @cached_property
-    def radj(self) -> dict[int, list[int]]:
-        """Reverse reduced graph: the children of each core class."""
-        radj: dict[int, list[int]] = {g: [] for g in self.core}
-        for child, parent in self.edges:
-            radj[parent].append(child)
-        return radj
 
     def _require(self, c: ClassId) -> int:
         """Global id of a core class."""
@@ -303,6 +295,9 @@ def extract_core_fragments(
         for c, p in _reduced_edges_for_side(onto, side_core)
     ]
     edges.sort()
+    radj: dict[int, list[int]] = {g: [] for g in core_ids}
+    for child, parent in edges:
+        radj[parent].append(child)
 
     return CoreFragments(
         ids=ids,
@@ -310,6 +305,7 @@ def extract_core_fragments(
         edges=tuple(edges),
         starts=tuple(sorted(starts)),
         checkset=tuple(checkset),
+        radj=radj,
     )
 
 

@@ -66,8 +66,8 @@ class Mapping:
 
     Equality and hashing ignore the confidence: the canonical identity of
     a mapping is (source, target, relation).  `key` spells that identity
-    out as strings, for deterministic ordering; it is computed once.
-    Mappings are immutable.
+    out as strings, for deterministic ordering; it is computed once, and
+    both comparing and hashing use it.  Mappings are immutable.
     """
 
     __slots__ = ("source", "target", "relation", "confidence", "key")
@@ -110,7 +110,7 @@ class Mapping:
         return self.key == other.key
 
     def __hash__(self) -> int:
-        return hash((self.source, self.target, self.relation))
+        return hash(self.key)
 
     def __repr__(self) -> str:
         return (f"Mapping(source={self.source!r}, target={self.target!r}, "
@@ -182,19 +182,16 @@ class Ontology:
     They are read-only; `reachable(parents, v)` is the upward cone of
     class v.  The child lists that the build orders and checks with are
     not kept.  The ClassId views `classes`, `subclass_edges` and
-    `disjointness` are built on first use.
+    `disjointness` are built on each access.
     """
 
-    __slots__ = ("side", "names", "index", "order", "parents", "disjoint",
-                 "_classes", "_space")
+    __slots__ = ("side", "names", "index", "order", "parents", "disjoint")
 
     def __init__(self, side: int, names: list[str], index: dict[str, int],
                  order: tuple[int, ...], parents: tuple[tuple[int, ...], ...],
                  disjoint: tuple[tuple[int, int], ...]):
         self.side, self.names, self.index = side, names, index
         self.order, self.parents, self.disjoint = order, parents, disjoint
-        self._classes: tuple[ClassId, ...] | None = None
-        self._space: tuple[Ontology, GlobalIds] | None = None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -205,9 +202,7 @@ class Ontology:
 
     @property
     def classes(self) -> tuple[ClassId, ...]:
-        if self._classes is None:
-            self._classes = tuple(ClassId(name, self.side) for name in self.names)
-        return self._classes
+        return tuple(ClassId(name, self.side) for name in self.names)
 
     @property
     def subclass_edges(self) -> tuple[tuple[ClassId, ClassId], ...]:
@@ -221,9 +216,6 @@ class Ontology:
         names, side = self.names, self.side
         return tuple((ClassId(names[a], side), ClassId(names[b], side))
                      for a, b in self.disjoint)
-
-    def has_class(self, name: str) -> bool:
-        return name in self.index
 
     def class_id(self, name: str) -> ClassId:
         if name not in self.index:
@@ -369,14 +361,16 @@ class GlobalIds:
     order is ClassId order.  `glob[side - 1]` maps a side's local ids to
     global ids; the map is monotone, so mapped parent lists stay sorted.
     `parents[side - 1]` holds a side's parent lists on local ids, and
-    `down` the child lists on global ids.  One instance serves every
-    view of the pair (it is cached on the side-1 ontology); its lists
-    are shared and never modified.
+    `down` the child lists on global ids.  One instance can serve every
+    view of the pair: pass it to each `MergedGraph`.  Its lists are
+    shared and never modified.
     """
 
     __slots__ = ("names", "index", "glob", "parents", "down", "disjoint")
 
     def __init__(self, o1: Ontology, o2: Ontology):
+        if o1.side != 1 or o2.side != 2:
+            raise ModelError("merged_view expects ontologies with sides 1 and 2")
         names = sorted(o1.names + o2.names)  # timsort: one merge of two runs
         at = {name: g for g, name in enumerate(names)}
         if len(at) < len(names):
@@ -416,34 +410,30 @@ class GlobalIds:
 class MergedGraph:
     """Combined subsumption graph of two ontologies plus an alignment.
 
-    Nodes are all classes of both sides, under the pair's `GlobalIds`;
-    edges are the ontology subclass edges plus the directed edges induced
-    by each mapping (two for an equivalence, one for a subsumption).  A
-    view builds only the mapping edges, as child lists beside the pair's
-    `down`: `down_extra` maps a mapping edge's superclass end to its
-    subclass ends (do not modify it).  `nodes_below` searches the
-    downward cone of a class over both, so a is subsumed by b iff a's id
-    is in `nodes_below` of b's.  Fragment extraction builds the parent
-    lists and the condensation it needs from these child lists.
+    Nodes are all classes of both sides, under the pair's `GlobalIds`
+    `ids`; edges are the ontology subclass edges plus the directed edges
+    induced by each mapping (two for an equivalence, one for a
+    subsumption).  A view builds only the mapping edges, as child lists
+    beside the pair's `down`: `down_extra` maps a mapping edge's
+    superclass end to its subclass ends (do not modify it).
+    `nodes_below` searches the downward cone of a class over both, so a
+    is subsumed by b iff a's id is in `nodes_below` of b's.  Fragment
+    extraction builds the parent lists and the condensation it needs
+    from these child lists.
     """
 
     __slots__ = ("alignment", "ids", "down_extra")
 
-    def __init__(self, o1: Ontology, o2: Ontology, alignment: Alignment):
-        if o1.side != 1 or o2.side != 2:
-            raise ModelError("merged_view expects ontologies with sides 1 and 2")
-        cached = o1._space  # the pair's ids, kept while o2 is o1's partner
-        if cached is None or cached[0] is not o2:
-            cached = o1._space = (o2, GlobalIds(o1, o2))
-        self.ids = ids = cached[1]
+    def __init__(self, ids: GlobalIds, alignment: Alignment):
+        self.ids = ids
         self.alignment = alignment
 
         self.down_extra: dict[int, list[int]] = {}
         for m in alignment:
-            for c, onto in ((m.source, o1), (m.target, o2)):
-                if not onto.has_class(c.id):
+            for c in (m.source, m.target):
+                if c.id not in ids.index[c.side - 1]:
                     raise AlignmentError(f"dangling mapping endpoint {c.id!r} "
-                                         f"(not in ontology {onto.side})")
+                                         f"(not in ontology {c.side})")
             for sub, sup in m.edges():
                 self.down_extra.setdefault(ids.node(sup), []).append(ids.node(sub))
 
@@ -473,4 +463,4 @@ class MergedGraph:
 
 def merged_view(o1: Ontology, o2: Ontology, alignment: Alignment) -> MergedGraph:
     """Build the merged subsumption graph of two ontologies and an alignment."""
-    return MergedGraph(o1, o2, alignment)
+    return MergedGraph(GlobalIds(o1, o2), alignment)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .conflicts import ConflictList, find_conflict_sets
 from .fragments import CoreFragments, extract_core_fragments
 from .greedy import RepairConfig, RepairResult, repair
-from .model import Alignment, Ontology, merged_view
+from .model import Alignment, MergedGraph, Ontology, merged_view
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class RepairRun:
     `incoherent_after` counts the incoherent classes of the merged view
     of the kept mappings.  `phases` maps "merge", "fragments",
     "conflicts", "repair" and "verify", in that order, to seconds.
-    Neither merged view is kept.
+    Neither merged view is kept; both share the pair's `GlobalIds`.
     """
 
     analysis: Analysis
@@ -79,7 +79,8 @@ def repair_alignment(
     start = time.perf_counter()
     result = repair(analysis.conflicts, alignment, config)
     repaired = time.perf_counter()
-    incoherent_after = len(merged_view(o1, o2, result.kept).incoherent_ids())
+    kept_view = MergedGraph(analysis.fragments.ids, result.kept)
+    incoherent_after = len(kept_view.incoherent_ids())
     done = time.perf_counter()
     return RepairRun(
         analysis=analysis,

@@ -2,6 +2,7 @@
 contract (fragment reachability == full reachability for every mapping
 subset) that everything downstream relies on."""
 
+import dataclasses
 import itertools
 import random
 from collections import deque
@@ -13,6 +14,7 @@ import alignrepair.fragments
 import alignrepair.model
 from alignrepair import (
     Alignment,
+    CoreFragments,
     FragmentError,
     Mapping,
     Relation,
@@ -20,8 +22,10 @@ from alignrepair import (
     build_ontology,
     compute_checkset,
     extract_core_fragments,
+    find_conflict_sets,
     fragments_incoherent,
     merged_view,
+    repair_alignment,
     write_alignment_tsv,
     write_ontology_file,
 )
@@ -415,3 +419,41 @@ def test_one_component_pass_per_analysis(f1, tmp_path, monkeypatch, capsys):
                          "--align", str(tmp_path / "align.tsv")]) == 0
     assert capsys.readouterr().out.startswith("2\n")
     assert calls == []
+
+
+def test_a_repair_run_builds_the_pair_ids_once(f1, tmp_path, monkeypatch, capsys):
+    """The analysis view and the view that verifies the repair share one
+    `GlobalIds`, in the library and in `alignrepair repair`."""
+    built = []
+
+    class Counted(alignrepair.model.GlobalIds):
+        def __init__(self, o1, o2):
+            built.append(1)
+            super().__init__(o1, o2)
+
+    monkeypatch.setattr(alignrepair.model, "GlobalIds", Counted)
+    run = repair_alignment(f1.o1, f1.o2, f1.alignment)
+    assert (len(built), run.incoherent_after) == (1, 0)
+    built.clear()
+    files = {"o1.txt": write_ontology_file(f1.o1),
+             "o2.txt": write_ontology_file(f1.o2),
+             "align.tsv": write_alignment_tsv(f1.alignment)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert cli_dispatch(["repair", "--onto1", str(tmp_path / "o1.txt"),
+                         "--onto2", str(tmp_path / "o2.txt"),
+                         "--align", str(tmp_path / "align.tsv"),
+                         "--out", str(tmp_path / "out.tsv")]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_fragments_keep_only_their_fields(f1):
+    """Conflict search, the incoherence test and the ClassId views leave
+    a `CoreFragments` holding its dataclass fields and nothing else."""
+    frags = extract_core_fragments(f1.o1, f1.o2, f1.alignment)
+    find_conflict_sets(frags, (), f1.alignment)
+    fragments_incoherent(frags, f1.alignment)
+    frags.core_classes, frags.reduced_edges, frags.start_classes
+    assert set(vars(frags)) == {f.name for f in dataclasses.fields(CoreFragments)}
+    assert frags == dataclasses.replace(frags, radj={})

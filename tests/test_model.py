@@ -1,11 +1,14 @@
 """Ontology validation, merged-graph queries, and their brute-force oracles."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alignrepair.model
 from alignrepair import (
     Alignment,
     AlignmentError,
@@ -21,7 +24,7 @@ from alignrepair import (
 )
 from alignrepair.fragments import _condensation, _has_two_covers, _parent_lists
 from alignrepair.graphs import reachable, tarjan_scc
-from alignrepair.model import MergedGraph
+from alignrepair.model import GlobalIds, MergedGraph, Ontology
 from alignrepair.oracle import _merged_adjacency
 
 from conftest import (
@@ -169,6 +172,11 @@ class TestMapping:
         assert a == b
         assert len({a, b}) == 1
 
+    def test_hash_ignores_confidence(self):
+        a = Mapping(ClassId("x", 1), ClassId("y", 2), Relation.SUBSUMED_BY, 0.1)
+        b = Mapping(ClassId("x", 1), ClassId("y", 2), Relation.SUBSUMED_BY, 1.0)
+        assert hash(a) == hash(b) == hash(a.key)
+
     def test_value_semantics(self):
         """Fields, repr, hash, order and immutability of the two value
         types; the reprs keep the dataclass form."""
@@ -181,7 +189,7 @@ class TestMapping:
         )
         assert (c.id, c.side, m.key, m.confidence) == ("x", 1, ("x", "y", ">"), 0.3)
         assert hash(c) == hash(("x", 1))
-        assert hash(m) == hash((m.source, m.target, m.relation))
+        assert hash(m) == hash(m.key)
         assert sorted([ClassId("b", 1), ClassId("a", 2), c]) == [
             ClassId("a", 2), ClassId("b", 1), c
         ]
@@ -251,9 +259,12 @@ class TestMergedView:
         assert eq.component_count == 1
 
     def test_dangling_endpoint_rejected(self, f1):
-        stray = Mapping(ClassId("nope", 1), f1.cid("A2"), Relation.EQUIVALENCE)
-        with pytest.raises(AlignmentError, match="dangling"):
-            merged_view(f1.o1, f1.o2, Alignment([stray]))
+        for source, target, side in (("nope", "A2", 1), ("A1", "nope", 2)):
+            stray = Mapping(ClassId(source, 1), ClassId(target, 2),
+                            Relation.EQUIVALENCE)
+            with pytest.raises(AlignmentError, match=r"^dangling mapping endpoint "
+                               rf"'nope' \(not in ontology {side}\)$"):
+                merged_view(f1.o1, f1.o2, Alignment([stray]))
 
     def test_duplicate_ids_across_sides_rejected(self):
         o1 = build_ontology(1, ["A", "B"], [("A", "B")])
@@ -502,3 +513,42 @@ def test_parent_lists_are_built_only_by_extraction(instance):
         for sub in subs:
             ups[view.ids.node(sub)].add(view.ids.node(sup))
     assert [list(ps) for ps in _parent_lists(view)] == [sorted(u) for u in ups]
+
+
+def test_ontology_keeps_only_its_six_fields(f1):
+    """An ontology holds its six public fields and nothing built later:
+    no cached views, no merged-view ids, no `__dict__` to hide them in."""
+    assert Ontology.__slots__ == ("side", "names", "index", "order", "parents",
+                                  "disjoint")
+    assert not hasattr(f1.o1, "__dict__")
+    assert not hasattr(Ontology, "has_class")
+    before = [getattr(f1.o1, name) for name in Ontology.__slots__]
+    merged_view(f1.o1, f1.o2, f1.alignment)
+    f1.o1.classes, f1.o1.subclass_edges, f1.o1.disjointness
+    assert all(getattr(f1.o1, name) is f
+               for name, f in zip(Ontology.__slots__, before))
+
+
+def test_model_and_fragments_use_no_cached_property():
+    package = Path(alignrepair.model.__file__).parent
+    for module in ("model.py", "fragments.py"):
+        tree = ast.parse((package / module).read_text(encoding="utf-8"))
+        names = {getattr(n, "id", None) or getattr(n, "attr", None)
+                 for n in ast.walk(tree)}
+        names |= {a.name for n in ast.walk(tree)
+                  if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert "cached_property" not in names, module
+
+
+def test_views_of_one_pair_share_their_ids(f1):
+    """A merged view is its pair's ids plus one alignment's mapping
+    edges: views built on shared ids answer as fresh ones do."""
+    ids = GlobalIds(f1.o1, f1.o2)
+    for align in (f1.alignment, Alignment([f1.m2]), Alignment()):
+        shared, fresh = MergedGraph(ids, align), merged_view(f1.o1, f1.o2, align)
+        assert shared.ids is ids
+        assert shared.down_extra == fresh.down_extra
+        assert shared.incoherent_ids() == fresh.incoherent_ids()
+    with pytest.raises(ModelError, match=r"^merged_view expects ontologies with "
+                       r"sides 1 and 2$"):
+        GlobalIds(f1.o2, f1.o1)
