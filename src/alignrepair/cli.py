@@ -20,13 +20,12 @@ from pathlib import Path
 from typing import NoReturn
 
 from .formats import (
-    FormatError,
     parse_alignment_tsv,
     parse_ontology_file,
     write_alignment_tsv,
     write_ontology_file,
 )
-from .model import EnumerationCapExceeded, GeneratorError, ModelError
+from .model import EnumerationCapExceeded, GeneratorError
 
 SCHEMA_VERSION = 1
 
@@ -289,8 +288,7 @@ def cli_dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FormatError, ModelError, GeneratorError, ValueError, OSError,
-            EnumerationCapExceeded) as exc:
+    except (ValueError, OSError, GeneratorError, EnumerationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,9 +38,6 @@ class ConflictSet:
     def __len__(self) -> int:
         return len(self.mappings)
 
-    def __contains__(self, m: Mapping) -> bool:
-        return m in self.mappings
-
     def sorted_mappings(self) -> tuple[Mapping, ...]:
         return tuple(sorted(self.mappings, key=lambda m: m.key))
 

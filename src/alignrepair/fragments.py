@@ -6,9 +6,10 @@ the checkset (subsumption-minimal multi-parent classes), and the conflict
 search entry points.  Reduced edges compress mapping-free paths between
 core classes of one side, so that for every alignment subset M' the
 fragment graph plus M' infers exactly the same subsumptions between core
-classes as the full merged graph plus M'.  Extraction runs on the merged
-view's global ids and the ontologies' local ids; it builds the merged
-graph's parent lists and condensation itself, once, and drops them.
+classes as the full merged graph plus M'.  Extraction reads only the
+merged view, whose parent lists and condensation it builds once and
+drops, and walks each ontology on its local ids, naming every core
+class by its global id.
 """
 
 from __future__ import annotations
@@ -214,10 +215,11 @@ def _divergence_starts(
 
 
 def _reduced_edges_for_side(
-    onto: Ontology, core_side: list[int]
+    onto: Ontology, glob: list[int], core: set[int]
 ) -> list[tuple[int, int]]:
     """Covering relation of ontology-only reachability restricted to core,
-    as (child, parent) over the ascending local ids `core_side`.
+    as (child, parent) global ids; `glob` maps the side's local ids to
+    global ids, and `core` holds the global ids of the core classes.
 
     One roots-first pass gives every class its nearest core ancestors:
     the candidates are its core parents plus the nearest core ancestors
@@ -225,14 +227,13 @@ def _reduced_edges_for_side(
     of another.  A core class's nearest core ancestors are its covers.
 
     The strict-ancestor test uses bitmasks with one bit per core class
-    of the side: a core class's strict core ancestors are its covers
-    plus their own strict core ancestors, known once the pass gets to it.
+    of the side, numbered as the pass reaches it; parents come first, so
+    `p in bit` means p is core.  A core class's strict core ancestors
+    are its covers plus their own, known once the pass gets to it.
     """
-    if not core_side:
-        return []
-    bit = {v: i for i, v in enumerate(core_side)}
+    bit: dict[int, int] = {}
     parents = onto.parents
-    above = [0] * len(core_side)  # strict core ancestors, by bit
+    above: list[int] = []  # strict core ancestors, by bit
 
     nearest: list[tuple[int, ...]] = [()] * len(onto)
     edges: list[tuple[int, int]] = []
@@ -250,13 +251,14 @@ def _reduced_edges_for_side(
                 blocked |= above[bit[c]]
             candidates = {c for c in candidates if not (blocked >> bit[c]) & 1}
         nearest[v] = tuple(candidates)
-        i = bit.get(v)
-        if i is not None:
+        g = glob[v]
+        if g in core:
             mask = 0
             for j in candidates:
                 mask |= above[bit[j]] | (1 << bit[j])
-            above[i] = mask
-            edges.extend((v, j) for j in candidates)
+            bit[v] = len(above)
+            above.append(mask)
+            edges.extend((g, glob[j]) for j in candidates)
     return edges
 
 
@@ -269,8 +271,9 @@ def extract_core_fragments(
 ) -> CoreFragments:
     """Extract the core classes and their reduced subclass structure.
 
-    Pass a prebuilt merged view to avoid rebuilding its mapping edges.
-    The merged graph's parent lists and condensation are built here and
+    `alignment` is read only to build a merged view when none is passed;
+    pass a prebuilt one to avoid rebuilding its mapping edges.  The
+    merged graph's parent lists and condensation are built here and
     dropped before the reduced edges.
     """
     if view is None:
@@ -281,20 +284,16 @@ def extract_core_fragments(
     starts = set(checkset).union(_divergence_starts(adj, ids, o1, o2))
     del adj
 
+    # The ends of the mapping edges are exactly the mapping endpoints.
     core = starts.union(g for pair in ids.disjoint for g in pair)
-    core.update(ids.node(c) for m in alignment for c in (m.source, m.target))
+    core.update(view.down_extra, *view.down_extra.values())
     core_ids = sorted(core)
 
-    by_side: tuple[list[int], list[int]] = ([], [])
-    for g in core_ids:
-        side, local = ids.locate(g)
-        by_side[side - 1].append(local)
-    edges = [
-        (glob[c], glob[p])
-        for onto, side_core, glob in zip((o1, o2), by_side, ids.glob)
-        for c, p in _reduced_edges_for_side(onto, side_core)
-    ]
-    edges.sort()
+    edges = sorted(
+        e
+        for onto, glob in zip((o1, o2), ids.glob)
+        for e in _reduced_edges_for_side(onto, glob, core)
+    )
     radj: dict[int, list[int]] = {g: [] for g in core_ids}
     for child, parent in edges:
         radj[parent].append(child)

@@ -14,8 +14,7 @@ Class names are zero-padded, so name order is index order and a node
 index is the class's local id: each side's names are made once, and
 every draw indexes its ontologies from int edges and the child lists
 its disjoint-pair sampler built, without building or resolving name
-pairs.  The reference check counts incoherent classes by id and never
-builds the merged view's parent lists.
+pairs.  The reference check searches the merged view's cones by id.
 """
 
 from __future__ import annotations

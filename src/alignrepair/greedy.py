@@ -57,6 +57,11 @@ class RemovedMapping:
 
 @dataclass(frozen=True)
 class RepairStats:
+    """Counters of the greedy phase.  Each greedy pick takes one cluster
+    off the queue, so `clusters_processed` always equals the greedy
+    removals; `lookahead_tiebreaks` counts the picks where the lookahead
+    told tied candidates apart."""
+
     clusters_processed: int
     lookahead_tiebreaks: int
 

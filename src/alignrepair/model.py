@@ -134,7 +134,7 @@ class Mapping:
 class Alignment:
     """An immutable set of mappings with canonical iteration order."""
 
-    __slots__ = ("_mappings", "_keys")
+    __slots__ = ("_mappings",)
 
     def __init__(self, mappings: Iterable[Mapping] = ()):
         ordered = sorted(mappings, key=lambda m: m.key)
@@ -142,7 +142,6 @@ class Alignment:
             if a.key == b.key:
                 raise AlignmentError(f"duplicate mapping {a.describe()!r}")
         self._mappings: tuple[Mapping, ...] = tuple(ordered)
-        self._keys = frozenset(m.key for m in ordered)
 
     @property
     def mappings(self) -> tuple[Mapping, ...]:
@@ -153,9 +152,6 @@ class Alignment:
 
     def __len__(self) -> int:
         return len(self._mappings)
-
-    def __contains__(self, m: Mapping) -> bool:
-        return m.key in self._keys
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Alignment):

@@ -31,6 +31,7 @@ from alignrepair import (
 )
 from alignrepair.cli import cli_dispatch
 from alignrepair.fragments import ReducedEdge
+from alignrepair.generator import GeneratorParams, generate_instance
 
 from conftest import (
     brute_entails,
@@ -39,6 +40,7 @@ from conftest import (
     core_pairs,
     generated_instances,
     merged_edge_list,
+    renamed_instance,
 )
 
 
@@ -457,3 +459,30 @@ def test_fragments_keep_only_their_fields(f1):
     frags.core_classes, frags.reduced_edges, frags.start_classes
     assert set(vars(frags)) == {f.name for f in dataclasses.fields(CoreFragments)}
     assert frags == dataclasses.replace(frags, radj={})
+
+
+def test_extraction_with_a_view_resolves_no_class(f1, monkeypatch):
+    """Given a view, extraction reads the mapping endpoints from its
+    mapping edges and walks each side on local ids: it never resolves a
+    `ClassId` or locates a global id, and it finds what extraction
+    without a view finds.  The renamed instance interleaves the two
+    sides in global-id order."""
+    generated = generate_instance(GeneratorParams(40, 12, 3, 0.4, 5, 6, 2.0))[:3]
+    cases = [(f1.o1, f1.o2, f1.alignment), renamed_instance(*generated, 1)]
+
+    def fields(f):
+        return f.core, f.edges, f.starts, f.checkset, f.radj
+
+    def forbidden(*args):
+        raise AssertionError("extraction resolved a class")
+
+    for o1, o2, align in cases:
+        expected = fields(extract_core_fragments(o1, o2, align))
+        view = merged_view(o1, o2, align)
+        with monkeypatch.context() as m:
+            m.setattr(alignrepair.model.GlobalIds, "node", forbidden)
+            m.setattr(alignrepair.model.GlobalIds, "locate", forbidden)
+            frags = extract_core_fragments(o1, o2, align, view=view)
+        assert fields(frags) == expected
+        sides = [view.ids.locate(g)[0] for g in frags.core]
+        assert sum(a != b for a, b in zip(sides, sides[1:])) >= 2

@@ -364,6 +364,8 @@ def test_random_repairs_hit_everything_and_beat_nothing():
             for clusters in (True, False):
                 result = repair(conflicts, align, RepairConfig(-1.0, depth, clusters))
                 removed = {r.mapping for r in result.removed}
+                greedy = sum(r.cause is RemovalCause.GREEDY for r in result.removed)
+                assert result.stats.clusters_processed == greedy
                 for s in conflicts:
                     assert s.mappings & removed
                 optimum = brute_force_min_hitting_set(conflicts.sets)
