@@ -1,5 +1,6 @@
 """Golden output pins: sha256 of the CLI outputs on two small generated
-instances, recorded once and asserted on every run.
+instances and of `repair`'s outputs on two benchmark workloads, recorded
+once and asserted on every run.
 
 The determinism tests compare two runs of the same code; these hashes
 compare against earlier code, so a refactor that claims byte-identical
@@ -134,6 +135,30 @@ GOLDEN_RENAMED = {
     },
 }
 
+# The repaired TSV and the report of `repair` on two benchmark workloads
+# (perfbench/workloads.py), generated unshuffled: ROADMAP M with the
+# defaults, and conflict-dense, the one workload that runs the
+# confidence filter.  perfbench/README.md lists the first 16 hex digits
+# of each.
+WORKLOADS = {
+    "dense-align": (
+        ["--classes", "10000", "--mappings", "2000", "--disjoints", "50",
+         "--noise", "0.4", "--seed", "21", "--max-depth", "25",
+         "--branching", "2.0"],
+        [],
+        "7fde06bf48b27305ef7807d9eebad25394863d24f27d01fd96758401bdc9dad3",
+        "0e9b8d048b0750edd059eb8f2db965e71279bf4b37d8dceedac0754848f917f7",
+    ),
+    "conflict-dense": (
+        ["--classes", "3000", "--mappings", "600", "--disjoints", "30",
+         "--noise", "0.4", "--seed", "21", "--max-depth", "25",
+         "--branching", "2.0"],
+        ["--epsilon", "0.05"],
+        "99b172b580844860b06c9e83d9a1afffc50709468d7c124a45fb09b1af9203ff",
+        "b85d14b1b23c7acaa5b02ddb4c2342586e3ff26d698c03c97f3d471f41990424",
+    ),
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -215,3 +240,18 @@ def test_renamed_instance_matches_golden_hashes(name, tmp_path, capsys):
     out = _command_outputs(d, capsys)
     out["conflict-rows"] = _conflict_rows_sha(o1, o2, align)
     assert out == GOLDEN_RENAMED[name]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_repair_matches_golden_hashes(name, tmp_path, capsys):
+    gen_args, flags, tsv_sha, report_sha = WORKLOADS[name]
+    assert cli_dispatch(["gen", *gen_args, "--out-dir", str(tmp_path)]) == 0
+    tsv, report = tmp_path / "repaired.tsv", tmp_path / "report.json"
+    assert cli_dispatch(
+        ["repair", "--onto1", str(tmp_path / "onto1.txt"),
+         "--onto2", str(tmp_path / "onto2.txt"),
+         "--align", str(tmp_path / "produced.tsv"),
+         "--out", str(tsv), "--report", str(report), *flags]
+    ) == 0
+    capsys.readouterr()
+    assert (_sha(tsv.read_bytes()), _sha(report.read_bytes())) == (tsv_sha, report_sha)
