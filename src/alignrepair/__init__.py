@@ -44,10 +44,8 @@ _MODULES = {
     "build_ontology": "model",
     "compute_checkset": "fragments",
     "count_incoherent_classes": "conflicts",
-    "disjoint_conflict_clusters": "conflicts",
     "exhaustive_incoherence": "oracle",
     "extract_core_fragments": "fragments",
-    "filter_conflicts": "greedy",
     "find_conflict_sets": "conflicts",
     "fragments_incoherent": "fragments",
     "generate_instance": "generator",

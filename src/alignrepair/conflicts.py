@@ -9,6 +9,9 @@ conflicts are unions of one label set per pair member.  A label set that
 contains another settled at the same node, or strictly contains a
 conflict already found, is dropped: neither can lead to a new minimal
 conflict (the second is the pruning rule of Reiter's hitting-set tree).
+
+A `ConflictList` holds each set as an int mask over its own mappings in
+key order; the clusters, the statistics and `greedy.py` read only these.
 """
 
 from __future__ import annotations
@@ -38,11 +41,9 @@ class ConflictSet:
     def __len__(self) -> int:
         return len(self.mappings)
 
-    def sorted_mappings(self) -> tuple[Mapping, ...]:
-        return tuple(sorted(self.mappings, key=lambda m: m.key))
-
     def __repr__(self) -> str:
-        members = ", ".join(m.describe() for m in self.sorted_mappings())
+        ordered = sorted(self.mappings, key=lambda m: m.key)
+        members = ", ".join(m.describe() for m in ordered)
         return f"ConflictSet({{{members}}} @ {self.witness_class.id})"
 
 
@@ -50,13 +51,14 @@ class ConflictList:
     """Deduplicated, canonically ordered antichain of conflict sets.
 
     The input must already be an antichain: no set strictly contains
-    another.  `find_conflict_sets` yields only minimal sets, and
-    `filter_conflicts` keeps a subfamily of an antichain, so both
-    guarantee it.  Of sets with equal mappings, the one with the
-    smallest witness is kept; the sets are ordered by key.
+    another; `find_conflict_sets` yields only minimal sets.  Of sets
+    with equal mappings, the one with the smallest witness is kept; the
+    sets are ordered by key.  `mappings` is the union of their mappings
+    in key order, and `masks` holds one int per set: bit i stands for
+    `mappings[i]`.  Ascending bit tuples order the masks as keys do.
     """
 
-    __slots__ = ("sets",)
+    __slots__ = ("sets", "mappings", "masks")
 
     def __init__(self, sets: Iterable[ConflictSet] = ()):
         by_key: dict[tuple, ConflictSet] = {}
@@ -65,6 +67,10 @@ class ConflictList:
         ):
             by_key.setdefault(s.key, s)
         self.sets: tuple[ConflictSet, ...] = tuple(by_key.values())
+        members = {m.key: m for s in self.sets for m in s.mappings}
+        bit = {k: i for i, k in enumerate(sorted(members))}
+        self.mappings: tuple[Mapping, ...] = tuple(members[k] for k in bit)
+        self.masks = tuple(sum(1 << bit[k] for k in s.key) for s in self.sets)
 
     def __iter__(self) -> Iterator[ConflictSet]:
         return iter(self.sets)
@@ -226,41 +232,30 @@ def find_conflict_sets(
     )
 
 
-def disjoint_conflict_clusters(
-    conflicts: Sequence[ConflictSet],
-) -> tuple[tuple[ConflictSet, ...], ...]:
-    """Partition conflict sets into maximal share-a-mapping components,
-    each ordered by key, ordered by their first key."""
-    sets = list(conflicts)
-    if not sets:
-        return ()
-    parent = list(range(len(sets)))
+def disjoint_conflict_clusters(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Partition conflict masks into maximal share-a-bit components, by a
+    union-find over the bits.  Each cluster keeps the input order, and
+    the clusters are ordered by their first mask's position."""
+    parent: dict[int, int] = {}
 
     def find(x: int) -> int:
+        parent.setdefault(x, x)
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
+    for mask in masks:
+        root = find(next(iter_bits(mask), -1))
+        for b in iter_bits(mask):
+            other = find(b)
+            if other != root:
+                parent[other] = root
 
-    owner: dict[tuple, int] = {}
-    for i, s in enumerate(sets):
-        for m in s.mappings:
-            if m.key in owner:
-                union(owner[m.key], i)
-            else:
-                owner[m.key] = i
-
-    groups: dict[int, list[ConflictSet]] = {}
-    for i, s in enumerate(sets):
-        groups.setdefault(find(i), []).append(s)
-    clusters = [tuple(sorted(g, key=lambda s: s.key)) for g in groups.values()]
-    clusters.sort(key=lambda c: c[0].key)
-    return tuple(clusters)
+    groups: dict[int, list[int]] = {}
+    for mask in masks:
+        groups.setdefault(find(next(iter_bits(mask), -1)), []).append(mask)
+    return tuple(map(tuple, groups.values()))
 
 
 def count_incoherent_classes(view: MergedGraph) -> tuple[int, tuple[ClassId, ...]]:
@@ -271,8 +266,8 @@ def count_incoherent_classes(view: MergedGraph) -> tuple[int, tuple[ClassId, ...
 
 def conflict_statistics(conflicts: ConflictList) -> dict:
     """Set/cluster counts and a size histogram, for reporting."""
-    clusters = disjoint_conflict_clusters(conflicts.sets)
-    histogram = Counter(len(s) for s in conflicts)
+    clusters = disjoint_conflict_clusters(conflicts.masks)
+    histogram = Counter(mask.bit_count() for mask in conflicts.masks)
     return {
         "sets": len(conflicts),
         "clusters": len(clusters),

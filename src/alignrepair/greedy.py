@@ -5,7 +5,10 @@ unresolved.  An optional confidence-interval filter first discharges
 sets whose lowest-confidence mapping is clearly worse than the rest;
 the greedy step then removes a mapping occurring in the most unresolved
 sets, breaking ties by lowest confidence, then by the most sets that
-`search_depth` further greedy removals resolve, then canonically.
+`search_depth` further greedy removals resolve, then canonically.  All
+of it runs on `ConflictList.masks` (bit i is `mappings[i]`, in key
+order) and one confidence per bit; `repair` looks a `Mapping` up only
+to report it or to keep it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .conflicts import ConflictList, ConflictSet, disjoint_conflict_clusters
+from .conflicts import ConflictList, disjoint_conflict_clusters
+from .graphs import iter_bits
 from .model import Alignment, Mapping
 
 
@@ -74,81 +78,79 @@ class RepairResult:
 
 
 def filter_conflicts(
-    conflicts: ConflictList, epsilon: float
-) -> tuple[ConflictList, list[Mapping]]:
+    masks: Sequence[int], confidences: Sequence[float], epsilon: float
+) -> tuple[tuple[int, ...], list[int]]:
     """Discharge conflict sets with a clearly worst mapping.
 
-    Sets are visited in descending order of their highest-confidence
-    mapping.  In an unresolved set with lowest and second-lowest
-    confidences c1 and c2, the lowest-confidence mapping is removed when
-    c1 + epsilon < c2 - epsilon; every set containing a removed mapping
-    counts as resolved.  One ordered pass, no fixpoint iteration.
+    Sets are visited in descending order of their highest confidence,
+    then in list order.  In an unresolved set with lowest and
+    second-lowest confidences c1 and c2, the lowest-confidence bit is
+    removed when c1 + epsilon < c2 - epsilon; every set holding a
+    removed bit counts as resolved.  One ordered pass, no fixpoint
+    iteration.  Returns the unresolved masks and the removed bits.
     """
     if epsilon < 0:
         raise ValueError("filter_conflicts requires epsilon >= 0")
-    ordered = sorted(
-        conflicts,
-        key=lambda s: (-max(m.confidence for m in s.mappings), s.key),
-    )
-    removed_keys: set[tuple] = set()
-    removed: list[Mapping] = []
-    for s in ordered:
-        if any(m.key in removed_keys for m in s.mappings):
+    top = [max(confidences[b] for b in iter_bits(mask)) for mask in masks]
+    ordered = sorted(range(len(masks)), key=lambda k: (-top[k], k))
+    hit = 0
+    removed: list[int] = []
+    for k in ordered:
+        if masks[k] & hit:
             continue
-        members = sorted(s.mappings, key=lambda m: (m.confidence, m.key))
+        members = sorted(iter_bits(masks[k]), key=lambda b: (confidences[b], b))
         if len(members) < 2:
             continue  # no second-lowest confidence to compare against
-        c1 = members[0].confidence
-        c2 = members[1].confidence
+        c1, c2 = (confidences[b] for b in members[:2])
         if c1 + epsilon < c2 - epsilon:
-            removed_keys.add(members[0].key)
+            hit |= 1 << members[0]
             removed.append(members[0])
-    remaining = ConflictList(
-        s for s in conflicts if not any(m.key in removed_keys for m in s.mappings)
-    )
-    return remaining, removed
+    return tuple(mask for mask in masks if not mask & hit), removed
 
 
-def _residue(sets: Sequence[ConflictSet], m: Mapping) -> tuple[ConflictSet, ...]:
-    """The sets that removing `m` leaves unresolved."""
-    return tuple(s for s in sets if m not in s.mappings)
+def _residue(masks: Sequence[int], bit: int) -> tuple[int, ...]:
+    """The sets that removing `bit` leaves unresolved."""
+    return tuple(mask for mask in masks if not mask >> bit & 1)
 
 
-def _worst_candidates(sets: Sequence[ConflictSet]) -> tuple[int, list[Mapping]]:
-    """The top occurrence count, and the mappings with that count and the
-    lowest confidence among them, in key order."""
-    counts = Counter(m for s in sets for m in s.mappings)
+def _worst_candidates(
+    masks: Sequence[int], confidences: Sequence[float]
+) -> tuple[int, list[int]]:
+    """The top occurrence count, and the ascending bits with that count
+    and the lowest confidence among them."""
+    counts = Counter(b for mask in masks for b in iter_bits(mask))
     top = max(counts.values())
-    tied = [m for m, c in counts.items() if c == top]
-    low = min(m.confidence for m in tied)
-    return top, sorted((m for m in tied if m.confidence == low),
-                       key=lambda m: m.key)
+    tied = [b for b, c in counts.items() if c == top]
+    low = min(confidences[b] for b in tied)
+    return top, sorted(b for b in tied if confidences[b] == low)
 
 
-def _lookahead(sets: Sequence[ConflictSet], depth: int) -> int:
+def _lookahead(masks: Sequence[int], confidences: Sequence[float], depth: int) -> int:
     """The most sets that `depth` further greedy removals resolve.
 
     Each removal takes one of the residue's worst candidates.  They all
     resolve the same `top` sets, so the last level only counts.
     """
-    if depth == 0 or not sets:
+    if depth == 0 or not masks:
         return 0
-    top, candidates = _worst_candidates(sets)
+    top, candidates = _worst_candidates(masks, confidences)
     if depth == 1:
         return top
-    return top + max(_lookahead(_residue(sets, m), depth - 1) for m in candidates)
+    return top + max(_lookahead(_residue(masks, b), confidences, depth - 1)
+                     for b in candidates)
 
 
 def _select_worst(
-    sets: Sequence[ConflictSet], search_depth: int
-) -> tuple[Mapping, bool]:
-    """One greedy pick, and whether the lookahead told tied candidates
-    apart.  Tied candidates resolve the same number of sets themselves,
-    so only the lookaheads of their residues are compared."""
-    _, candidates = _worst_candidates(sets)
+    masks: Sequence[int], confidences: Sequence[float], search_depth: int
+) -> tuple[int, bool]:
+    """One greedy pick, as a bit, and whether the lookahead told tied
+    candidates apart.  Tied candidates resolve the same number of sets
+    themselves, so only the lookaheads of their residues are compared."""
+    _, candidates = _worst_candidates(masks, confidences)
     if len(candidates) == 1 or search_depth == 0:
         return candidates[0], False
-    scores = [_lookahead(_residue(sets, m), search_depth) for m in candidates]
+    scores = [_lookahead(_residue(masks, b), confidences, search_depth)
+              for b in candidates]
     best = max(scores)
     return candidates[scores.index(best)], min(scores) != best
 
@@ -164,33 +166,37 @@ def repair(
     chains end in the canonical mapping order, so identical inputs yield
     identical results including removal order.
     """
+    mappings = conflicts.mappings
+    confidences = [m.confidence for m in mappings]
+    masks = conflicts.masks
     removed: list[RemovedMapping] = []
-    work = conflicts
 
     if config.epsilon >= 0:
-        work, filtered = filter_conflicts(work, config.epsilon)
-        removed.extend(RemovedMapping(m, RemovalCause.FILTERED) for m in filtered)
+        masks, filtered = filter_conflicts(masks, confidences, config.epsilon)
+        removed.extend(RemovedMapping(mappings[b], RemovalCause.FILTERED)
+                       for b in filtered)
 
     # Clustering confines each pick, and its lookahead, to one cluster:
     # a lookahead that empties its cluster cannot count sets elsewhere,
     # so the two modes can remove different mappings (ROADMAP item 7).
     split = (disjoint_conflict_clusters if config.use_clusters
-             else lambda sets: (sets,) if sets else ())
+             else lambda masks: (masks,) if masks else ())
 
-    # Clusters share no set, so their first keys are distinct and the
-    # heap takes them in the same order as a sort would.
-    pending = [(sets[0].key, sets) for sets in split(work.sets)]
+    # The heap keys each cluster by its first set's position in the list;
+    # clusters share no set, so it takes them in the order of a sort.
+    position = {mask: k for k, mask in enumerate(masks)}
+    pending = [(position[cluster[0]], cluster) for cluster in split(masks)]
     heapq.heapify(pending)
     clusters_processed = 0
     lookahead_tiebreaks = 0
     while pending:
-        _, sets = heapq.heappop(pending)
+        _, cluster = heapq.heappop(pending)
         clusters_processed += 1
-        worst, decisive = _select_worst(sets, config.search_depth)
+        worst, decisive = _select_worst(cluster, confidences, config.search_depth)
         lookahead_tiebreaks += decisive
-        removed.append(RemovedMapping(worst, RemovalCause.GREEDY))
-        for rest in split(_residue(sets, worst)):
-            heapq.heappush(pending, (rest[0].key, rest))
+        removed.append(RemovedMapping(mappings[worst], RemovalCause.GREEDY))
+        for rest in split(_residue(cluster, worst)):
+            heapq.heappush(pending, (position[rest[0]], rest))
 
     removed_keys = {r.mapping.key for r in removed}
     return RepairResult(

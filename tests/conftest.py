@@ -1,10 +1,13 @@
-"""Shared fixtures: the three canonical instances used across the suite.
+"""Shared fixtures: the three canonical instances used across the suite,
+and ROADMAP M.
 
 F1: two tiny ontologies joined by an equivalence and a subsumption whose
     combination is incoherent.
 F2: abstract conflict sets S1={m1,m2}, S2={m1,m3}, S3={m4,m5} with
     confidences 0.6/0.7/0.8/0.4/0.9.
 F3: a single diamond-shaped hierarchy with a multi-parent bottom class.
+M:  10,000 classes per side and 2,000 mappings (the dense-align
+    workload), analysed once per session.
 """
 
 from __future__ import annotations
@@ -26,9 +29,12 @@ from alignrepair import (
     GeneratorParams,
     Mapping,
     Relation,
+    analyze,
     build_ontology,
     generate_instance,
 )
+from alignrepair.conflicts import disjoint_conflict_clusters
+from alignrepair.greedy import filter_conflicts
 
 
 def mk_mapping(i: int, confidence: float = 1.0,
@@ -119,6 +125,37 @@ def f3():
         list("ABCDEF"),
         [("B", "A"), ("C", "A"), ("D", "B"), ("D", "C"), ("E", "D"), ("E", "F")],
     )
+
+
+M = GeneratorParams(10_000, 2_000, 50, 0.4, 21, 25, 2.0)
+
+
+@pytest.fixture(scope="session")
+def m_instance():
+    """(o1, o2, produced, analysis) of M."""
+    o1, o2, produced, _ = generate_instance(M)
+    return o1, o2, produced, analyze(o1, o2, produced)
+
+
+def confidences(conflicts: ConflictList) -> list[float]:
+    """The confidence of each bit of a conflict list's masks."""
+    return [m.confidence for m in conflicts.mappings]
+
+
+def filter_list(conflicts: ConflictList, epsilon: float):
+    """`filter_conflicts` on a conflict list: the unresolved masks, and
+    the removed bits as mappings."""
+    remaining, removed = filter_conflicts(
+        conflicts.masks, confidences(conflicts), epsilon
+    )
+    return remaining, [conflicts.mappings[b] for b in removed]
+
+
+def clusters_of(conflicts: ConflictList) -> tuple[tuple[ConflictSet, ...], ...]:
+    """`disjoint_conflict_clusters` on a conflict list, as its sets."""
+    by_mask = dict(zip(conflicts.masks, conflicts.sets))
+    return tuple(tuple(by_mask[mask] for mask in cluster)
+                 for cluster in disjoint_conflict_clusters(conflicts.masks))
 
 
 @st.composite

@@ -24,7 +24,6 @@ from alignrepair import (
     brute_force_min_hitting_set,
     exhaustive_incoherence,
     extract_core_fragments,
-    filter_conflicts,
     fragments_incoherent,
     generate_instance,
     repair,
@@ -32,7 +31,7 @@ from alignrepair import (
 )
 from alignrepair.cli import cli_dispatch
 
-from conftest import antichain, mk_mapping, mk_set
+from conftest import antichain, filter_list, mk_mapping, mk_set
 
 N_INSTANCES = 300
 SUBSET_SAMPLES = 50
@@ -201,13 +200,13 @@ def test_criterion_5_filter_rule_bit_exact(f2):
     hi, lo = mk_mapping(1, 0.9), mk_mapping(2, 0.5)
     single = ConflictList([mk_set(hi, lo)])
 
-    remaining, removed = filter_conflicts(single, 0.1)
+    remaining, removed = filter_list(single, 0.1)
     assert removed == [lo] and len(remaining) == 0
 
-    remaining, removed = filter_conflicts(single, 0.25)
+    remaining, removed = filter_list(single, 0.25)
     assert removed == [] and len(remaining) == 1
 
-    remaining, removed = filter_conflicts(f2.conflicts, 0.05)
+    remaining, removed = filter_list(f2.conflicts, 0.05)
     assert removed == [f2.m4, f2.m1] and len(remaining) == 0
     print("ACCEPTANCE 5 PASS: filter rule exact on both epsilon fixtures "
           "and the three-set trace")

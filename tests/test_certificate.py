@@ -18,18 +18,9 @@ of at most 60 classes.  Here the instance is M (10,000 classes per side,
 import random
 from collections import ChainMap
 
-import pytest
-
-from alignrepair import (
-    GeneratorParams,
-    analyze,
-    build_ontology,
-    exhaustive_incoherence,
-    generate_instance,
-)
+from alignrepair import build_ontology, exhaustive_incoherence
 from alignrepair.oracle import _merged_adjacency, _reachable_down
 
-M = GeneratorParams(10_000, 2_000, 50, 0.4, 21, 25, 2.0)
 DRAWS = 25
 SEED = 14
 
@@ -43,14 +34,9 @@ def _upward(down):
     return up
 
 
-@pytest.fixture(scope="module")
-def m_instance():
-    o1, o2, produced, _ = generate_instance(M)
-    return o1, o2, produced, analyze(o1, o2, produced).conflicts
-
-
 def test_every_set_is_sound_and_minimal_at_its_witness(m_instance):
-    o1, o2, _, conflicts = m_instance
+    o1, o2, _, analysis = m_instance
+    conflicts = analysis.conflicts
     onto_up = _upward(_merged_adjacency(o1, o2, ()))
     # Empty ontologies: the oracle's merged graph of a subset is then
     # its mapping edges alone.
@@ -74,7 +60,8 @@ def test_every_set_is_sound_and_minimal_at_its_witness(m_instance):
 
 
 def test_maximal_conflict_free_subsets_are_coherent(m_instance):
-    o1, o2, produced, conflicts = m_instance
+    o1, o2, produced, analysis = m_instance
+    conflicts = analysis.conflicts
     sets_of = {}
     for s in conflicts:
         for m in s.mappings:

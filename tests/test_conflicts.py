@@ -20,7 +20,6 @@ from alignrepair import (
     analyze,
     build_ontology,
     count_incoherent_classes,
-    disjoint_conflict_clusters,
     exhaustive_incoherence,
     extract_core_fragments,
     find_conflict_sets,
@@ -28,7 +27,7 @@ from alignrepair import (
     repair,
 )
 
-from alignrepair.conflicts import contains_conflict
+from alignrepair.conflicts import contains_conflict, disjoint_conflict_clusters
 from alignrepair.generator import GeneratorParams, generate_instance
 from alignrepair.graphs import iter_bits
 
@@ -36,6 +35,7 @@ from conftest import (
     PAIR,
     antichain,
     checkset_classes,
+    clusters_of,
     core_pairs,
     generated_instances,
     mk_mapping,
@@ -336,6 +336,12 @@ class TestConflictListInvariants:
         cl = ConflictList([mk_set(m2, m3), mk_set(m1, m3)])
         assert [s.key for s in cl] == sorted(s.key for s in cl)
 
+    def test_masks_name_the_sets_in_key_order(self):
+        m1, m2, m3, m4 = (mk_mapping(i) for i in (1, 2, 3, 4))
+        cl = ConflictList([mk_set(m4, m2), mk_set(m1, m3), mk_set(m3, m4)])
+        assert cl.mappings == (m1, m2, m3, m4)
+        assert cl.masks == (0b0101, 0b1010, 0b1100)
+
 
 _MAPPINGS = [mk_mapping(i) for i in range(6)]
 _WITNESSES = [ClassId(f"w{i}", 1) for i in range(3)]
@@ -358,9 +364,24 @@ def test_pruning_matches_pairwise_reference(sets):
     assert _engine_pruning(sets).sets == antichain(sets)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_conflict_sets, max_size=14))
+def test_masks_match_the_sets(sets):
+    """`mappings` is the union of the sets' mappings in key order, bit i
+    of a mask stands for `mappings[i]`, and ascending bit tuples order
+    the masks as the keys order the sets."""
+    cl = ConflictList(antichain(sets))
+    assert [m.key for m in cl.mappings] == sorted({m.key for s in cl for m in s.mappings})
+    assert [{cl.mappings[i] for i in iter_bits(mask)} for mask in cl.masks] == [
+        set(s.mappings) for s in cl
+    ]
+    bit_tuples = [tuple(iter_bits(mask)) for mask in cl.masks]
+    assert bit_tuples == sorted(bit_tuples)
+
+
 class TestClusters:
     def test_f2_two_clusters(self, f2):
-        clusters = disjoint_conflict_clusters(f2.conflicts.sets)
+        clusters = clusters_of(f2.conflicts)
         groups = [{s.key for s in c} for c in clusters]
         assert {frozenset(g) for g in groups} == {
             frozenset({f2.s1.key, f2.s2.key}),
@@ -369,17 +390,17 @@ class TestClusters:
 
     def test_single_set_single_cluster(self):
         only = mk_set(mk_mapping(1), mk_mapping(2))
-        clusters = disjoint_conflict_clusters([only])
+        clusters = clusters_of(ConflictList([only]))
         assert len(clusters) == 1 and len(clusters[0]) == 1
 
     def test_sharing_is_transitive(self):
         m1, m2, m3, m4 = (mk_mapping(i) for i in range(1, 5))
         chain = [mk_set(m1, m2), mk_set(m2, m3), mk_set(m3, m4)]
-        clusters = disjoint_conflict_clusters(chain)
+        clusters = clusters_of(ConflictList(chain))
         assert len(clusters) == 1 and len(clusters[0]) == 3
 
     def test_empty(self):
-        assert disjoint_conflict_clusters([]) == ()
+        assert disjoint_conflict_clusters(()) == ()
 
 
 class TestCountIncoherentClasses:
@@ -508,7 +529,7 @@ def test_cluster_independence_on_random_lists():
             size = rng.randint(1, min(3, len(maps)))
             sets.append(mk_set(*rng.sample(maps, size)))
         cl = ConflictList(antichain(sets))
-        clusters = disjoint_conflict_clusters(cl.sets)
+        clusters = clusters_of(cl)
         # partition
         seen = set()
         for c in clusters:

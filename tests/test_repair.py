@@ -18,7 +18,7 @@ from alignrepair import (
     count_incoherent_classes,
     exhaustive_incoherence,
     extract_core_fragments,
-    filter_conflicts,
+    Mapping,
     find_conflict_sets,
     merged_view,
     analyze,
@@ -29,6 +29,9 @@ from alignrepair.greedy import _lookahead, _residue, _select_worst
 from conftest import (
     antichain,
     checkset_classes,
+    clusters_of,
+    confidences,
+    filter_list,
     generated_instances,
     mk_mapping,
     mk_set,
@@ -39,8 +42,24 @@ from conftest import (
 
 def resolved(sets, m, depth):
     """Sets resolved by removing `m` and then `depth` greedy removals."""
-    residue = _residue(sets, m)
-    return len(sets) - len(residue) + _lookahead(residue, depth)
+    conflicts = ConflictList(sets)
+    residue = _residue(conflicts.masks, conflicts.mappings.index(m))
+    return (len(conflicts) - len(residue)
+            + _lookahead(residue, confidences(conflicts), depth))
+
+
+def pick(sets, depth):
+    """`_select_worst` on a list of sets, its pick as a mapping."""
+    conflicts = ConflictList(sets)
+    bit, decisive = _select_worst(conflicts.masks, confidences(conflicts), depth)
+    return conflicts.mappings[bit], decisive
+
+
+def residue(sets, m):
+    """`_residue` on a list of sets, as the sets it leaves."""
+    conflicts = ConflictList(sets)
+    left = _residue(conflicts.masks, conflicts.mappings.index(m))
+    return tuple(s for s, mask in zip(conflicts, conflicts.masks) if mask in left)
 
 
 def ring(n):
@@ -52,46 +71,46 @@ def ring(n):
 class TestFilterConflicts:
     def test_interval_allows_removal(self):
         hi, lo = mk_mapping(1, 0.9), mk_mapping(2, 0.5)
-        remaining, removed = filter_conflicts(ConflictList([mk_set(hi, lo)]), 0.1)
+        remaining, removed = filter_list(ConflictList([mk_set(hi, lo)]), 0.1)
         assert removed == [lo]  # 0.5 + 0.1 < 0.9 - 0.1
         assert len(remaining) == 0
 
     def test_interval_blocks_removal(self):
         hi, lo = mk_mapping(1, 0.9), mk_mapping(2, 0.5)
-        remaining, removed = filter_conflicts(ConflictList([mk_set(hi, lo)]), 0.25)
+        remaining, removed = filter_list(ConflictList([mk_set(hi, lo)]), 0.25)
         assert removed == []  # 0.75 < 0.65 is false
         assert len(remaining) == 1
 
     def test_boundary_is_strict(self):
         hi, lo = mk_mapping(1, 0.9), mk_mapping(2, 0.5)
-        remaining, removed = filter_conflicts(ConflictList([mk_set(hi, lo)]), 0.2)
+        remaining, removed = filter_list(ConflictList([mk_set(hi, lo)]), 0.2)
         assert removed == []  # 0.7 < 0.7 is false
 
     def test_f2_trace(self, f2):
-        remaining, removed = filter_conflicts(f2.conflicts, 0.05)
+        remaining, removed = filter_list(f2.conflicts, 0.05)
         assert removed == [f2.m4, f2.m1]
         assert len(remaining) == 0
 
     def test_equal_confidences_never_filtered(self):
         a, b = mk_mapping(1, 0.7), mk_mapping(2, 0.7)
-        remaining, removed = filter_conflicts(ConflictList([mk_set(a, b)]), 0.0)
+        remaining, removed = filter_list(ConflictList([mk_set(a, b)]), 0.0)
         assert removed == []
         assert len(remaining) == 1
 
     def test_singleton_sets_left_to_the_greedy_step(self):
         only = mk_mapping(1, 0.1)
-        remaining, removed = filter_conflicts(ConflictList([mk_set(only)]), 0.5)
+        remaining, removed = filter_list(ConflictList([mk_set(only)]), 0.5)
         assert removed == []
         assert len(remaining) == 1
 
     def test_epsilon_zero_filters_distinct_confidences(self):
         a, b = mk_mapping(1, 0.7), mk_mapping(2, 0.71)
-        _, removed = filter_conflicts(ConflictList([mk_set(a, b)]), 0.0)
+        _, removed = filter_list(ConflictList([mk_set(a, b)]), 0.0)
         assert removed == [a]
 
     def test_negative_epsilon_rejected(self, f2):
         with pytest.raises(ValueError):
-            filter_conflicts(f2.conflicts, -0.5)
+            filter_list(f2.conflicts, -0.5)
 
 
 class TestWorstMapping:
@@ -99,17 +118,17 @@ class TestWorstMapping:
 
     def test_highest_count_wins(self, f2):
         cluster = [f2.s1, f2.s2]
-        assert _select_worst(cluster, 0)[0] == f2.m1
+        assert pick(cluster, 0)[0] == f2.m1
 
     def test_confidence_breaks_count_ties(self):
         hi, lo = mk_mapping(1, 0.9), mk_mapping(2, 0.5)
         cluster = [mk_set(hi, lo)]
-        assert _select_worst(cluster, 0)[0] == lo
+        assert pick(cluster, 0)[0] == lo
 
     def test_triangle_all_tied_canonical_winner(self):
         a, b, c = mk_mapping(1, 0.7), mk_mapping(2, 0.7), mk_mapping(3, 0.7)
         cluster = [mk_set(a, b), mk_set(b, c), mk_set(a, c)]
-        assert _select_worst(cluster, 2)[0] == a
+        assert pick(cluster, 2)[0] == a
 
 
 class TestResolvedConflicts:
@@ -135,13 +154,13 @@ class TestRemoveMapping:
     """What a removal leaves, `_residue`."""
 
     def test_removes_all_containing_sets(self, f2):
-        assert _residue([f2.s1, f2.s2], f2.m1) == ()
+        assert residue([f2.s1, f2.s2], f2.m1) == ()
 
     def test_keeps_unrelated_sets(self, f2):
-        assert _residue([f2.s1, f2.s2], f2.m2) == (f2.s2,)
+        assert residue([f2.s1, f2.s2], f2.m2) == (f2.s2,)
 
     def test_empty_identity(self, f2):
-        assert _residue([], f2.m1) == ()
+        assert _residue((), 0) == ()
 
 
 @st.composite
@@ -155,27 +174,30 @@ def tied_families(draw):
     return ConflictList(antichain(mk_set(*(maps[i] for i in s)) for s in sets))
 
 
-def assert_picks_match_reference(sets, depth):
+def assert_picks_match_reference(conflicts, depth):
     """Along a whole unclustered greedy run, each pick and its flag equal
-    the reference's."""
-    while sets:
-        pick = _select_worst(sets, depth)
-        assert pick == ref_select_worst(sets, depth)
-        sets = _residue(sets, pick[0])
+    the reference's, which runs on the sets."""
+    masks, sets, conf = conflicts.masks, conflicts.sets, confidences(conflicts)
+    while masks:
+        bit, decisive = _select_worst(masks, conf, depth)
+        worst = conflicts.mappings[bit]
+        assert (worst, decisive) == ref_select_worst(sets, depth)
+        masks = _residue(masks, bit)
+        sets = tuple(s for s in sets if worst not in s.mappings)
 
 
 class TestSelectWorstMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(tied_families(), st.integers(0, 3))
     def test_tied_families(self, conflicts, depth):
-        assert_picks_match_reference(conflicts.sets, depth)
+        assert_picks_match_reference(conflicts, depth)
 
     @pytest.mark.parametrize("n", range(3, 25))
     def test_rings(self, n):
         """Depth 3 stops at n = 16, where the reference takes seconds."""
         _, conflicts = ring(n)
         for depth in range(4 if n <= 16 else 3):
-            assert_picks_match_reference(conflicts.sets, depth)
+            assert_picks_match_reference(conflicts, depth)
 
     @pytest.mark.parametrize("depth, expected, tiebreaks", [
         (0, [1, 0, 3], 0),
@@ -312,12 +334,30 @@ class TestRepair:
             RepairConfig(search_depth=depth)
 
 
+@pytest.mark.parametrize("config", [
+    RepairConfig(), RepairConfig(epsilon=0.05), RepairConfig(use_clusters=False),
+], ids=["defaults", "filter", "one-list"])
+def test_repair_hashes_and_compares_no_mapping(m_instance, monkeypatch, config):
+    """On M's conflict list, the filter, the clusters and the greedy loop
+    run on masks: with `Mapping` hashing and equality made to raise,
+    `repair` gives the same result."""
+    _, _, produced, analysis = m_instance
+    expected = repair(analysis.conflicts, produced, config)
+
+    def refuse(*args):
+        raise AssertionError("repair hashed or compared a Mapping")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Mapping, "__hash__", refuse)
+        patch.setattr(Mapping, "__eq__", refuse)
+        result = repair(analysis.conflicts, produced, config)
+    assert result == expected
+
+
 def test_cluster_decomposition_preserves_per_cluster_optimality():
     """Clusters share no mappings, so the global optimum is the sum of the
     cluster optima; whenever greedy matches the optimum inside every
     cluster, the clustered repair is globally optimal."""
-    from alignrepair import disjoint_conflict_clusters
-
     rng = random.Random(123)
     confirmed = 0
     for _ in range(80):
@@ -330,7 +370,7 @@ def test_cluster_decomposition_preserves_per_cluster_optimality():
         if not len(conflicts):
             continue
         align = Alignment(maps)
-        clusters = disjoint_conflict_clusters(conflicts.sets)
+        clusters = clusters_of(conflicts)
         per_cluster_optimal = True
         total_optimum = 0
         for cluster in clusters:
