@@ -246,15 +246,16 @@ def disjoint_conflict_clusters(masks: Sequence[int]) -> tuple[tuple[int, ...], .
         return x
 
     for mask in masks:
-        root = find(next(iter_bits(mask), -1))
-        for b in iter_bits(mask):
+        bits = iter_bits(mask)
+        root = find(next(bits, -1))
+        for b in bits:
             other = find(b)
             if other != root:
                 parent[other] = root
 
     groups: dict[int, list[int]] = {}
     for mask in masks:
-        groups.setdefault(find(next(iter_bits(mask), -1)), []).append(mask)
+        groups.setdefault(find((mask & -mask).bit_length() - 1), []).append(mask)
     return tuple(map(tuple, groups.values()))
 
 
