@@ -166,9 +166,8 @@ def repair(
     chains end in the canonical mapping order, so identical inputs yield
     identical results including removal order.
     """
-    mappings = conflicts.mappings
+    mappings, masks = conflicts.mappings, conflicts.masks
     confidences = [m.confidence for m in mappings]
-    masks = conflicts.masks
     removed: list[RemovedMapping] = []
 
     if config.epsilon >= 0:
