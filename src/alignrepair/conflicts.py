@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .fragments import CoreFragments, FragmentError
+from .fragments import CoreFragments
 from .graphs import iter_bits
 from .model import Alignment, ClassId, EnumerationCapExceeded, Mapping, MergedGraph
 
@@ -115,7 +115,8 @@ def find_conflict_sets(
     *,
     max_work: int = 1_000_000,
 ) -> ConflictList:
-    """Enumerate every minimal conflict set of the alignment.
+    """Enumerate every minimal conflict set of the alignment, the
+    fragments' own or a subset of it (other mappings raise ValueError).
 
     The search runs on the core graph, whose classes are the merged
     view's global ids.  Witnesses are the fragment start classes, which
@@ -136,27 +137,18 @@ def find_conflict_sets(
     cap bounds steps, not time (the `find_conflict_sets` FOUND entry in
     CHANGES.md; ROADMAP item 3(a)).
     """
-    pairs = fragments.ids.disjoint
-    if not pairs or not len(alignment):
-        return ConflictList()
-
-    mappings = alignment.mappings
-
     # The reverse core graph: the reduced edges carry no label, and each
     # mapping edge is labelled with the mapping's index.  Parallel edges
     # with distinct labels all matter.
+    mappings = alignment.mappings
     radj = fragments.radj
     labelled: dict[int, list[tuple[int, int]]] = {g: [] for g in radj}
     for mi, m in enumerate(mappings):
-        try:
-            edges = fragments.subset_edges((m,))
-        except FragmentError:
-            raise ValueError(
-                f"alignment mapping {m.describe()!r} has a non-core endpoint; "
-                "fragments were extracted from a different alignment"
-            ) from None
-        for sub, sup in edges:
+        for sub, sup in fragments._edges_of(m):
             labelled[sup].append((sub, mi))
+    pairs = fragments.ids.disjoint
+    if not pairs or not mappings:
+        return ConflictList()
 
     ends = sorted({g for pair in pairs for g in pair})
     starts = set(fragments.starts).union(ends)

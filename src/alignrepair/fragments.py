@@ -4,12 +4,12 @@ disjointness-driven conflict.
 The core classes are the disjointness endpoints, the mapping endpoints,
 the checkset (subsumption-minimal multi-parent classes), and the conflict
 search entry points.  Reduced edges compress mapping-free paths between
-core classes of one side, so that for every alignment subset M' the
-fragment graph plus M' infers exactly the same subsumptions between core
-classes as the full merged graph plus M'.  Extraction reads only the
-merged view, whose parent lists and condensation it builds once and
-drops, and walks each ontology on its local ids, naming every core
-class by its global id.
+core classes of one side, so that for every subset M' of the alignment
+they come from, and only for those, the fragment graph plus M' infers
+exactly the same subsumptions between core classes as the full merged
+graph plus M'.  Extraction reads only the merged view, whose parent
+lists and condensation it builds once and drops, and walks each
+ontology on its local ids, naming every core class by its global id.
 """
 
 from __future__ import annotations
@@ -48,12 +48,14 @@ class CoreFragments:
     `edges` are the reduced (child, parent) edges, sorted; they carry no
     mapping edges.  `radj` maps each core class to its children there,
     the reverse reduced graph, to which conflict search and
-    `fragments_incoherent` add the `subset_edges` of the mappings they
-    consider.  `starts` are the entry points for conflict enumeration
-    (checkset plus divergence classes; see extract_core_fragments), so
-    they contain `checkset`.  `extract_core_fragments` builds the
-    reverse graph with the rest; the ClassId views `core_classes`,
-    `reduced_edges` and `start_classes` are built on each access.
+    `fragments_incoherent` add the mappings they consider, each by its
+    edges in `mapping_edges`, the merged view's dict by mapping key.
+    Fragments serve their alignment and any subset of it, so both raise
+    ValueError on any other mapping.  `starts` are the entry points for
+    conflict enumeration (checkset plus divergence classes; see
+    extract_core_fragments), so they contain `checkset`.  The ClassId
+    views `core_classes`, `reduced_edges` and `start_classes` are built
+    on each access.
     """
 
     ids: GlobalIds
@@ -62,6 +64,8 @@ class CoreFragments:
     starts: tuple[int, ...]
     checkset: tuple[int, ...]
     radj: dict[int, list[int]] = field(compare=False, repr=False)
+    mapping_edges: dict[tuple[str, str, str], tuple[tuple[int, int], ...]] = field(
+        compare=False, repr=False)
 
     @property
     def core_classes(self) -> tuple[ClassId, ...]:
@@ -86,13 +90,14 @@ class CoreFragments:
             raise FragmentError(f"class {c.id!r} is not a core class")
         return g
 
-    def subset_edges(self, subset: Iterable[Mapping]) -> list[tuple[int, int]]:
-        """Directed edges, on global ids, contributed by a mapping subset."""
-        return [
-            (self._require(sub), self._require(sup))
-            for m in subset
-            for sub, sup in m.edges()
-        ]
+    def _edges_of(self, m: Mapping) -> tuple[tuple[int, int], ...]:
+        """Global (subclass, superclass) edges of an extracted mapping."""
+        edges = self.mapping_edges.get(m.key)
+        if edges is None:
+            raise ValueError(f"mapping {m.describe()!r} is not in the alignment the "
+                             "fragments were extracted from; fragments serve that "
+                             "alignment and any subset of it")
+        return edges
 
 
 def compute_checkset(view: MergedGraph) -> tuple[ClassId, ...]:
@@ -305,23 +310,21 @@ def extract_core_fragments(
         starts=tuple(sorted(starts)),
         checkset=tuple(checkset),
         radj=radj,
+        mapping_edges=view.mapping_edges,
     )
 
 
-def fragments_incoherent(
-    fragments: CoreFragments, subset: Iterable[Mapping]
-) -> bool:
+def fragments_incoherent(fragments: CoreFragments, subset: Iterable[Mapping]) -> bool:
     """True iff some core class lands under both members of a disjoint pair
     when the subset's mapping edges are added to the reduced structure.
-    Like the core graph, the search names classes by their global ids."""
-    disjoint = fragments.ids.disjoint
-    if not disjoint:
-        return False
+    Like the core graph, the search names classes by their global ids.
+    A mapping the fragments were not extracted for raises ValueError."""
     extra_down: dict[int, list[int]] = {}
-    for u, v in fragments.subset_edges(subset):
-        extra_down.setdefault(v, []).append(u)
+    for m in subset:
+        for u, v in fragments._edges_of(m):
+            extra_down.setdefault(v, []).append(u)
     radj = fragments.radj
     return any(
         reachable(radj, a, extra_down) & reachable(radj, b, extra_down)
-        for a, b in disjoint
+        for a, b in fragments.ids.disjoint
     )

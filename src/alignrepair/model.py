@@ -409,33 +409,37 @@ class MergedGraph:
     Nodes are all classes of both sides, under the pair's `GlobalIds`
     `ids`; edges are the ontology subclass edges plus the directed edges
     induced by each mapping (two for an equivalence, one for a
-    subsumption).  A view builds only the mapping edges, as child lists
-    beside the pair's `down`: `down_extra` maps a mapping edge's
-    superclass end to its subclass ends (do not modify it).
-    `nodes_below` searches the downward cone of a class over both, so a
-    is subsumed by b iff a's id is in `nodes_below` of b's.  Fragment
-    extraction builds the parent lists and the condensation it needs
-    from these child lists.
+    subsumption).  A view resolves each mapping endpoint once and builds
+    only the mapping edges: `mapping_edges` maps a mapping key to its
+    `Mapping.edges` on global ids, and `down_extra` holds them as child
+    lists beside the pair's `down` (do not modify either).  `nodes_below`
+    searches the downward cone of a class over both, so a is subsumed by
+    b iff a's id is in `nodes_below` of b's.  Fragment extraction builds
+    the parent lists and the condensation it needs from these lists.
     """
 
-    __slots__ = ("alignment", "ids", "down_extra")
+    __slots__ = ("ids", "mapping_edges", "down_extra")
 
     def __init__(self, ids: GlobalIds, alignment: Alignment):
         self.ids = ids
-        self.alignment = alignment
-
+        self.mapping_edges: dict[tuple[str, str, str], tuple[tuple[int, int], ...]] = {}
         self.down_extra: dict[int, list[int]] = {}
         for m in alignment:
+            at = {}
             for c in (m.source, m.target):
-                if c.id not in ids.index[c.side - 1]:
+                local = ids.index[c.side - 1].get(c.id)
+                if local is None:
                     raise AlignmentError(f"dangling mapping endpoint {c.id!r} "
                                          f"(not in ontology {c.side})")
-            for sub, sup in m.edges():
-                self.down_extra.setdefault(ids.node(sup), []).append(ids.node(sub))
+                at[c] = ids.glob[c.side - 1][local]
+            edges = self.mapping_edges[m.key] = tuple(
+                (at[sub], at[sup]) for sub, sup in m.edges())
+            for sub, sup in edges:
+                self.down_extra.setdefault(sup, []).append(sub)
 
     def __repr__(self) -> str:
         return (f"MergedGraph(classes={len(self.ids.names)}, "
-                f"components={self.component_count}, mappings={len(self.alignment)})")
+                f"mappings={len(self.mapping_edges)})")
 
     def nodes_below(self, g: int) -> set[int]:
         """Nodes from which `g` is reachable (reflexive)."""

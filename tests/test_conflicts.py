@@ -23,6 +23,7 @@ from alignrepair import (
     exhaustive_incoherence,
     extract_core_fragments,
     find_conflict_sets,
+    fragments_incoherent,
     merged_view,
     repair,
 )
@@ -108,8 +109,30 @@ class TestFindConflictSets:
         a2 = f1.o2.class_id("A2")
         for source in (f1.o1.class_id("D1"), ClassId("Z1", 1)):
             extra = Mapping(source, a2, Relation.EQUIVALENCE)
-            with pytest.raises(ValueError, match="non-core endpoint"):
+            with pytest.raises(ValueError, match="not in the alignment the "
+                               "fragments were extracted from"):
                 find_conflict_sets(frags, (), Alignment([f1.m1, f1.m2, extra]))
+
+    def test_mapping_on_the_core_but_not_extracted_is_rejected(self):
+        """Fragments hold for their alignment and its subsets only.  Here
+        a new mapping joins two core classes, yet the fragments of the
+        old alignment, searched with it, miss a two-mapping conflict that
+        the new alignment's own fragments find: both readers refuse it."""
+        o1, o2, produced, _ = generate_instance(
+            GeneratorParams(53, 26, 4, 0.5, 17, 6, 2.0))
+        frags = extract_core_fragments(o1, o2, produced)
+        extra = Mapping(o1.class_id("a0031"), o2.class_id("b0021"),
+                        Relation.SUBSUMES, 0.5)
+        core = set(frags.core)
+        assert {frags.ids.node(c) for c in (extra.source, extra.target)} <= core
+        extended = Alignment([*produced, extra])
+        message = "'a0031 > b0021' is not in the alignment"
+        with pytest.raises(ValueError, match=message):
+            find_conflict_sets(frags, (), extended)
+        with pytest.raises(ValueError, match=message):
+            fragments_incoherent(frags, extended)
+        own = _enumerate(o1, o2, extended)
+        assert any(len(s) == 2 and extra in s.mappings for s in own)
 
     def test_cap_is_enforced(self, f1):
         with pytest.raises(EnumerationCapExceeded):

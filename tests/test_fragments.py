@@ -45,13 +45,15 @@ from conftest import (
 
 
 def fragment_entails(frags, subset, a, b):
-    """Reachability over the reduced edges plus a mapping subset's edges."""
+    """Reachability over the reduced edges plus a mapping subset's edges,
+    as the merged view resolved them."""
     src, dst = frags._require(a), frags._require(b)
     up = {}
-    for e in frags.reduced_edges:
-        up.setdefault(frags._require(e.child), []).append(frags._require(e.parent))
-    for u, v in frags.subset_edges(subset):
-        up.setdefault(u, []).append(v)
+    for child, parent in frags.edges:
+        up.setdefault(child, []).append(parent)
+    for m in subset:
+        for u, v in frags.mapping_edges[m.key]:
+            up.setdefault(u, []).append(v)
     seen = {src}
     queue = deque([src])
     while queue:
@@ -458,15 +460,17 @@ def test_fragments_keep_only_their_fields(f1):
     fragments_incoherent(frags, f1.alignment)
     frags.core_classes, frags.reduced_edges, frags.start_classes
     assert set(vars(frags)) == {f.name for f in dataclasses.fields(CoreFragments)}
-    assert frags == dataclasses.replace(frags, radj={})
+    assert frags == dataclasses.replace(frags, radj={}, mapping_edges={})
 
 
 def test_extraction_with_a_view_resolves_no_class(f1, monkeypatch):
     """Given a view, extraction reads the mapping endpoints from its
     mapping edges and walks each side on local ids: it never resolves a
     `ClassId` or locates a global id, and it finds what extraction
-    without a view finds.  The renamed instance interleaves the two
-    sides in global-id order."""
+    without a view finds.  Conflict search and the fragment incoherence
+    test read each mapping's edges as the view resolved them, so they
+    resolve no `ClassId` either.  The renamed instance interleaves the
+    two sides in global-id order."""
     generated = generate_instance(GeneratorParams(40, 12, 3, 0.4, 5, 6, 2.0))[:3]
     cases = [(f1.o1, f1.o2, f1.alignment), renamed_instance(*generated, 1)]
 
@@ -474,15 +478,20 @@ def test_extraction_with_a_view_resolves_no_class(f1, monkeypatch):
         return f.core, f.edges, f.starts, f.checkset, f.radj
 
     def forbidden(*args):
-        raise AssertionError("extraction resolved a class")
+        raise AssertionError("resolved a class")
 
     for o1, o2, align in cases:
         expected = fields(extract_core_fragments(o1, o2, align))
         view = merged_view(o1, o2, align)
         with monkeypatch.context() as m:
             m.setattr(alignrepair.model.GlobalIds, "node", forbidden)
-            m.setattr(alignrepair.model.GlobalIds, "locate", forbidden)
-            frags = extract_core_fragments(o1, o2, align, view=view)
+            with monkeypatch.context() as extracting:
+                extracting.setattr(alignrepair.model.GlobalIds, "locate", forbidden)
+                frags = extract_core_fragments(o1, o2, align, view=view)
+            conflicts = find_conflict_sets(frags, (), align)
+            incoherent = fragments_incoherent(frags, align)
         assert fields(frags) == expected
+        assert frags.mapping_edges is view.mapping_edges
+        assert incoherent == bool(len(conflicts)) == bool(view.incoherent_ids())
         sides = [view.ids.locate(g)[0] for g in frags.core]
         assert sum(a != b for a, b in zip(sides, sides[1:])) >= 2

@@ -495,19 +495,24 @@ def test_global_ids_are_name_order_and_round_trip(instance, seed):
 def test_parent_lists_are_built_only_by_extraction(instance):
     """The merged view holds no parent lists and no lazy state: its
     fields are the ones `__init__` sets, and queries leave them as they
-    were.  The parent lists that fragment extraction builds are the
+    were; its mapping edges are each mapping's `Mapping.edges` by global
+    id.  The parent lists that fragment extraction builds are the
     oracle's merged graph by global id, each list sorted and distinct."""
     o1, o2, align = instance
-    assert MergedGraph.__slots__ == ("alignment", "ids", "down_extra")
+    assert MergedGraph.__slots__ == ("ids", "mapping_edges", "down_extra")
     view = merged_view(o1, o2, align)
     fields = [getattr(view, name) for name in MergedGraph.__slots__]
     extra = {g: list(us) for g, us in view.down_extra.items()}
+    node = view.ids.node
+    edges = {m.key: tuple((node(sub), node(sup)) for sub, sup in m.edges())
+             for m in align}
     count_incoherent_classes(view)
     extract_core_fragments(o1, o2, align, view=view)
-    repr(view)  # counts the components
+    repr(view)
     assert all(getattr(view, name) is f
                for name, f in zip(MergedGraph.__slots__, fields))
     assert view.down_extra == extra
+    assert view.mapping_edges == edges
     ups = [set() for _ in view.ids.names]
     for sup, subs in _merged_adjacency(o1, o2, align).items():
         for sub in subs:
