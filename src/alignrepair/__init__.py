@@ -23,7 +23,6 @@ _MODULES = {
     "EnumerationCapExceeded": "model",
     "EvalReport": "oracle",
     "FormatError": "formats",
-    "FragmentError": "fragments",
     "GeneratorError": "model",
     "GeneratorParams": "generator",
     "GlobalIds": "model",

@@ -118,7 +118,12 @@ def _cmd_repair(args) -> int:
         },
     }
     if args.report:
-        _emit(report, args.report)
+        try:
+            _emit(report, args.report)
+        except OSError:
+            # A failed run leaves no output file behind.
+            Path(args.out).unlink()
+            raise
     _emit(report, None)
     for name, seconds in {"load": load_s, **run.phases}.items():
         print(f"{name}: {seconds:.3f}s", file=sys.stderr)

@@ -119,23 +119,23 @@ def find_conflict_sets(
     fragments' own or a subset of it (other mappings raise ValueError).
 
     The search runs on the core graph, whose classes are the merged
-    view's global ids.  Witnesses are the fragment start classes, which
-    contain `fragments.checkset`, the classes of the given checkset, and
-    the disjointness endpoints.  One backward label search per endpoint
-    finds the minimal label sets of the walks from each node into it;
-    all the searches run in one loop, by label-set size.  A set is
-    settled at a node unless a set settled there is a subset of it, or
-    it strictly contains a conflict found so far.  When a witness's set
-    for one member of a pair settles, its union with each settled set
-    for the other member is a conflict, and each mask keeps its smallest
-    (start class, pair index) witness.  `max_work` caps the steps of
-    the call: every settled label set (an endpoint's own empty set
-    aside) and every union spend one step of one shared budget;
-    exhausting it raises EnumerationCapExceeded.  The scans behind each
-    step, a candidate's subset test against the node's settled sets and
-    its conflict test against the found masks, are not charged, so the
-    cap bounds steps, not time (the `find_conflict_sets` FOUND entry in
-    CHANGES.md; ROADMAP item 3(a)).
+    view's global ids.  Witnesses are `fragments.starts`, which hold the
+    disjointness endpoints and the checkset, and the given checkset's
+    classes (a class outside the core raises ValueError).  One backward
+    label search per endpoint finds the minimal label sets of the walks
+    from each node into it; all the searches run in one loop, by
+    label-set size.  A set is settled at a node unless a set settled
+    there is a subset of it, or it strictly contains a conflict found so
+    far.  When a witness's set for one member of a pair settles, its
+    union with each settled set for the other member is a conflict, and
+    each mask keeps its smallest (start class, pair index) witness.
+    `max_work` caps the steps of the call: every settled label set (an
+    endpoint's own empty set aside) and every union spend one step of
+    one shared budget; exhausting it raises EnumerationCapExceeded.  The
+    scans behind each step, a candidate's subset test against the node's
+    settled sets and its conflict test against the found masks, are not
+    charged, so the cap bounds steps, not time (the `find_conflict_sets`
+    FOUND entry in CHANGES.md; ROADMAP item 3(a)).
     """
     # The reverse core graph: the reduced edges carry no label, and each
     # mapping edge is labelled with the mapping's index.  Parallel edges
@@ -151,8 +151,7 @@ def find_conflict_sets(
         return ConflictList()
 
     ends = sorted({g for pair in pairs for g in pair})
-    starts = set(fragments.starts).union(ends)
-    starts.update(map(fragments._require, checkset))
+    starts = set(fragments.starts).union(map(fragments._require, checkset))
     partners: dict[int, list[tuple[int, int]]] = {e: [] for e in ends}
     for pi, (a, b) in enumerate(pairs):
         partners[a].append((pi, b))

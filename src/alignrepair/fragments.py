@@ -1,21 +1,23 @@
 """Core-fragment extraction: the reduced structures that preserve every
 disjointness-driven conflict.
 
-The core classes are the disjointness endpoints, the mapping endpoints,
-the checkset (subsumption-minimal multi-parent classes), and the conflict
-search entry points.  Reduced edges compress mapping-free paths between
-core classes of one side, so that for every subset M' of the alignment
-they come from, and only for those, the fragment graph plus M' infers
-exactly the same subsumptions between core classes as the full merged
-graph plus M'.  Extraction reads only the merged view, whose parent
-lists and condensation it builds once and drops, and walks each
-ontology on its local ids, naming every core class by its global id.
+The core classes are the mapping endpoints and the conflict search's
+starts: the disjointness endpoints, the checkset (subsumption-minimal
+multi-parent classes) and the divergence starts, both picked by one
+leaves-first pass, `_minimal`.  Reduced edges compress mapping-free
+paths between core classes of one side, so that for every subset M' of
+the alignment they come from, and only for those, the fragment graph
+plus M' infers exactly the same subsumptions between core classes as
+the full merged graph plus M'.  Extraction reads only the merged view,
+whose parent lists and condensation it builds once and drops, and walks
+each ontology on its local ids, naming every core class by its global id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graphs import condensation_edges, reachable, tarjan_scc
 from .model import (
@@ -28,10 +30,6 @@ from .model import (
     Ontology,
     merged_view,
 )
-
-
-class FragmentError(ModelError):
-    pass
 
 
 class ReducedEdge(NamedTuple):
@@ -51,11 +49,11 @@ class CoreFragments:
     `fragments_incoherent` add the mappings they consider, each by its
     edges in `mapping_edges`, the merged view's dict by mapping key.
     Fragments serve their alignment and any subset of it, so both raise
-    ValueError on any other mapping.  `starts` are the entry points for
-    conflict enumeration (checkset plus divergence classes; see
-    extract_core_fragments), so they contain `checkset`.  The ClassId
-    views `core_classes`, `reduced_edges` and `start_classes` are built
-    on each access.
+    ValueError on any other mapping.  `starts` is conflict enumeration's
+    start set: the disjointness endpoints, `checkset` and the divergence
+    starts (see `_divergence_starts`); `core` adds the mapping endpoints.
+    The ClassId views `core_classes`, `reduced_edges` and `start_classes`
+    are built on each access.
     """
 
     ids: GlobalIds
@@ -87,7 +85,7 @@ class CoreFragments:
         except ModelError:
             g = -1
         if g not in self.radj:
-            raise FragmentError(f"class {c.id!r} is not a core class")
+            raise ValueError(f"class {c.id!r} is not a core class")
         return g
 
     def _edges_of(self, m: Mapping) -> tuple[tuple[int, int], ...]:
@@ -131,15 +129,22 @@ def _parent_lists(view: MergedGraph) -> list[Sequence[int]]:
     return adj
 
 
-def _condensation(adj: list[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """(component of every node, condensation parent lists).
-
-    Tarjan runs on the parent lists, so component ids put every parent
-    before its children: each condensation parent has a smaller id than
-    its component, and the lists are ascending.
-    """
-    count, comp = tarjan_scc(len(adj), adj)
-    return comp, condensation_edges(len(adj), adj, comp, count)
+def _minimal(leaves_first: Iterable[int], parents: Sequence[Sequence[int]],
+             is_candidate: Callable[[int], bool]) -> list[int]:
+    """The candidates with no candidate strictly below them, in walk order.
+    `leaves_first` lists each node of the acyclic `parents` after all its
+    children.  A kept node, or one with a candidate below it, marks its
+    parents as having one below; a marked node is not tested."""
+    below = bytearray(len(parents))
+    kept: list[int] = []
+    for v in leaves_first:
+        if not below[v]:
+            if not is_candidate(v):
+                continue
+            kept.append(v)
+        for p in parents[v]:
+            below[p] = 1
+    return kept
 
 
 def _has_two_covers(cond_parents: list[list[int]], c: int) -> bool:
@@ -174,22 +179,15 @@ def _has_two_covers(cond_parents: list[list[int]], c: int) -> bool:
 def _checkset_ids(adj: list[Sequence[int]]) -> list[int]:
     """The checkset as ascending global ids, from the parent lists.
 
-    One pass over descending component ids passes "a multi-parent
-    component lies below" from each component to its parents after all
-    its children are done.  A component with one below is never kept
-    and marks its parents either way, so its covers are not searched.
+    Tarjan runs on the parent lists, so component ids put every parent
+    before its children: each condensation parent has a smaller id than
+    its component, and the lists are ascending.  The minimal pass runs
+    over descending ids, so a component with one below is not searched.
     """
-    comp, parents = _condensation(adj)
-    multi_below = bytearray(len(parents))
-    kept: set[int] = set()
-    for c in range(len(parents) - 1, -1, -1):
-        below = multi_below[c]
-        if not below and _has_two_covers(parents, c):
-            kept.add(c)
-            below = 1
-        if below:
-            for p in parents[c]:
-                multi_below[p] = 1
+    count, comp = tarjan_scc(len(adj), adj)
+    parents = condensation_edges(len(adj), adj, comp, count)
+    kept = set(_minimal(range(count - 1, -1, -1), parents,
+                        partial(_has_two_covers, parents)))
     return [g for g, c in enumerate(comp) if c in kept]
 
 
@@ -201,21 +199,15 @@ def _divergence_starts(
     Any class where two upward walks can split has at least two distinct
     out-neighbors in the merged graph; that property survives restriction
     to any mapping subset, unlike multi-parenthood, which mapping edges
-    elsewhere can mask.  Candidates are pruned to the ontology-minimal
-    ones: a candidate below another via pure subclass edges inherits all
-    of its incoherences, so only the lower one needs to be searched.
-    One leaves-first pass per ontology marks every class with a
-    candidate strictly below it.
+    elsewhere can mask.  The minimal pass over each ontology's subclass
+    edges keeps the ontology-minimal candidates: one below another there
+    inherits all of its incoherences, so only the lower one is searched.
     """
     kept: list[int] = []
     for onto, glob in zip((o1, o2), ids.glob):
         is_candidate = [len(adj[g]) >= 2 for g in glob]
-        below = bytearray(len(onto))
-        for v in reversed(onto.order):
-            if is_candidate[v] or below[v]:
-                for p in onto.parents[v]:
-                    below[p] = 1
-        kept.extend(g for g, c, b in zip(glob, is_candidate, below) if c and not b)
+        minimal = _minimal(reversed(onto.order), onto.parents, is_candidate.__getitem__)
+        kept.extend(glob[v] for v in minimal)
     return kept
 
 
@@ -286,12 +278,10 @@ def extract_core_fragments(
     ids = view.ids
     adj = _parent_lists(view)
     checkset = _checkset_ids(adj)
-    starts = set(checkset).union(_divergence_starts(adj, ids, o1, o2))
+    starts = set(checkset).union(_divergence_starts(adj, ids, o1, o2), *ids.disjoint)
     del adj
-
     # The ends of the mapping edges are exactly the mapping endpoints.
-    core = starts.union(g for pair in ids.disjoint for g in pair)
-    core.update(view.down_extra, *view.down_extra.values())
+    core = starts.union(view.down_extra, *view.down_extra.values())
     core_ids = sorted(core)
 
     edges = sorted(

@@ -232,6 +232,17 @@ class TestErrorsAndExitCodes:
         assert captured.err == "error: repair left 2 incoherent classes\n"
         assert not out.exists() and not report.exists()
 
+    def test_unwritable_report_leaves_no_output(self, f1_files, capsys):
+        out = f1_files / "repaired.tsv"
+        report = f1_files / "missing" / "report.json"
+        status = cli_dispatch(["repair", *_inputs(f1_files), "--out", str(out),
+                               "--report", str(report)])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2]")
+        assert not out.exists() and not report.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_epsilon_rejected(self, f1_files, capsys, value):
         out = f1_files / "repaired.tsv"

@@ -22,8 +22,8 @@ from alignrepair import (
     extract_core_fragments,
     merged_view,
 )
-from alignrepair.fragments import _condensation, _has_two_covers, _parent_lists
-from alignrepair.graphs import reachable, tarjan_scc
+from alignrepair.fragments import _has_two_covers, _parent_lists
+from alignrepair.graphs import condensation_edges, reachable, tarjan_scc
 from alignrepair.model import GlobalIds, MergedGraph, Ontology
 from alignrepair.oracle import _merged_adjacency
 
@@ -52,7 +52,9 @@ def components(view):
 def has_two_covers(view, a):
     """Whether a's component has two or more covering components, by
     the two-cover test of the checkset."""
-    comp, cond_parents = _condensation(_parent_lists(view))
+    adj = _parent_lists(view)
+    count, comp = tarjan_scc(len(adj), adj)
+    cond_parents = condensation_edges(len(adj), adj, comp, count)
     return _has_two_covers(cond_parents, comp[view.ids.node(a)])
 
 

@@ -44,7 +44,8 @@ def keys(conflicts) -> set:
 
 def search_from(fragments, starts, alignment):
     """The conflicts found from `starts` and the disjointness endpoints."""
-    narrowed = dataclasses.replace(fragments, starts=tuple(sorted(starts)))
+    ends = {g for pair in fragments.ids.disjoint for g in pair}
+    narrowed = dataclasses.replace(fragments, starts=tuple(sorted(ends.union(starts))))
     return find_conflict_sets(narrowed, (), alignment)
 
 
