@@ -117,14 +117,18 @@ def _cmd_repair(args) -> int:
             "use_clusters": config.use_clusters,
         },
     }
-    if args.report:
-        try:
+    # A failed run leaves no output file, even when standard output fails.
+    written = [args.out]
+    try:
+        if args.report:
             _emit(report, args.report)
-        except OSError:
-            # A failed run leaves no output file behind.
-            Path(args.out).unlink()
-            raise
-    _emit(report, None)
+            written.append(args.report)
+        _emit(report, None)
+        sys.stdout.flush()
+    except OSError:
+        for path in written:
+            Path(path).unlink()
+        raise
     for name, seconds in {"load": load_s, **run.phases}.items():
         print(f"{name}: {seconds:.3f}s", file=sys.stderr)
     return 0

@@ -144,7 +144,7 @@ def find_conflict_sets(
     radj = fragments.radj
     labelled: dict[int, list[tuple[int, int]]] = {g: [] for g in radj}
     for mi, m in enumerate(mappings):
-        for sub, sup in fragments._edges_of(m):
+        for sub, sup in fragments.view.edges_of(m):
             labelled[sup].append((sub, mi))
     pairs = fragments.ids.disjoint
     if not pairs or not mappings:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .graphs import condensation_edges, reachable, tarjan_scc
+from .graphs import below_both, condensation_edges, tarjan_scc
 from .model import (
     Alignment,
     ClassId,
@@ -47,13 +47,12 @@ class CoreFragments:
     mapping edges.  `radj` maps each core class to its children there,
     the reverse reduced graph, to which conflict search and
     `fragments_incoherent` add the mappings they consider, each by its
-    edges in `mapping_edges`, the merged view's dict by mapping key.
-    Fragments serve their alignment and any subset of it, so both raise
-    ValueError on any other mapping.  `starts` is conflict enumeration's
-    start set: the disjointness endpoints, `checkset` and the divergence
-    starts (see `_divergence_starts`); `core` adds the mapping endpoints.
-    The ClassId views `core_classes`, `reduced_edges` and `start_classes`
-    are built on each access.
+    edges in `view`, the merged view they were extracted from; like it,
+    they raise ValueError on a mapping outside its alignment.  `starts`
+    is conflict enumeration's start set: the disjointness endpoints,
+    `checkset` and the divergence starts (see `_divergence_starts`);
+    `core` adds the mapping endpoints.  The ClassId views `core_classes`,
+    `reduced_edges` and `start_classes` are built on each access.
     """
 
     ids: GlobalIds
@@ -62,8 +61,7 @@ class CoreFragments:
     starts: tuple[int, ...]
     checkset: tuple[int, ...]
     radj: dict[int, list[int]] = field(compare=False, repr=False)
-    mapping_edges: dict[tuple[str, str, str], tuple[tuple[int, int], ...]] = field(
-        compare=False, repr=False)
+    view: MergedGraph = field(compare=False, repr=False)
 
     @property
     def core_classes(self) -> tuple[ClassId, ...]:
@@ -88,15 +86,6 @@ class CoreFragments:
             raise ValueError(f"class {c.id!r} is not a core class")
         return g
 
-    def _edges_of(self, m: Mapping) -> tuple[tuple[int, int], ...]:
-        """Global (subclass, superclass) edges of an extracted mapping."""
-        edges = self.mapping_edges.get(m.key)
-        if edges is None:
-            raise ValueError(f"mapping {m.describe()!r} is not in the alignment the "
-                             "fragments were extracted from; fragments serve that "
-                             "alignment and any subset of it")
-        return edges
-
 
 def compute_checkset(view: MergedGraph) -> tuple[ClassId, ...]:
     """Subsumption-minimal multi-parent classes of the merged graph, sorted.
@@ -115,9 +104,9 @@ def _parent_lists(view: MergedGraph) -> list[Sequence[int]]:
     ontology parents and mapping heads in one sorted, distinct list."""
     ids = view.ids
     heads: dict[int, set[int]] = {}
-    for v, us in view.down_extra.items():
-        for u in us:
-            heads.setdefault(u, set()).add(v)
+    for edges in view.mapping_edges.values():
+        for sub, sup in edges:
+            heads.setdefault(sub, set()).add(sup)
     adj: list[Sequence[int]] = [()] * len(ids.names)
     for ps_of, g in zip(ids.parents, ids.glob):
         for gi, ps in zip(g, ps_of):
@@ -281,7 +270,7 @@ def extract_core_fragments(
     starts = set(checkset).union(_divergence_starts(adj, ids, o1, o2), *ids.disjoint)
     del adj
     # The ends of the mapping edges are exactly the mapping endpoints.
-    core = starts.union(view.down_extra, *view.down_extra.values())
+    core = starts.union(*(e for edges in view.mapping_edges.values() for e in edges))
     core_ids = sorted(core)
 
     edges = sorted(
@@ -300,7 +289,7 @@ def extract_core_fragments(
         starts=tuple(sorted(starts)),
         checkset=tuple(checkset),
         radj=radj,
-        mapping_edges=view.mapping_edges,
+        view=view,
     )
 
 
@@ -309,12 +298,5 @@ def fragments_incoherent(fragments: CoreFragments, subset: Iterable[Mapping]) ->
     when the subset's mapping edges are added to the reduced structure.
     Like the core graph, the search names classes by their global ids.
     A mapping the fragments were not extracted for raises ValueError."""
-    extra_down: dict[int, list[int]] = {}
-    for m in subset:
-        for u, v in fragments._edges_of(m):
-            extra_down.setdefault(v, []).append(u)
-    radj = fragments.radj
-    return any(
-        reachable(radj, a, extra_down) & reachable(radj, b, extra_down)
-        for a, b in fragments.ids.disjoint
-    )
+    extra = fragments.view.child_lists(subset)
+    return any(below_both(fragments.radj, fragments.ids.disjoint, extra))

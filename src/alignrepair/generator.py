@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Callable
 
 from .graphs import reachable
@@ -182,7 +182,7 @@ def _build_side(
     children: list[list[int]] = [[] for _ in range(n)]
     for child, parent in edges:
         children[parent].append(child)
-    cone = cache(partial(reachable, children))
+    cone = cache(lambda v: reachable(children, v))
     pair_indices = _sample_disjoint_pairs(rng, n, children, cone, disjoint_count)
     # The indexer orders and checks the ontology with these same lists.
     ontology = _index_ontology(side, names, index, edges, pair_indices, children)

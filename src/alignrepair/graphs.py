@@ -1,4 +1,4 @@
-"""Directed-graph primitives: one component pass and one cone search.
+"""Directed-graph primitives: components, cones and the incoherence test.
 
 All functions work on integer node ids 0..n-1 with adjacency lists.
 `tarjan_scc` gives the components of the merged graph and, with
@@ -8,14 +8,15 @@ on its child lists instead, and Tarjan's components only name a class
 on a cycle when Kahn's order stops short.  `reachable` gives
 the cone of a node: every node reachable from it over the lists it is
 handed, so parent lists give ancestors and child lists give
-descendants.  No all-pairs closure is built: reachability is answered
-by these searches or by passes over component ids, whose cost grows
-with the edges visited.
+descendants.  `below_both` is the one incoherence test: the nodes
+under both members of each disjoint pair.  No all-pairs closure is
+built: reachability is answered by these searches or by passes over
+component ids, whose cost grows with the edges visited.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 def tarjan_scc(n: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
@@ -103,6 +104,23 @@ def reachable(
                 seen.add(v)
                 stack.append(v)
     return seen
+
+
+def below_both(down: Sequence[Sequence[int]], pairs: Sequence[tuple[int, int]],
+               extra: dict[int, list[int]] | None = None) -> Iterator[set[int]]:
+    """For each (a, b) of `pairs`, in order, the nodes below both over the
+    child lists `down` plus `extra`.  A member's cone is searched once
+    and dropped after the last pair that names it."""
+    last = {x: i for i, pair in enumerate(pairs) for x in pair}
+    cones: dict[int, set[int]] = {}
+    for i, (a, b) in enumerate(pairs):
+        for x in (a, b):
+            if x not in cones:
+                cones[x] = reachable(down, x, extra)
+        yield cones[a] & cones[b]
+        for x in (a, b):
+            if last[x] == i:
+                del cones[x]
 
 
 def iter_bits(mask: int):

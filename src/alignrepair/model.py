@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from itertools import chain
 from typing import Collection, Iterable, Iterator, NamedTuple
 
-from .graphs import reachable, tarjan_scc
+from .graphs import below_both, tarjan_scc
 
 
 class ModelError(ValueError):
@@ -276,10 +277,10 @@ def _index_ontology(
         if len(ps) > 1:
             ps.sort()
     order = _roots_first_order(side, names, parents, children)
-    _check_coherent(names, children, disjoint)
+    pairs = tuple(sorted(disjoint))
+    _check_coherent(names, children, pairs)
     del children  # freed before the tuples below, unless the caller keeps them
-    return Ontology(side, names, index, order,
-                    tuple(map(tuple, parents)), tuple(sorted(disjoint)))
+    return Ontology(side, names, index, order, tuple(map(tuple, parents)), pairs)
 
 
 def _roots_first_order(
@@ -329,20 +330,11 @@ def _resolve_pairs(
 
 
 def _check_coherent(
-    names: list[str], children: list[list[int]], disjoint: Collection[tuple[int, int]]
+    names: list[str], children: list[list[int]], disjoint: tuple[tuple[int, int], ...]
 ) -> None:
-    """Reject the first disjoint pair, in sorted order, with a common
-    subclass, naming its smallest one.
-
-    Each pair intersects the two members' descendant sets; a class can
-    sit in several pairs, so its set is computed once.
-    """
-    if not disjoint:
-        return
-    members = {x for pair in disjoint for x in pair}
-    below = {x: reachable(children, x) for x in members}
-    for ia, ib in sorted(disjoint):
-        both = below[ia] & below[ib]
+    """Reject the first disjoint pair, in the given sorted order, with a
+    common subclass, naming its smallest one."""
+    for (ia, ib), both in zip(disjoint, below_both(children, disjoint)):
         if both:
             raise OntologyError(
                 f"input ontology incoherent: class {names[min(both)]!r} is subsumed by "
@@ -407,23 +399,18 @@ class MergedGraph:
     """Combined subsumption graph of two ontologies plus an alignment.
 
     Nodes are all classes of both sides, under the pair's `GlobalIds`
-    `ids`; edges are the ontology subclass edges plus the directed edges
-    induced by each mapping (two for an equivalence, one for a
-    subsumption).  A view resolves each mapping endpoint once and builds
-    only the mapping edges: `mapping_edges` maps a mapping key to its
-    `Mapping.edges` on global ids, and `down_extra` holds them as child
-    lists beside the pair's `down` (do not modify either).  `nodes_below`
-    searches the downward cone of a class over both, so a is subsumed by
-    b iff a's id is in `nodes_below` of b's.  Fragment extraction builds
-    the parent lists and the condensation it needs from these lists.
+    `ids`; edges are the ontology subclass edges plus each mapping's
+    `Mapping.edges`, which the view resolves once: `mapping_edges` maps a
+    mapping key to them on global ids (do not modify it).  A view serves
+    its alignment and any subset of it, and raises ValueError on any
+    other mapping.
     """
 
-    __slots__ = ("ids", "mapping_edges", "down_extra")
+    __slots__ = ("ids", "mapping_edges")
 
     def __init__(self, ids: GlobalIds, alignment: Alignment):
         self.ids = ids
         self.mapping_edges: dict[tuple[str, str, str], tuple[tuple[int, int], ...]] = {}
-        self.down_extra: dict[int, list[int]] = {}
         for m in alignment:
             at = {}
             for c in (m.source, m.target):
@@ -432,31 +419,44 @@ class MergedGraph:
                     raise AlignmentError(f"dangling mapping endpoint {c.id!r} "
                                          f"(not in ontology {c.side})")
                 at[c] = ids.glob[c.side - 1][local]
-            edges = self.mapping_edges[m.key] = tuple(
-                (at[sub], at[sup]) for sub, sup in m.edges())
-            for sub, sup in edges:
-                self.down_extra.setdefault(sup, []).append(sub)
+            self.mapping_edges[m.key] = tuple((at[u], at[v]) for u, v in m.edges())
 
     def __repr__(self) -> str:
         return (f"MergedGraph(classes={len(self.ids.names)}, "
                 f"mappings={len(self.mapping_edges)})")
 
-    def nodes_below(self, g: int) -> set[int]:
-        """Nodes from which `g` is reachable (reflexive)."""
-        return reachable(self.ids.down, g, self.down_extra)
+    def edges_of(self, m: Mapping) -> tuple[tuple[int, int], ...]:
+        """Global (subclass, superclass) edges of a mapping of the view."""
+        edges = self.mapping_edges.get(m.key)
+        if edges is None:
+            raise ValueError(f"mapping {m.describe()!r} is not in the alignment the "
+                             "fragments were extracted from (the view's); a view and "
+                             "its fragments serve that alignment and its subsets")
+        return edges
 
-    def incoherent_ids(self) -> set[int]:
-        """Global ids of every class under both members of a disjoint pair."""
-        bad: set[int] = set()
-        for a, b in self.ids.disjoint:
-            bad |= self.nodes_below(a) & self.nodes_below(b)
-        return bad
+    def child_lists(
+        self, subset: Iterable[Mapping] | None = None
+    ) -> dict[int, list[int]]:
+        """The mapping edges of the view's alignment, or of `subset`, as
+        child lists beside the pair's `down`: superclass to subclasses."""
+        lists: dict[int, list[int]] = {}
+        for edges in (self.mapping_edges.values() if subset is None
+                      else map(self.edges_of, subset)):
+            for sub, sup in edges:
+                lists.setdefault(sup, []).append(sub)
+        return lists
+
+    def incoherent_ids(self, subset: Iterable[Mapping] | None = None) -> set[int]:
+        """Global ids of every class under both members of a disjoint
+        pair, with the view's alignment or the `subset` of it."""
+        both = below_both(self.ids.down, self.ids.disjoint, self.child_lists(subset))
+        return set(chain.from_iterable(both))
 
     @property
     def component_count(self) -> int:
         """Strongly connected components, counted on each read over the
         child lists: a graph and its reverse have the same components."""
-        down, extra = self.ids.down, self.down_extra
+        down, extra = self.ids.down, self.child_lists()
         lists = [[*ds, *extra[g]] if g in extra else ds for g, ds in enumerate(down)]
         return tarjan_scc(len(lists), lists)[0]
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .conflicts import ConflictList, find_conflict_sets
 from .fragments import CoreFragments, extract_core_fragments
 from .greedy import RepairConfig, RepairResult, repair
-from .model import Alignment, MergedGraph, Ontology, merged_view
+from .model import Alignment, Ontology, merged_view
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,10 @@ class Analysis:
 class RepairRun:
     """One run of the whole pipeline.
 
-    `incoherent_after` counts the incoherent classes of the merged view
-    of the kept mappings.  `phases` maps "merge", "fragments",
-    "conflicts", "repair" and "verify", in that order, to seconds.
-    Neither merged view is kept; both share the pair's `GlobalIds`.
+    `incoherent_after` counts the incoherent classes that the kept
+    mappings leave, on the analysis view, which `analysis.fragments`
+    keeps.  `phases` maps "merge", "fragments", "conflicts", "repair"
+    and "verify", in that order, to seconds.
     """
 
     analysis: Analysis
@@ -67,20 +67,15 @@ def analyze(o1: Ontology, o2: Ontology, alignment: Alignment) -> Analysis:
     )
 
 
-def repair_alignment(
-    o1: Ontology,
-    o2: Ontology,
-    alignment: Alignment,
-    config: RepairConfig = RepairConfig(),
-) -> RepairRun:
+def repair_alignment(o1: Ontology, o2: Ontology, alignment: Alignment,
+                     config: RepairConfig = RepairConfig()) -> RepairRun:
     """Analyze the alignment, repair it, and count the incoherent
     classes that the kept mappings leave."""
     analysis = analyze(o1, o2, alignment)
     start = time.perf_counter()
     result = repair(analysis.conflicts, alignment, config)
     repaired = time.perf_counter()
-    kept_view = MergedGraph(analysis.fragments.ids, result.kept)
-    incoherent_after = len(kept_view.incoherent_ids())
+    incoherent_after = len(analysis.fragments.view.incoherent_ids(result.kept))
     done = time.perf_counter()
     return RepairRun(
         analysis=analysis,

@@ -51,7 +51,7 @@ def fragment_entails(frags, subset, a, b):
     for child, parent in frags.edges:
         up.setdefault(child, []).append(parent)
     for m in subset:
-        for u, v in frags.mapping_edges[m.key]:
+        for u, v in frags.view.edges_of(m):
             up.setdefault(u, []).append(v)
     seen = {src}
     queue = deque([src])
@@ -426,19 +426,25 @@ def test_one_component_pass_per_analysis(f1, tmp_path, monkeypatch, capsys):
 
 
 def test_a_repair_run_builds_the_pair_ids_once(f1, tmp_path, monkeypatch, capsys):
-    """The analysis view and the view that verifies the repair share one
-    `GlobalIds`, in the library and in `alignrepair repair`."""
-    built = []
+    """A repair run builds one `GlobalIds` and one merged view, which
+    verifies the repair too, in the library and in `alignrepair repair`."""
+    built, views = [], []
 
     class Counted(alignrepair.model.GlobalIds):
         def __init__(self, o1, o2):
             built.append(1)
             super().__init__(o1, o2)
 
+    def counted_view(self, ids, alignment, real=alignrepair.model.MergedGraph.__init__):
+        views.append(1)
+        real(self, ids, alignment)
+
     monkeypatch.setattr(alignrepair.model, "GlobalIds", Counted)
+    monkeypatch.setattr(alignrepair.model.MergedGraph, "__init__", counted_view)
     run = repair_alignment(f1.o1, f1.o2, f1.alignment)
-    assert (len(built), run.incoherent_after) == (1, 0)
+    assert (len(built), len(views), run.incoherent_after) == (1, 1, 0)
     built.clear()
+    views.clear()
     files = {"o1.txt": write_ontology_file(f1.o1),
              "o2.txt": write_ontology_file(f1.o2),
              "align.tsv": write_alignment_tsv(f1.alignment)}
@@ -449,7 +455,7 @@ def test_a_repair_run_builds_the_pair_ids_once(f1, tmp_path, monkeypatch, capsys
                          "--align", str(tmp_path / "align.tsv"),
                          "--out", str(tmp_path / "out.tsv")]) == 0
     capsys.readouterr()
-    assert len(built) == 1
+    assert (len(built), len(views)) == (1, 1)
 
 
 def test_fragments_keep_only_their_fields(f1):
@@ -460,7 +466,7 @@ def test_fragments_keep_only_their_fields(f1):
     fragments_incoherent(frags, f1.alignment)
     frags.core_classes, frags.reduced_edges, frags.start_classes
     assert set(vars(frags)) == {f.name for f in dataclasses.fields(CoreFragments)}
-    assert frags == dataclasses.replace(frags, radj={}, mapping_edges={})
+    assert frags == dataclasses.replace(frags, radj={}, view=None)
 
 
 def test_extraction_with_a_view_resolves_no_class(f1, monkeypatch):
@@ -491,7 +497,7 @@ def test_extraction_with_a_view_resolves_no_class(f1, monkeypatch):
             conflicts = find_conflict_sets(frags, (), align)
             incoherent = fragments_incoherent(frags, align)
         assert fields(frags) == expected
-        assert frags.mapping_edges is view.mapping_edges
+        assert frags.view is view
         assert incoherent == bool(len(conflicts)) == bool(view.incoherent_ids())
         sides = [view.ids.locate(g)[0] for g in frags.core]
         assert sum(a != b for a, b in zip(sides, sides[1:])) >= 2

@@ -135,11 +135,11 @@ GOLDEN_RENAMED = {
     },
 }
 
-# The repaired TSV and the report of `repair` on two benchmark workloads
-# (perfbench/workloads.py), generated unshuffled: ROADMAP M with the
-# defaults, and conflict-dense, the one workload that runs the
-# confidence filter.  perfbench/README.md lists the first 16 hex digits
-# of each.
+# The repaired TSV and the report of `repair` on the three benchmark
+# workloads (perfbench/workloads.py), generated unshuffled: ROADMAP M
+# with the defaults; conflict-dense, the one workload that runs the
+# confidence filter; and sparse-wide, where the merged view and verify
+# weigh most.  perfbench/README.md lists the first 16 hex digits of each.
 WORKLOADS = {
     "dense-align": (
         ["--classes", "10000", "--mappings", "2000", "--disjoints", "50",
@@ -156,6 +156,14 @@ WORKLOADS = {
         ["--epsilon", "0.05"],
         "99b172b580844860b06c9e83d9a1afffc50709468d7c124a45fb09b1af9203ff",
         "b85d14b1b23c7acaa5b02ddb4c2342586e3ff26d698c03c97f3d471f41990424",
+    ),
+    "sparse-wide": (
+        ["--classes", "20000", "--mappings", "200", "--disjoints", "50",
+         "--noise", "0.25", "--seed", "11", "--max-depth", "60",
+         "--branching", "1.15"],
+        [],
+        "1d2abbf3faf2c4f8c044ff40b91c2f04eb5f5f6b140e87de561cc52123668679",
+        "40b1cbc1351894f53db9d301ff85eb349c0765a20bd4bab89790897073a204f4",
     ),
 }
 

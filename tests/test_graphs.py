@@ -2,7 +2,9 @@
 
 import random
 
+import alignrepair.graphs
 from alignrepair.graphs import (
+    below_both,
     condensation_edges,
     iter_bits,
     tarjan_scc,
@@ -62,3 +64,27 @@ def test_condensation_reachability_matches_naive_on_random_graphs():
 def test_iter_bits():
     assert list(iter_bits(0b101001)) == [0, 3, 5]
     assert list(iter_bits(0)) == []
+
+
+def test_below_both_matches_naive_and_searches_each_member_once(monkeypatch):
+    """Random graphs whose pairs share members: each pair's common
+    descendants, with extra child lists, are the naive ones, and no
+    member's cone is searched twice."""
+    rng = random.Random(3)
+    real, searched = alignrepair.graphs.reachable, []
+
+    def counted(adj, start, extra=None):
+        searched.append(start)
+        return real(adj, start, extra)
+
+    monkeypatch.setattr(alignrepair.graphs, "reachable", counted)
+    for _ in range(100):
+        n = rng.randint(2, 12)
+        down = [[v for v in range(n) if v != u and rng.random() < 0.2] for u in range(n)]
+        extra = {u: [rng.randrange(n)] for u in range(n) if rng.random() < 0.3}
+        merged = [[*down[u], *extra.get(u, ())] for u in range(n)]
+        pairs = sorted({tuple(sorted(rng.sample(range(n), 2))) for _ in range(4)})
+        searched.clear()
+        reach = naive_reachable(n, merged)
+        assert list(below_both(down, pairs, extra)) == [reach[a] & reach[b] for a, b in pairs]
+        assert sorted(searched) == sorted({x for pair in pairs for x in pair})

@@ -25,7 +25,7 @@ from alignrepair import (
 from alignrepair.fragments import _has_two_covers, _parent_lists
 from alignrepair.graphs import condensation_edges, reachable, tarjan_scc
 from alignrepair.model import GlobalIds, MergedGraph, Ontology
-from alignrepair.oracle import _merged_adjacency
+from alignrepair.oracle import _merged_adjacency, exhaustive_incoherence
 
 from conftest import (
     brute_direct_superclasses,
@@ -38,8 +38,9 @@ from conftest import (
 
 def entails(view, a, b):
     """a is (reflexively, transitively) subsumed by b: a lies in b's
-    downward cone."""
-    return view.ids.node(a) in view.nodes_below(view.ids.node(b))
+    downward cone over the pair's child lists and the view's."""
+    cone = reachable(view.ids.down, view.ids.node(b), view.child_lists())
+    return view.ids.node(a) in cone
 
 
 def components(view):
@@ -501,10 +502,10 @@ def test_parent_lists_are_built_only_by_extraction(instance):
     id.  The parent lists that fragment extraction builds are the
     oracle's merged graph by global id, each list sorted and distinct."""
     o1, o2, align = instance
-    assert MergedGraph.__slots__ == ("ids", "mapping_edges", "down_extra")
+    assert MergedGraph.__slots__ == ("ids", "mapping_edges")
+    assert not hasattr(MergedGraph, "nodes_below")
     view = merged_view(o1, o2, align)
     fields = [getattr(view, name) for name in MergedGraph.__slots__]
-    extra = {g: list(us) for g, us in view.down_extra.items()}
     node = view.ids.node
     edges = {m.key: tuple((node(sub), node(sup)) for sub, sup in m.edges())
              for m in align}
@@ -513,7 +514,6 @@ def test_parent_lists_are_built_only_by_extraction(instance):
     repr(view)
     assert all(getattr(view, name) is f
                for name, f in zip(MergedGraph.__slots__, fields))
-    assert view.down_extra == extra
     assert view.mapping_edges == edges
     ups = [set() for _ in view.ids.names]
     for sup, subs in _merged_adjacency(o1, o2, align).items():
@@ -554,8 +554,30 @@ def test_views_of_one_pair_share_their_ids(f1):
     for align in (f1.alignment, Alignment([f1.m2]), Alignment()):
         shared, fresh = MergedGraph(ids, align), merged_view(f1.o1, f1.o2, align)
         assert shared.ids is ids
-        assert shared.down_extra == fresh.down_extra
+        assert shared.mapping_edges == fresh.mapping_edges
         assert shared.incoherent_ids() == fresh.incoherent_ids()
     with pytest.raises(ModelError, match=r"^merged_view expects ontologies with "
                        r"sides 1 and 2$"):
         GlobalIds(f1.o2, f1.o1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_instances(), st.data())
+def test_one_view_answers_for_every_subset(instance, data):
+    """A view's incoherent classes for a subset of its alignment are those
+    of a view built for the subset alone, and the exhaustive oracle's."""
+    o1, o2, align = instance
+    view = merged_view(o1, o2, align)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(align), max_size=len(align)))
+    subset = [m for m, k in zip(align, keep) if k]
+    expected = {view.ids.node(c) for c in exhaustive_incoherence(o1, o2, subset)}
+    assert view.incoherent_ids(subset) == expected
+    assert MergedGraph(view.ids, Alignment(subset)).incoherent_ids() == expected
+
+
+def test_a_mapping_outside_the_view_is_rejected(f1):
+    view = merged_view(f1.o1, f1.o2, Alignment([f1.m1]))
+    assert view.incoherent_ids([f1.m1]) == view.incoherent_ids() == set()
+    for query in (view.incoherent_ids, view.child_lists):
+        with pytest.raises(ValueError, match="^mapping 'C1 > A2' is not in the alignment"):
+            query([f1.m1, f1.m2])

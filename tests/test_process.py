@@ -130,6 +130,20 @@ def test_failed_stdout_flush_exits_1(instance):
     assert run.stderr.decode().startswith("error: ")
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_repair_that_cannot_write_stdout_leaves_no_file(instance, tmp_path):
+    out, report = tmp_path / "repaired.tsv", tmp_path / "report.json"
+    with open("/dev/full", "wb") as full:
+        run = subprocess.run(
+            [sys.executable, "-m", "alignrepair", "repair", *inputs(instance),
+             "--out", str(out), "--report", str(report)],
+            env=ENV, stdout=full, stderr=subprocess.PIPE, timeout=60,
+        )
+    assert run.returncode == 1
+    assert run.stderr.decode().startswith("error: ")
+    assert not out.exists() and not report.exists()
+
+
 @pytest.mark.parametrize("first", ["alignrepair.pipeline", "alignrepair.greedy",
                                    "alignrepair.repair"])
 def test_package_repair_is_the_function_after_any_import(first):
