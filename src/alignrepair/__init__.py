@@ -25,7 +25,6 @@ _MODULES = {
     "FormatError": "formats",
     "GeneratorError": "model",
     "GeneratorParams": "generator",
-    "GlobalIds": "model",
     "Mapping": "model",
     "MergedGraph": "model",
     "ModelError": "model",

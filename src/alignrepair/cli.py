@@ -72,6 +72,9 @@ def _emit(report: dict, path: str | None) -> None:
 
 
 def _cmd_repair(args) -> int:
+    if args.report and Path(args.report).resolve() == Path(args.out).resolve():
+        print("error: --out and --report name the same file", file=sys.stderr)
+        return 1
     from .conflicts import conflict_statistics
     from .greedy import RemovalCause, RepairConfig
     from .pipeline import repair_alignment
@@ -141,7 +144,7 @@ def _cmd_check(args) -> int:
     view = merged_view(o1, o2, align)
     bad = sorted(view.incoherent_ids())
     # One write: with unbuffered output, each print would be a system call.
-    lines = [str(len(bad)), *(view.ids.names[g] for g in bad)]
+    lines = [str(len(bad)), *(view.names[g] for g in bad)]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

@@ -120,15 +120,16 @@ def find_conflict_sets(
 
     The search runs on the core graph, whose classes are the merged
     view's global ids.  Witnesses are `fragments.starts`, which hold the
-    disjointness endpoints and the checkset, and the given checkset's
-    classes (a class outside the core raises ValueError).  One backward
-    label search per endpoint finds the minimal label sets of the walks
-    from each node into it; all the searches run in one loop, by
-    label-set size.  A set is settled at a node unless a set settled
-    there is a subset of it, or it strictly contains a conflict found so
-    far.  When a witness's set for one member of a pair settles, its
-    union with each settled set for the other member is a conflict, and
-    each mask keeps its smallest (start class, pair index) witness.
+    disjointness endpoints, the checkset and the divergence starts, and
+    the given checkset's classes (a class outside the core raises
+    ValueError).  One backward label search per endpoint finds the
+    minimal label sets of the walks from each node into it; all the
+    searches run in one loop, by label-set size.  A set is settled at a
+    node unless a set settled there is a subset of it, or it strictly
+    contains a conflict found so far.  When a witness's set for one
+    member of a pair settles, its union with each settled set for the
+    other member is a conflict, and each mask keeps its smallest (start
+    class, pair index) witness.
     `max_work` caps the steps of the call: every settled label set (an
     endpoint's own empty set aside) and every union spend one step of
     one shared budget; exhausting it raises EnumerationCapExceeded.  The
@@ -141,12 +142,12 @@ def find_conflict_sets(
     # mapping edge is labelled with the mapping's index.  Parallel edges
     # with distinct labels all matter.
     mappings = alignment.mappings
-    radj = fragments.radj
+    radj, view = fragments.radj, fragments.view
     labelled: dict[int, list[tuple[int, int]]] = {g: [] for g in radj}
     for mi, m in enumerate(mappings):
-        for sub, sup in fragments.view.edges_of(m):
+        for sub, sup in view.edges_of(m):
             labelled[sup].append((sub, mi))
-    pairs = fragments.ids.disjoint
+    pairs = view.disjoint
     if not pairs or not mappings:
         return ConflictList()
 
@@ -156,7 +157,7 @@ def find_conflict_sets(
     for pi, (a, b) in enumerate(pairs):
         partners[a].append((pi, b))
         partners[b].append((pi, a))
-    name = fragments.ids.names
+    name = view.names
 
     # settled[e][v]: the label sets of walks v -> e settled so far.  found
     # maps each conflict mask to its smallest (start, pair index) witness;
@@ -211,7 +212,7 @@ def find_conflict_sets(
 
     # A dropped set strictly contains a found conflict, and so does every
     # union with it: the minimal found masks are the minimal conflicts.
-    at = fragments.ids.class_at
+    at = view.class_at
     return ConflictList(
         ConflictSet(
             mappings=frozenset(mappings[i] for i in iter_bits(mask)),
@@ -253,7 +254,7 @@ def disjoint_conflict_clusters(masks: Sequence[int]) -> tuple[tuple[int, ...], .
 def count_incoherent_classes(view: MergedGraph) -> tuple[int, tuple[ClassId, ...]]:
     """All classes entailed to sit under both members of a disjoint pair."""
     ordered = sorted(view.incoherent_ids())
-    return len(ordered), tuple(map(view.ids.class_at, ordered))
+    return len(ordered), tuple(map(view.class_at, ordered))
 
 
 def conflict_statistics(conflicts: ConflictList) -> dict:

@@ -8,9 +8,10 @@ leaves-first pass, `_minimal`.  Reduced edges compress mapping-free
 paths between core classes of one side, so that for every subset M' of
 the alignment they come from, and only for those, the fragment graph
 plus M' infers exactly the same subsumptions between core classes as
-the full merged graph plus M'.  Extraction reads only the merged view,
-whose parent lists and condensation it builds once and drops, and walks
-each ontology on its local ids, naming every core class by its global id.
+the full merged graph plus M'.  Extraction reads only the merged view:
+it builds the view's parent lists and condensation once and drops them,
+and walks each of the view's ontologies on local ids, naming every core
+class by its global id.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .graphs import below_both, condensation_edges, tarjan_scc
 from .model import (
     Alignment,
     ClassId,
-    GlobalIds,
     Mapping,
     MergedGraph,
     ModelError,
@@ -41,21 +41,20 @@ class ReducedEdge(NamedTuple):
 class CoreFragments:
     """Reduced per-side hierarchies over the core classes.
 
-    The engine fields name every class by its merged-view global id, in
-    `ids`.  `core` lists the core classes in ascending (name) order.
-    `edges` are the reduced (child, parent) edges, sorted; they carry no
-    mapping edges.  `radj` maps each core class to its children there,
-    the reverse reduced graph, to which conflict search and
-    `fragments_incoherent` add the mappings they consider, each by its
-    edges in `view`, the merged view they were extracted from; like it,
-    they raise ValueError on a mapping outside its alignment.  `starts`
-    is conflict enumeration's start set: the disjointness endpoints,
-    `checkset` and the divergence starts (see `_divergence_starts`);
-    `core` adds the mapping endpoints.  The ClassId views `core_classes`,
+    The engine fields name every class by its global id in `view`, the
+    merged view they were extracted from.  `core` lists the core classes
+    in ascending (name) order.  `edges` are the reduced (child, parent)
+    edges, sorted; they carry no mapping edges.  `radj` maps each core
+    class to its children there, the reverse reduced graph, to which
+    conflict search and `fragments_incoherent` add the mappings they
+    consider, each by its edges in `view`; like the view, they raise
+    ValueError on a mapping outside its alignment.  `starts` is conflict
+    enumeration's start set: the disjointness endpoints, `checkset` and
+    the divergence starts (see `_divergence_starts`); `core` adds the
+    mapping endpoints.  The ClassId views `core_classes`,
     `reduced_edges` and `start_classes` are built on each access.
     """
 
-    ids: GlobalIds
     core: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     starts: tuple[int, ...]
@@ -65,21 +64,21 @@ class CoreFragments:
 
     @property
     def core_classes(self) -> tuple[ClassId, ...]:
-        return tuple(map(self.ids.class_at, self.core))
+        return tuple(map(self.view.class_at, self.core))
 
     @property
     def reduced_edges(self) -> tuple[ReducedEdge, ...]:
-        at = self.ids.class_at
+        at = self.view.class_at
         return tuple(ReducedEdge(at(c), at(p)) for c, p in self.edges)
 
     @property
     def start_classes(self) -> tuple[ClassId, ...]:
-        return tuple(map(self.ids.class_at, self.starts))
+        return tuple(map(self.view.class_at, self.starts))
 
     def _require(self, c: ClassId) -> int:
         """Global id of a core class."""
         try:
-            g = self.ids.node(c)
+            g = self.view.node(c)
         except ModelError:
             g = -1
         if g not in self.radj:
@@ -96,20 +95,19 @@ def compute_checkset(view: MergedGraph) -> tuple[ClassId, ...]:
     included.  Incoherence checks on these classes suffice alongside the
     disjointness endpoints.  Builds its own parent lists and condensation.
     """
-    return tuple(map(view.ids.class_at, _checkset_ids(_parent_lists(view))))
+    return tuple(map(view.class_at, _checkset_ids(_parent_lists(view))))
 
 
 def _parent_lists(view: MergedGraph) -> list[Sequence[int]]:
     """Parent lists by global id, mapping edges included: each class's
     ontology parents and mapping heads in one sorted, distinct list."""
-    ids = view.ids
     heads: dict[int, set[int]] = {}
     for edges in view.mapping_edges.values():
         for sub, sup in edges:
             heads.setdefault(sub, set()).add(sup)
-    adj: list[Sequence[int]] = [()] * len(ids.names)
-    for ps_of, g in zip(ids.parents, ids.glob):
-        for gi, ps in zip(g, ps_of):
+    adj: list[Sequence[int]] = [()] * len(view.names)
+    for onto, g in zip(view.sides, view.glob):
+        for gi, ps in zip(g, onto.parents):
             extra = heads.get(gi)
             if extra:
                 adj[gi] = sorted(extra.union(g[p] for p in ps))
@@ -180,9 +178,7 @@ def _checkset_ids(adj: list[Sequence[int]]) -> list[int]:
     return [g for g, c in enumerate(comp) if c in kept]
 
 
-def _divergence_starts(
-    adj: list[Sequence[int]], ids: GlobalIds, o1: Ontology, o2: Ontology
-) -> list[int]:
+def _divergence_starts(adj: list[Sequence[int]], view: MergedGraph) -> list[int]:
     """Conflict-search entry points beyond the checkset, as global ids.
 
     Any class where two upward walks can split has at least two distinct
@@ -193,7 +189,7 @@ def _divergence_starts(
     inherits all of its incoherences, so only the lower one is searched.
     """
     kept: list[int] = []
-    for onto, glob in zip((o1, o2), ids.glob):
+    for onto, glob in zip(view.sides, view.glob):
         is_candidate = [len(adj[g]) >= 2 for g in glob]
         minimal = _minimal(reversed(onto.order), onto.parents, is_candidate.__getitem__)
         kept.extend(glob[v] for v in minimal)
@@ -257,17 +253,16 @@ def extract_core_fragments(
 ) -> CoreFragments:
     """Extract the core classes and their reduced subclass structure.
 
-    `alignment` is read only to build a merged view when none is passed;
-    pass a prebuilt one to avoid rebuilding its mapping edges.  The
-    merged graph's parent lists and condensation are built here and
+    `o1`, `o2` and `alignment` are read only to build a merged view when
+    none is passed; pass a prebuilt one to avoid building it again.
+    The merged graph's parent lists and condensation are built here and
     dropped before the reduced edges.
     """
     if view is None:
         view = merged_view(o1, o2, alignment)
-    ids = view.ids
     adj = _parent_lists(view)
     checkset = _checkset_ids(adj)
-    starts = set(checkset).union(_divergence_starts(adj, ids, o1, o2), *ids.disjoint)
+    starts = set(checkset).union(_divergence_starts(adj, view), *view.disjoint)
     del adj
     # The ends of the mapping edges are exactly the mapping endpoints.
     core = starts.union(*(e for edges in view.mapping_edges.values() for e in edges))
@@ -275,7 +270,7 @@ def extract_core_fragments(
 
     edges = sorted(
         e
-        for onto, glob in zip((o1, o2), ids.glob)
+        for onto, glob in zip(view.sides, view.glob)
         for e in _reduced_edges_for_side(onto, glob, core)
     )
     radj: dict[int, list[int]] = {g: [] for g in core_ids}
@@ -283,7 +278,6 @@ def extract_core_fragments(
         radj[parent].append(child)
 
     return CoreFragments(
-        ids=ids,
         core=tuple(core_ids),
         edges=tuple(edges),
         starts=tuple(sorted(starts)),
@@ -299,4 +293,4 @@ def fragments_incoherent(fragments: CoreFragments, subset: Iterable[Mapping]) ->
     Like the core graph, the search names classes by their global ids.
     A mapping the fragments were not extracted for raises ValueError."""
     extra = fragments.view.child_lists(subset)
-    return any(below_both(fragments.radj, fragments.ids.disjoint, extra))
+    return any(below_both(fragments.radj, fragments.view.disjoint, extra))

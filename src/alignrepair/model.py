@@ -342,21 +342,25 @@ def _check_coherent(
             )
 
 
-class GlobalIds:
-    """The alignment-free half of every merged view of one ontology pair.
+class MergedGraph:
+    """Combined subsumption graph of two ontologies plus an alignment.
 
-    Global ids number the classes of both sides in name order, so int
-    order is ClassId order.  `glob[side - 1]` maps a side's local ids to
-    global ids; the map is monotone, so mapped parent lists stay sorted.
-    `parents[side - 1]` holds a side's parent lists on local ids, and
-    `down` the child lists on global ids.  One instance can serve every
-    view of the pair: pass it to each `MergedGraph`.  Its lists are
-    shared and never modified.
+    Nodes are all classes of both sides.  Global ids number them in name
+    order, so int order is ClassId order.  `sides` holds the two
+    ontologies, whose parent lists the engine reads on local ids, and
+    `glob[side - 1]` maps a side's local ids to global ids; the map is
+    monotone, so mapped parent lists stay sorted.  `down` holds the
+    subclass edges as child lists on global ids, and `disjoint` both
+    sides' disjoint pairs on global ids, sorted.  Each mapping's
+    `Mapping.edges` are resolved once: `mapping_edges` maps a mapping
+    key to them on global ids.  A view serves its alignment and any
+    subset of it, and raises ValueError on any other mapping.  Nothing
+    modifies its lists once built.
     """
 
-    __slots__ = ("names", "index", "glob", "parents", "down", "disjoint")
+    __slots__ = ("sides", "names", "glob", "down", "disjoint", "mapping_edges")
 
-    def __init__(self, o1: Ontology, o2: Ontology):
+    def __init__(self, o1: Ontology, o2: Ontology, alignment: Alignment):
         if o1.side != 1 or o2.side != 2:
             raise ModelError("merged_view expects ontologies with sides 1 and 2")
         names = sorted(o1.names + o2.names)  # timsort: one merge of two runs
@@ -366,64 +370,47 @@ class GlobalIds:
                 f"class ids must be unique across both ontologies "
                 f"({min(set(o1.names) & set(o2.names))!r} appears on both sides)"
             )
+        self.sides = sides = (o1, o2)
         self.names = names
-        self.index = (o1.index, o2.index)
-        self.glob = tuple(list(map(at.__getitem__, o.names)) for o in (o1, o2))
-        self.parents = (o1.parents, o2.parents)
+        self.glob = glob = tuple(list(map(at.__getitem__, o.names)) for o in sides)
         self.down: list[list[int]] = [[] for _ in names]
-        for ps_of, g in zip(self.parents, self.glob):
-            for gi, ps in zip(g, ps_of):
+        for o, g in zip(sides, glob):
+            for gi, ps in zip(g, o.parents):
                 for p in ps:
                     self.down[g[p]].append(gi)
         self.disjoint = tuple(sorted(
-            (g[a], g[b]) for o, g in zip((o1, o2), self.glob) for a, b in o.disjoint
+            (g[a], g[b]) for o, g in zip(sides, glob) for a, b in o.disjoint
         ))
+        self.mapping_edges: dict[tuple[str, str, str], tuple[tuple[int, int], ...]] = {}
+        for m in alignment:
+            ends = {}
+            for c in (m.source, m.target):
+                local = sides[c.side - 1].index.get(c.id)
+                if local is None:
+                    raise AlignmentError(f"dangling mapping endpoint {c.id!r} "
+                                         f"(not in ontology {c.side})")
+                ends[c] = glob[c.side - 1][local]
+            self.mapping_edges[m.key] = tuple((ends[u], ends[v]) for u, v in m.edges())
+
+    def __repr__(self) -> str:
+        return (f"MergedGraph(classes={len(self.names)}, "
+                f"mappings={len(self.mapping_edges)})")
 
     def node(self, c: ClassId) -> int:
         """Global id of a class."""
-        local = self.index[c.side - 1].get(c.id) if c.side in (1, 2) else None
+        local = self.sides[c.side - 1].index.get(c.id) if c.side in (1, 2) else None
         if local is None:
             raise ModelError(f"unknown class {c.id!r} (side {c.side})")
         return self.glob[c.side - 1][local]
 
     def locate(self, g: int) -> tuple[int, int]:
         """(side, local id) of a global id."""
-        local = self.index[0].get(self.names[g])
-        return (1, local) if local is not None else (2, self.index[1][self.names[g]])
+        name = self.names[g]
+        local = self.sides[0].index.get(name)
+        return (1, local) if local is not None else (2, self.sides[1].index[name])
 
     def class_at(self, g: int) -> ClassId:
         return ClassId(self.names[g], self.locate(g)[0])
-
-
-class MergedGraph:
-    """Combined subsumption graph of two ontologies plus an alignment.
-
-    Nodes are all classes of both sides, under the pair's `GlobalIds`
-    `ids`; edges are the ontology subclass edges plus each mapping's
-    `Mapping.edges`, which the view resolves once: `mapping_edges` maps a
-    mapping key to them on global ids (do not modify it).  A view serves
-    its alignment and any subset of it, and raises ValueError on any
-    other mapping.
-    """
-
-    __slots__ = ("ids", "mapping_edges")
-
-    def __init__(self, ids: GlobalIds, alignment: Alignment):
-        self.ids = ids
-        self.mapping_edges: dict[tuple[str, str, str], tuple[tuple[int, int], ...]] = {}
-        for m in alignment:
-            at = {}
-            for c in (m.source, m.target):
-                local = ids.index[c.side - 1].get(c.id)
-                if local is None:
-                    raise AlignmentError(f"dangling mapping endpoint {c.id!r} "
-                                         f"(not in ontology {c.side})")
-                at[c] = ids.glob[c.side - 1][local]
-            self.mapping_edges[m.key] = tuple((at[u], at[v]) for u, v in m.edges())
-
-    def __repr__(self) -> str:
-        return (f"MergedGraph(classes={len(self.ids.names)}, "
-                f"mappings={len(self.mapping_edges)})")
 
     def edges_of(self, m: Mapping) -> tuple[tuple[int, int], ...]:
         """Global (subclass, superclass) edges of a mapping of the view."""
@@ -438,7 +425,7 @@ class MergedGraph:
         self, subset: Iterable[Mapping] | None = None
     ) -> dict[int, list[int]]:
         """The mapping edges of the view's alignment, or of `subset`, as
-        child lists beside the pair's `down`: superclass to subclasses."""
+        child lists beside `down`: superclass to subclasses."""
         lists: dict[int, list[int]] = {}
         for edges in (self.mapping_edges.values() if subset is None
                       else map(self.edges_of, subset)):
@@ -449,18 +436,18 @@ class MergedGraph:
     def incoherent_ids(self, subset: Iterable[Mapping] | None = None) -> set[int]:
         """Global ids of every class under both members of a disjoint
         pair, with the view's alignment or the `subset` of it."""
-        both = below_both(self.ids.down, self.ids.disjoint, self.child_lists(subset))
+        both = below_both(self.down, self.disjoint, self.child_lists(subset))
         return set(chain.from_iterable(both))
 
     @property
     def component_count(self) -> int:
         """Strongly connected components, counted on each read over the
         child lists: a graph and its reverse have the same components."""
-        down, extra = self.ids.down, self.child_lists()
+        down, extra = self.down, self.child_lists()
         lists = [[*ds, *extra[g]] if g in extra else ds for g, ds in enumerate(down)]
         return tarjan_scc(len(lists), lists)[0]
 
 
 def merged_view(o1: Ontology, o2: Ontology, alignment: Alignment) -> MergedGraph:
     """Build the merged subsumption graph of two ontologies and an alignment."""
-    return MergedGraph(GlobalIds(o1, o2), alignment)
+    return MergedGraph(o1, o2, alignment)

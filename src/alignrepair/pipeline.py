@@ -52,7 +52,8 @@ def analyze(o1: Ontology, o2: Ontology, alignment: Alignment) -> Analysis:
     merged = time.perf_counter()
     fragments = extract_core_fragments(o1, o2, alignment, view=view)
     extracted = time.perf_counter()
-    # The start classes already hold the checkset and the endpoints.
+    # The start classes already hold the checkset, the divergence starts
+    # and the endpoints.
     conflicts = find_conflict_sets(fragments, (), alignment)
     done = time.perf_counter()
     return Analysis(

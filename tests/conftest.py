@@ -206,13 +206,13 @@ def renamed_instance(o1, o2, alignment, seed: int):
 
 def core_pairs(fragments) -> list[tuple[ClassId, ClassId]]:
     """The fragments' disjoint pairs as ClassIds, from their global ids."""
-    at = fragments.ids.class_at
-    return [(at(a), at(b)) for a, b in fragments.ids.disjoint]
+    at = fragments.view.class_at
+    return [(at(a), at(b)) for a, b in fragments.view.disjoint]
 
 
 def checkset_classes(fragments) -> tuple[ClassId, ...]:
     """The fragments' checkset as ClassIds, from its global ids."""
-    return tuple(map(fragments.ids.class_at, fragments.checkset))
+    return tuple(map(fragments.view.class_at, fragments.checkset))
 
 
 # -- brute-force oracles ---------------------------------------------------

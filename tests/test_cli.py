@@ -243,6 +243,33 @@ class TestErrorsAndExitCodes:
         assert captured.err.startswith("error: [Errno 2]")
         assert not out.exists() and not report.exists()
 
+    def test_out_and_report_naming_one_file_is_error(self, f1_files, capsys):
+        """Two spellings of one path: the report would overwrite the
+        repaired alignment, so the run writes neither."""
+        same = f1_files / "same.json"
+        status = cli_dispatch(["repair", *_inputs(f1_files), "--out", str(same),
+                               "--report", str(f1_files / "." / "same.json")])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out and --report name the same file\n"
+        assert not same.exists()
+
+    def test_class_declared_on_both_sides_is_error(self, tmp_path, capsys):
+        (tmp_path / "o1.txt").write_text("CLASS P\nCLASS Q\n")
+        (tmp_path / "o2.txt").write_text("CLASS Q\nCLASS R\n")
+        (tmp_path / "al.tsv").write_text("")
+        status = cli_dispatch(
+            ["check", "--onto1", str(tmp_path / "o1.txt"),
+             "--onto2", str(tmp_path / "o2.txt"),
+             "--align", str(tmp_path / "al.tsv")]
+        )
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: class ids must be unique across both "
+                                "ontologies ('Q' appears on both sides)\n")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_epsilon_rejected(self, f1_files, capsys, value):
         out = f1_files / "repaired.tsv"

@@ -124,7 +124,7 @@ class TestFindConflictSets:
         extra = Mapping(o1.class_id("a0031"), o2.class_id("b0021"),
                         Relation.SUBSUMES, 0.5)
         core = set(frags.core)
-        assert {frags.ids.node(c) for c in (extra.source, extra.target)} <= core
+        assert {frags.view.node(c) for c in (extra.source, extra.target)} <= core
         extended = Alignment([*produced, extra])
         message = "'a0031 > b0021' is not in the alignment"
         with pytest.raises(ValueError, match=message):

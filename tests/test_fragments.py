@@ -426,24 +426,18 @@ def test_one_component_pass_per_analysis(f1, tmp_path, monkeypatch, capsys):
 
 
 def test_a_repair_run_builds_the_pair_ids_once(f1, tmp_path, monkeypatch, capsys):
-    """A repair run builds one `GlobalIds` and one merged view, which
-    verifies the repair too, in the library and in `alignrepair repair`."""
-    built, views = [], []
+    """A repair run builds one merged view, which numbers the pair's
+    classes and verifies the repair too, in the library and in
+    `alignrepair repair`."""
+    views = []
 
-    class Counted(alignrepair.model.GlobalIds):
-        def __init__(self, o1, o2):
-            built.append(1)
-            super().__init__(o1, o2)
-
-    def counted_view(self, ids, alignment, real=alignrepair.model.MergedGraph.__init__):
+    def counted_view(self, o1, o2, alignment, real=alignrepair.model.MergedGraph.__init__):
         views.append(1)
-        real(self, ids, alignment)
+        real(self, o1, o2, alignment)
 
-    monkeypatch.setattr(alignrepair.model, "GlobalIds", Counted)
     monkeypatch.setattr(alignrepair.model.MergedGraph, "__init__", counted_view)
     run = repair_alignment(f1.o1, f1.o2, f1.alignment)
-    assert (len(built), len(views), run.incoherent_after) == (1, 1, 0)
-    built.clear()
+    assert (len(views), run.incoherent_after) == (1, 0)
     views.clear()
     files = {"o1.txt": write_ontology_file(f1.o1),
              "o2.txt": write_ontology_file(f1.o2),
@@ -455,7 +449,7 @@ def test_a_repair_run_builds_the_pair_ids_once(f1, tmp_path, monkeypatch, capsys
                          "--align", str(tmp_path / "align.tsv"),
                          "--out", str(tmp_path / "out.tsv")]) == 0
     capsys.readouterr()
-    assert (len(built), len(views)) == (1, 1)
+    assert len(views) == 1
 
 
 def test_fragments_keep_only_their_fields(f1):
@@ -490,14 +484,14 @@ def test_extraction_with_a_view_resolves_no_class(f1, monkeypatch):
         expected = fields(extract_core_fragments(o1, o2, align))
         view = merged_view(o1, o2, align)
         with monkeypatch.context() as m:
-            m.setattr(alignrepair.model.GlobalIds, "node", forbidden)
+            m.setattr(alignrepair.model.MergedGraph, "node", forbidden)
             with monkeypatch.context() as extracting:
-                extracting.setattr(alignrepair.model.GlobalIds, "locate", forbidden)
+                extracting.setattr(alignrepair.model.MergedGraph, "locate", forbidden)
                 frags = extract_core_fragments(o1, o2, align, view=view)
             conflicts = find_conflict_sets(frags, (), align)
             incoherent = fragments_incoherent(frags, align)
         assert fields(frags) == expected
         assert frags.view is view
         assert incoherent == bool(len(conflicts)) == bool(view.incoherent_ids())
-        sides = [view.ids.locate(g)[0] for g in frags.core]
+        sides = [view.locate(g)[0] for g in frags.core]
         assert sum(a != b for a, b in zip(sides, sides[1:])) >= 2

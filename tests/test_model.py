@@ -24,7 +24,7 @@ from alignrepair import (
 )
 from alignrepair.fragments import _has_two_covers, _parent_lists
 from alignrepair.graphs import condensation_edges, reachable, tarjan_scc
-from alignrepair.model import GlobalIds, MergedGraph, Ontology
+from alignrepair.model import MergedGraph, Ontology
 from alignrepair.oracle import _merged_adjacency, exhaustive_incoherence
 
 from conftest import (
@@ -38,9 +38,9 @@ from conftest import (
 
 def entails(view, a, b):
     """a is (reflexively, transitively) subsumed by b: a lies in b's
-    downward cone over the pair's child lists and the view's."""
-    cone = reachable(view.ids.down, view.ids.node(b), view.child_lists())
-    return view.ids.node(a) in cone
+    downward cone over the view's subclass and mapping child lists."""
+    cone = reachable(view.down, view.node(b), view.child_lists())
+    return view.node(a) in cone
 
 
 def components(view):
@@ -56,7 +56,7 @@ def has_two_covers(view, a):
     adj = _parent_lists(view)
     count, comp = tarjan_scc(len(adj), adj)
     cond_parents = condensation_edges(len(adj), adj, comp, count)
-    return _has_two_covers(cond_parents, comp[view.ids.node(a)])
+    return _has_two_covers(cond_parents, comp[view.node(a)])
 
 
 def brute_cover_count(o1, o2, align, a):
@@ -232,20 +232,20 @@ class TestMapping:
 class TestMergedView:
     def test_f1_full_has_equivalence_component(self, f1):
         view = merged_view(f1.o1, f1.o2, f1.alignment)
-        assert len(view.ids.names) == 6
+        assert len(view.names) == 6
         comp = components(view)
-        assert comp[view.ids.node(f1.cid("A1"))] == comp[view.ids.node(f1.cid("A2"))]
+        assert comp[view.node(f1.cid("A1"))] == comp[view.node(f1.cid("A2"))]
 
     def test_f1_empty_alignment_all_singletons(self, f1):
         view = merged_view(f1.o1, f1.o2, Alignment())
-        assert view.component_count == len(view.ids.names)
-        assert sorted(components(view)) == list(range(len(view.ids.names)))
+        assert view.component_count == len(view.names)
+        assert sorted(components(view)) == list(range(len(view.names)))
 
     def test_f1_only_m2_edge_present(self, f1):
         view = merged_view(f1.o1, f1.o2, Alignment([f1.m2]))
-        assert view.component_count == len(view.ids.names)
+        assert view.component_count == len(view.names)
         adj = _parent_lists(view)
-        assert view.ids.node(f1.cid("C1")) in adj[view.ids.node(f1.cid("A2"))]
+        assert view.node(f1.cid("C1")) in adj[view.node(f1.cid("A2"))]
 
     def test_relation_edge_directions(self):
         o1 = build_ontology(1, ["s"])
@@ -258,7 +258,7 @@ class TestMergedView:
         eq = merged_view(o1, o2, Alignment([Mapping(s, t, Relation.EQUIVALENCE)]))
         assert entails(eq, s, t) and entails(eq, t, s)
         comp = components(eq)
-        assert comp[eq.ids.node(s)] == comp[eq.ids.node(t)]
+        assert comp[eq.node(s)] == comp[eq.node(t)]
         assert eq.component_count == 1
 
     def test_dangling_endpoint_rejected(self, f1):
@@ -270,10 +270,17 @@ class TestMergedView:
                 merged_view(f1.o1, f1.o2, Alignment([stray]))
 
     def test_duplicate_ids_across_sides_rejected(self):
-        o1 = build_ontology(1, ["A", "B"], [("A", "B")])
-        o2 = build_ontology(2, ["A"])
-        with pytest.raises(ModelError, match="unique"):
+        """The view names the smallest class that both sides declare."""
+        o1 = build_ontology(1, ["R", "Q", "Z"], [("Q", "R")])
+        o2 = build_ontology(2, ["R", "Q", "A"])
+        with pytest.raises(ModelError, match=r"^class ids must be unique across both "
+                           r"ontologies \('Q' appears on both sides\)$"):
             merged_view(o1, o2, Alignment())
+
+    def test_swapped_sides_rejected(self, f1):
+        with pytest.raises(ModelError, match=r"^merged_view expects ontologies with "
+                           r"sides 1 and 2$"):
+            merged_view(f1.o2, f1.o1, Alignment())
 
     def test_unknown_class_query_rejected(self, f1):
         view = merged_view(f1.o1, f1.o2, f1.alignment)
@@ -478,14 +485,14 @@ def test_global_ids_are_name_order_and_round_trip(instance, seed):
     and back through its local id, and lies in one component."""
     for o1, o2, align in (instance, renamed_instance(*instance, seed)):
         view = merged_view(o1, o2, align)
-        classes = tuple(map(view.ids.class_at, range(len(view.ids.names))))
+        classes = tuple(map(view.class_at, range(len(view.names))))
         assert classes == tuple(sorted(o1.classes + o2.classes))
-        for onto, glob in zip((o1, o2), view.ids.glob):
+        for onto, glob in zip((o1, o2), view.glob):
             for local, c in enumerate(onto.classes):
                 g = glob[local]
                 assert onto.index[c.id] == local
-                assert view.ids.node(c) == g and classes[g] == c
-                assert view.ids.locate(g) == (onto.side, local)
+                assert view.node(c) == g and classes[g] == c
+                assert view.locate(g) == (onto.side, local)
         # Every class is a member of exactly one component, and the
         # parent lists and the child lists have the same components.
         comp = components(view)
@@ -502,11 +509,12 @@ def test_parent_lists_are_built_only_by_extraction(instance):
     id.  The parent lists that fragment extraction builds are the
     oracle's merged graph by global id, each list sorted and distinct."""
     o1, o2, align = instance
-    assert MergedGraph.__slots__ == ("ids", "mapping_edges")
+    assert MergedGraph.__slots__ == ("sides", "names", "glob", "down", "disjoint",
+                                     "mapping_edges")
     assert not hasattr(MergedGraph, "nodes_below")
     view = merged_view(o1, o2, align)
     fields = [getattr(view, name) for name in MergedGraph.__slots__]
-    node = view.ids.node
+    node = view.node
     edges = {m.key: tuple((node(sub), node(sup)) for sub, sup in m.edges())
              for m in align}
     count_incoherent_classes(view)
@@ -515,10 +523,10 @@ def test_parent_lists_are_built_only_by_extraction(instance):
     assert all(getattr(view, name) is f
                for name, f in zip(MergedGraph.__slots__, fields))
     assert view.mapping_edges == edges
-    ups = [set() for _ in view.ids.names]
+    ups = [set() for _ in view.names]
     for sup, subs in _merged_adjacency(o1, o2, align).items():
         for sub in subs:
-            ups[view.ids.node(sub)].add(view.ids.node(sup))
+            ups[view.node(sub)].add(view.node(sup))
     assert [list(ps) for ps in _parent_lists(view)] == [sorted(u) for u in ups]
 
 
@@ -547,20 +555,6 @@ def test_model_and_fragments_use_no_cached_property():
         assert "cached_property" not in names, module
 
 
-def test_views_of_one_pair_share_their_ids(f1):
-    """A merged view is its pair's ids plus one alignment's mapping
-    edges: views built on shared ids answer as fresh ones do."""
-    ids = GlobalIds(f1.o1, f1.o2)
-    for align in (f1.alignment, Alignment([f1.m2]), Alignment()):
-        shared, fresh = MergedGraph(ids, align), merged_view(f1.o1, f1.o2, align)
-        assert shared.ids is ids
-        assert shared.mapping_edges == fresh.mapping_edges
-        assert shared.incoherent_ids() == fresh.incoherent_ids()
-    with pytest.raises(ModelError, match=r"^merged_view expects ontologies with "
-                       r"sides 1 and 2$"):
-        GlobalIds(f1.o2, f1.o1)
-
-
 @settings(max_examples=60, deadline=None)
 @given(generated_instances(), st.data())
 def test_one_view_answers_for_every_subset(instance, data):
@@ -570,9 +564,9 @@ def test_one_view_answers_for_every_subset(instance, data):
     view = merged_view(o1, o2, align)
     keep = data.draw(st.lists(st.booleans(), min_size=len(align), max_size=len(align)))
     subset = [m for m, k in zip(align, keep) if k]
-    expected = {view.ids.node(c) for c in exhaustive_incoherence(o1, o2, subset)}
+    expected = {view.node(c) for c in exhaustive_incoherence(o1, o2, subset)}
     assert view.incoherent_ids(subset) == expected
-    assert MergedGraph(view.ids, Alignment(subset)).incoherent_ids() == expected
+    assert MergedGraph(o1, o2, Alignment(subset)).incoherent_ids() == expected
 
 
 def test_a_mapping_outside_the_view_is_rejected(f1):

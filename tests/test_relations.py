@@ -25,7 +25,6 @@ from alignrepair import (
     Alignment,
     EnumerationCapExceeded,
     Mapping,
-    MergedGraph,
     Relation,
     build_ontology,
     extract_core_fragments,
@@ -44,7 +43,7 @@ def keys(conflicts) -> set:
 
 def search_from(fragments, starts, alignment):
     """The conflicts found from `starts` and the disjointness endpoints."""
-    ends = {g for pair in fragments.ids.disjoint for g in pair}
+    ends = {g for pair in fragments.view.disjoint for g in pair}
     narrowed = dataclasses.replace(fragments, starts=tuple(sorted(ends.union(starts))))
     return find_conflict_sets(narrowed, (), alignment)
 
@@ -120,10 +119,10 @@ def test_checkset_and_endpoints_miss_conflicts_on_m(m_instance):
 
 
 def test_divergence_starts_and_endpoints_lose_nothing_on_m(m_instance):
-    o1, o2, produced, analysis = m_instance
+    _, _, produced, analysis = m_instance
     fragments, full = analysis.fragments, analysis.conflicts
-    view = MergedGraph(fragments.ids, produced)
-    starts = _divergence_starts(_parent_lists(view), fragments.ids, o1, o2)
+    view = fragments.view
+    starts = _divergence_starts(_parent_lists(view), view)
     found = search_from(fragments, starts, produced)
     assert keys(found) == keys(full)
     witness = {s.key: (s.witness_class, s.witness_pair) for s in full}
