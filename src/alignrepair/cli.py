@@ -35,9 +35,9 @@ def _pct(part: int, total: int) -> float:
 
 
 def _load_inputs(args):
-    o1 = parse_ontology_file(Path(args.onto1).read_text(encoding="utf-8"), side=1)
-    o2 = parse_ontology_file(Path(args.onto2).read_text(encoding="utf-8"), side=2)
-    align = parse_alignment_tsv(Path(args.align).read_text(encoding="utf-8"))
+    o1 = parse_ontology_file(Path(args.onto1).read_text(encoding="utf-8-sig"), side=1)
+    o2 = parse_ontology_file(Path(args.onto2).read_text(encoding="utf-8-sig"), side=2)
+    align = parse_alignment_tsv(Path(args.align).read_text(encoding="utf-8-sig"))
     return o1, o2, align
 
 
@@ -183,8 +183,8 @@ def _cmd_conflicts(args) -> int:
 def _cmd_eval(args) -> int:
     from .oracle import precision_recall_fmeasure
 
-    produced = parse_alignment_tsv(Path(args.produced).read_text(encoding="utf-8"))
-    reference = parse_alignment_tsv(Path(args.reference).read_text(encoding="utf-8"))
+    produced = parse_alignment_tsv(Path(args.produced).read_text(encoding="utf-8-sig"))
+    reference = parse_alignment_tsv(Path(args.reference).read_text(encoding="utf-8-sig"))
     ev = precision_recall_fmeasure(produced, reference)
     report = {
         "schema_version": SCHEMA_VERSION,

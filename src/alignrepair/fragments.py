@@ -9,18 +9,20 @@ paths between core classes of one side, so that for every subset M' of
 the alignment they come from, and only for those, the fragment graph
 plus M' infers exactly the same subsumptions between core classes as
 the full merged graph plus M'.  Extraction reads only the merged view:
-it builds the view's parent lists and condensation once and drops them,
+it builds the condensation of the view's child lists once and drops it,
 and walks each of the view's ontologies on local ids, naming every core
 class by its global id.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .graphs import below_both, condensation_edges, tarjan_scc
+from .graphs import below_both, tarjan_scc
 from .model import (
     Alignment,
     ClassId,
@@ -93,27 +95,9 @@ def compute_checkset(view: MergedGraph) -> tuple[ClassId, ...]:
     components; it is kept only if no class in a strictly lower component
     is itself multi-parent.  All members of a qualifying component are
     included.  Incoherence checks on these classes suffice alongside the
-    disjointness endpoints.  Builds its own parent lists and condensation.
+    disjointness endpoints.  Builds its own condensation.
     """
-    return tuple(map(view.class_at, _checkset_ids(_parent_lists(view))))
-
-
-def _parent_lists(view: MergedGraph) -> list[Sequence[int]]:
-    """Parent lists by global id, mapping edges included: each class's
-    ontology parents and mapping heads in one sorted, distinct list."""
-    heads: dict[int, set[int]] = {}
-    for edges in view.mapping_edges.values():
-        for sub, sup in edges:
-            heads.setdefault(sub, set()).add(sup)
-    adj: list[Sequence[int]] = [()] * len(view.names)
-    for onto, g in zip(view.sides, view.glob):
-        for gi, ps in zip(g, onto.parents):
-            extra = heads.get(gi)
-            if extra:
-                adj[gi] = sorted(extra.union(g[p] for p in ps))
-            elif ps:
-                adj[gi] = [g[p] for p in ps]
-    return adj
+    return tuple(map(view.class_at, _checkset_ids(view)))
 
 
 def _minimal(leaves_first: Iterable[int], parents: Sequence[Sequence[int]],
@@ -137,23 +121,23 @@ def _minimal(leaves_first: Iterable[int], parents: Sequence[Sequence[int]],
 def _has_two_covers(cond_parents: list[list[int]], c: int) -> bool:
     """Whether component `c` has two or more covering components.
 
-    A parent is a cover unless it lies above another parent.  Parents
-    come before their children, so only the last (highest-id) parent
-    can lie below all the others, and `c` has one cover exactly when an
+    A parent is a cover unless it lies above another parent.  Children
+    come before their parents, so only the first (lowest-id) parent can
+    lie below all the others, and `c` has one cover exactly when an
     upward search from that parent reaches every other one.  The search
-    skips ids below the first parent, since nothing there leads back up
+    skips ids above the last parent, since nothing there leads back down
     to a parent, and stops once the last other parent is reached.
     """
     ps = cond_parents[c]
     if len(ps) < 2:
         return False
-    floor, last = ps[0], ps[-1]
-    others = set(ps[:-1])
-    seen = {last}
-    stack = [last]
+    first, ceiling = ps[0], ps[-1]
+    others = set(ps[1:])
+    seen = {first}
+    stack = [first]
     while stack:
         for g in cond_parents[stack.pop()]:
-            if g >= floor and g not in seen:
+            if g <= ceiling and g not in seen:
                 seen.add(g)
                 if g in others:
                     others.discard(g)
@@ -163,22 +147,37 @@ def _has_two_covers(cond_parents: list[list[int]], c: int) -> bool:
     return True
 
 
-def _checkset_ids(adj: list[Sequence[int]]) -> list[int]:
-    """The checkset as ascending global ids, from the parent lists.
+def _condensation(view: MergedGraph) -> tuple[list[int], list[list[int]]]:
+    """The component of every class, and every component's parents.
 
-    Tarjan runs on the parent lists, so component ids put every parent
-    before its children: each condensation parent has a smaller id than
-    its component, and the lists are ascending.  The minimal pass runs
-    over descending ids, so a component with one below is not searched.
+    Tarjan on child lists numbers every component after its children,
+    so one pass over the merged child lists gives each component its
+    parents, all of higher id.  Two edges can join the same pair of
+    components, so each list is made distinct and ascending.
     """
-    count, comp = tarjan_scc(len(adj), adj)
-    parents = condensation_edges(len(adj), adj, comp, count)
-    kept = set(_minimal(range(count - 1, -1, -1), parents,
+    down = view.merged_child_lists()
+    count, comp = tarjan_scc(len(down), down)
+    parents: list[list[int]] = [[] for _ in range(count)]
+    for v, ws in enumerate(down):
+        cv = comp[v]
+        for w in ws:
+            cw = comp[w]
+            if cw != cv:
+                parents[cw].append(cv)
+    return comp, [sorted(set(ps)) if len(ps) > 1 else ps for ps in parents]
+
+
+def _checkset_ids(view: MergedGraph) -> list[int]:
+    """The checkset as ascending global ids.  The minimal pass runs over
+    ascending component ids, children first, so a component with one
+    below is not searched."""
+    comp, parents = _condensation(view)
+    kept = set(_minimal(range(len(parents)), parents,
                         partial(_has_two_covers, parents)))
     return [g for g, c in enumerate(comp) if c in kept]
 
 
-def _divergence_starts(adj: list[Sequence[int]], view: MergedGraph) -> list[int]:
+def _divergence_starts(view: MergedGraph) -> list[int]:
     """Conflict-search entry points beyond the checkset, as global ids.
 
     Any class where two upward walks can split has at least two distinct
@@ -187,10 +186,14 @@ def _divergence_starts(adj: list[Sequence[int]], view: MergedGraph) -> list[int]
     elsewhere can mask.  The minimal pass over each ontology's subclass
     edges keeps the ontology-minimal candidates: one below another there
     inherits all of its incoherences, so only the lower one is searched.
+    A class's out-neighbors are its ontology parents and its distinct
+    mapping heads, which lie on the other side.
     """
+    heads = Counter(sub for sub, _ in set(chain(*view.mapping_edges.values())))
     kept: list[int] = []
     for onto, glob in zip(view.sides, view.glob):
-        is_candidate = [len(adj[g]) >= 2 for g in glob]
+        is_candidate = [len(ps) + heads.get(g, 0) >= 2
+                        for g, ps in zip(glob, onto.parents)]
         minimal = _minimal(reversed(onto.order), onto.parents, is_candidate.__getitem__)
         kept.extend(glob[v] for v in minimal)
     return kept
@@ -255,15 +258,13 @@ def extract_core_fragments(
 
     `o1`, `o2` and `alignment` are read only to build a merged view when
     none is passed; pass a prebuilt one to avoid building it again.
-    The merged graph's parent lists and condensation are built here and
-    dropped before the reduced edges.
+    The merged graph's condensation is built here and dropped before
+    the reduced edges.
     """
     if view is None:
         view = merged_view(o1, o2, alignment)
-    adj = _parent_lists(view)
-    checkset = _checkset_ids(adj)
-    starts = set(checkset).union(_divergence_starts(adj, view), *view.disjoint)
-    del adj
+    checkset = _checkset_ids(view)
+    starts = set(checkset).union(_divergence_starts(view), *view.disjoint)
     # The ends of the mapping edges are exactly the mapping endpoints.
     core = starts.union(*(e for edges in view.mapping_edges.values() for e in edges))
     core_ids = sorted(core)

@@ -1,9 +1,9 @@
 """Directed-graph primitives: components, cones and the incoherence test.
 
 All functions work on integer node ids 0..n-1 with adjacency lists.
-`tarjan_scc` gives the components of the merged graph and, with
-`condensation_edges`, its condensation; its component ids are a
-reverse topological order.  An ontology is ordered by Kahn's algorithm
+`tarjan_scc` gives the components of the merged graph; its component
+ids are a reverse topological order, so on child lists every component
+comes after its children.  An ontology is ordered by Kahn's algorithm
 on its child lists instead, and Tarjan's components only name a class
 on a cycle when Kahn's order stops short.  `reachable` gives
 the cone of a node: every node reachable from it over the lists it is
@@ -26,7 +26,10 @@ def tarjan_scc(n: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     Component ids follow Tarjan's emission order: if a node of component
     x has an edge into a different component y, then y < x.  A pass
     over descending ids therefore meets every component before its
-    successors, and an ascending pass meets successors first.
+    successors, and an ascending pass meets successors first.  Searches
+    start from the highest node id down: on child lists whose ids mostly
+    put parents first, as generated names do, that keeps component ids
+    near reverse node order and the checkset's upward searches short.
     """
     UNVISITED = -1
     index = [UNVISITED] * n
@@ -37,7 +40,7 @@ def tarjan_scc(n: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     count = 0
     counter = 0
 
-    for root in range(n):
+    for root in range(n - 1, -1, -1):
         if index[root] != UNVISITED:
             continue
         index[root] = low[root] = counter
@@ -73,20 +76,6 @@ def tarjan_scc(n: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
                     if low[v] < low[u]:
                         low[u] = low[v]
     return count, comp
-
-
-def condensation_edges(
-    n: int, adj: Sequence[Sequence[int]], comp: list[int], count: int
-) -> list[list[int]]:
-    """Deduplicated successor lists between components (self-loops dropped)."""
-    succ: list[list[int]] = [[] for _ in range(count)]
-    for v in range(n):
-        cv = comp[v]
-        for w in adj[v]:
-            cw = comp[w]
-            if cw != cv:
-                succ[cv].append(cw)
-    return [sorted(set(s)) if len(s) > 1 else s for s in succ]
 
 
 def reachable(

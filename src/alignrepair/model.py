@@ -439,13 +439,17 @@ class MergedGraph:
         both = below_both(self.down, self.disjoint, self.child_lists(subset))
         return set(chain.from_iterable(both))
 
+    def merged_child_lists(self) -> list[list[int]]:
+        """The merged graph's child lists by global id: `down` plus the
+        mapping edges, sharing `down`'s list where a class heads none."""
+        down, extra = self.down, self.child_lists()
+        return [[*ds, *extra[g]] if g in extra else ds for g, ds in enumerate(down)]
+
     @property
     def component_count(self) -> int:
-        """Strongly connected components, counted on each read over the
-        child lists: a graph and its reverse have the same components."""
-        down, extra = self.down, self.child_lists()
-        lists = [[*ds, *extra[g]] if g in extra else ds for g, ds in enumerate(down)]
-        return tarjan_scc(len(lists), lists)[0]
+        """Strongly connected components of the merged graph, counted on
+        each read over its child lists."""
+        return tarjan_scc(len(self.names), self.merged_child_lists())[0]
 
 
 def merged_view(o1: Ontology, o2: Ontology, alignment: Alignment) -> MergedGraph:

@@ -142,6 +142,41 @@ class TestEvalCommand:
         assert data["f_measure"] == 1.0
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of an input file is dropped:
+    the file reads as it would without one."""
+
+    def _outputs(self, d, capsys):
+        assert cli_dispatch(["check", *_inputs(d)]) == 0
+        check = capsys.readouterr().out
+        out, report = d / "repaired.tsv", d / "report.json"
+        assert cli_dispatch(["repair", *_inputs(d), "--out", str(out),
+                             "--report", str(report)]) == 0
+        capsys.readouterr()
+        return check, out.read_bytes(), report.read_bytes()
+
+    @pytest.mark.parametrize("name", ["o1.txt", "o2.txt", "align.tsv"])
+    def test_check_and_repair_read_a_marked_file_as_plain(
+        self, f1_files, tmp_path, name, capsys
+    ):
+        plain = self._outputs(f1_files, capsys)
+        marked = tmp_path / "marked"
+        marked.mkdir()
+        for f in ("o1.txt", "o2.txt", "align.tsv"):
+            text = (f1_files / f).read_text()
+            (marked / f).write_text("\ufeff" + text if f == name else text)
+        assert self._outputs(marked, capsys) == plain
+
+    def test_eval_reads_a_marked_file_as_plain(self, tmp_path, capsys):
+        row = "A1\tA2\t=\t0.9\n"
+        (tmp_path / "marked.tsv").write_text("\ufeff" + row, encoding="utf-8")
+        (tmp_path / "plain.tsv").write_text(row, encoding="utf-8")
+        assert cli_dispatch(["eval", "--produced", str(tmp_path / "marked.tsv"),
+                             "--reference", str(tmp_path / "plain.tsv")]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["precision"], data["recall"], data["f_measure"]) == (1.0, 1.0, 1.0)
+
+
 class TestGenCommand:
     def test_writes_instance_files(self, tmp_path, capsys):
         out = tmp_path / "inst"

@@ -1,6 +1,6 @@
 """Golden output pins: sha256 of the CLI outputs on two small generated
-instances and of `repair`'s outputs on two benchmark workloads, recorded
-once and asserted on every run.
+instances and of `repair`'s outputs on the three benchmark workloads and
+on ROADMAP L, recorded once and asserted on every run.
 
 The determinism tests compare two runs of the same code; these hashes
 compare against earlier code, so a refactor that claims byte-identical
@@ -167,6 +167,18 @@ WORKLOADS = {
     ),
 }
 
+# ROADMAP L: 12,665 core classes, a 6,900-class checkset and 497
+# conflicts, with cycles and multi-parent components throughout.  The
+# repaired TSV, the report, and the conflict rows as GOLDEN_CONFLICTS
+# hashes them.
+ROADMAP_L = (
+    ["--classes", "40000", "--mappings", "4000", "--disjoints", "100",
+     "--noise", "0.4", "--seed", "5", "--max-depth", "25", "--branching", "2.0"],
+    "d5bcef46a077ff9893552681e70690467d11c5210a75b8ac8292e7b565270856",
+    "678e8f44a030db9c3837cf121713f925af45c6ca9f997ce4902b7e4c784969bd",
+    "783589d238864277b0fdc04f963ef528892f0c35c9c20030bb26000be35f9310",
+)
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -212,6 +224,11 @@ def _generated(d, name, capsys):
     """(o1, o2, produced) of a golden instance, generated into `d`."""
     assert cli_dispatch(["gen", *INSTANCES[name], "--out-dir", str(d)]) == 0
     capsys.readouterr()
+    return _parsed(d)
+
+
+def _parsed(d):
+    """(o1, o2, produced) of the instance in `d`."""
     o1, o2 = (
         parse_ontology_file((d / f"onto{side}.txt").read_text(), side)
         for side in (1, 2)
@@ -250,16 +267,27 @@ def test_renamed_instance_matches_golden_hashes(name, tmp_path, capsys):
     assert out == GOLDEN_RENAMED[name]
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_workload_repair_matches_golden_hashes(name, tmp_path, capsys):
-    gen_args, flags, tsv_sha, report_sha = WORKLOADS[name]
-    assert cli_dispatch(["gen", *gen_args, "--out-dir", str(tmp_path)]) == 0
-    tsv, report = tmp_path / "repaired.tsv", tmp_path / "report.json"
+def _repair_shas(d, gen_args, flags, capsys) -> tuple[str, str]:
+    """sha256 of the repaired TSV and the report of `repair`, with
+    `flags`, on the instance `gen_args` generates into `d`."""
+    assert cli_dispatch(["gen", *gen_args, "--out-dir", str(d)]) == 0
+    tsv, report = d / "repaired.tsv", d / "report.json"
     assert cli_dispatch(
-        ["repair", "--onto1", str(tmp_path / "onto1.txt"),
-         "--onto2", str(tmp_path / "onto2.txt"),
-         "--align", str(tmp_path / "produced.tsv"),
+        ["repair", "--onto1", str(d / "onto1.txt"), "--onto2", str(d / "onto2.txt"),
+         "--align", str(d / "produced.tsv"),
          "--out", str(tsv), "--report", str(report), *flags]
     ) == 0
     capsys.readouterr()
-    assert (_sha(tsv.read_bytes()), _sha(report.read_bytes())) == (tsv_sha, report_sha)
+    return _sha(tsv.read_bytes()), _sha(report.read_bytes())
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_repair_matches_golden_hashes(name, tmp_path, capsys):
+    gen_args, flags, tsv_sha, report_sha = WORKLOADS[name]
+    assert _repair_shas(tmp_path, gen_args, flags, capsys) == (tsv_sha, report_sha)
+
+
+def test_roadmap_l_matches_golden_hashes(tmp_path, capsys):
+    gen_args, tsv_sha, report_sha, rows_sha = ROADMAP_L
+    assert _repair_shas(tmp_path, gen_args, [], capsys) == (tsv_sha, report_sha)
+    assert _conflict_rows_sha(*_parsed(tmp_path)) == rows_sha

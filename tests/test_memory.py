@@ -1,13 +1,15 @@
 """Memory of loading an instance and building its merged view grows
 linearly with the ontology size: no structure may hold a bit or an entry
-per pair of classes.  CLI runs leave no reference cycles that grow with
-the input, so a CLI process may run with the cyclic GC off."""
+per pair of classes.  Fragment extraction adds at most half of what the
+loaded instance holds.  CLI runs leave no reference cycles that grow
+with the input, so a CLI process may run with the cyclic GC off."""
 
 import gc
 import tracemalloc
 
 from alignrepair import (
     GeneratorParams,
+    extract_core_fragments,
     generate_instance,
     merged_view,
     parse_alignment_tsv,
@@ -18,20 +20,31 @@ from alignrepair import (
 from alignrepair.cli import cli_dispatch
 
 
-def _load_and_merge_peak(classes_per_side: int) -> int:
-    """Traced peak bytes of parsing both ontologies and the alignment of
-    a deep, sparse generator instance and building its merged view."""
+def _sparse_texts(classes_per_side: int) -> tuple[str, str, str]:
+    """The two ontology files and the alignment of a deep, sparse
+    generator instance."""
     o1, o2, produced, _ = generate_instance(
         GeneratorParams(classes_per_side, classes_per_side // 10, 20, 0.25, 11, 60, 1.15)
     )
-    texts = (write_ontology_file(o1), write_ontology_file(o2), write_alignment_tsv(produced))
-    del o1, o2, produced
+    return write_ontology_file(o1), write_ontology_file(o2), write_alignment_tsv(produced)
+
+
+def _load_and_merge(texts):
+    """(o1, o2, alignment, merged view) parsed and built from `texts`."""
+    a = parse_ontology_file(texts[0], side=1)
+    b = parse_ontology_file(texts[1], side=2)
+    align = parse_alignment_tsv(texts[2])
+    return a, b, align, merged_view(a, b, align)
+
+
+def _load_and_merge_peak(classes_per_side: int) -> int:
+    """Traced peak bytes of parsing a sparse instance and building its
+    merged view."""
+    texts = _sparse_texts(classes_per_side)
     gc.collect()
     tracemalloc.start()
     try:
-        a = parse_ontology_file(texts[0], side=1)
-        b = parse_ontology_file(texts[1], side=2)
-        view = merged_view(a, b, parse_alignment_tsv(texts[2]))
+        *_, view = _load_and_merge(texts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -45,6 +58,25 @@ def test_load_and_merge_memory_grows_linearly():
     # Four times the classes: linear growth gives about 4, the dense
     # all-pairs closures this replaced gave over 7.
     assert large / small < 5, (small, large)
+
+
+def test_extraction_adds_at_most_half_the_loaded_instance():
+    """The traced peak of fragment extraction, over what the parsed
+    inputs and the merged view hold, is at most half of that: it builds
+    no second per-class adjacency of the merged graph."""
+    texts = _sparse_texts(8_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        o1, o2, align, view = _load_and_merge(texts)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fragments = extract_core_fragments(o1, o2, align, view=view)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fragments.checkset
+    assert (peak - held) / held <= 0.5, (held, peak)
 
 
 def _cyclic_garbage(argv: list[str]) -> int:

@@ -22,8 +22,8 @@ from alignrepair import (
     extract_core_fragments,
     merged_view,
 )
-from alignrepair.fragments import _has_two_covers, _parent_lists
-from alignrepair.graphs import condensation_edges, reachable, tarjan_scc
+from alignrepair.fragments import _condensation, _has_two_covers
+from alignrepair.graphs import reachable
 from alignrepair.model import MergedGraph, Ontology
 from alignrepair.oracle import _merged_adjacency, exhaustive_incoherence
 
@@ -44,18 +44,15 @@ def entails(view, a, b):
 
 
 def components(view):
-    """The component of every node, by Tarjan on the parent lists that
-    fragment extraction builds."""
-    adj = _parent_lists(view)
-    return tarjan_scc(len(adj), adj)[1]
+    """The component of every node, by Tarjan on the merged child lists,
+    as fragment extraction numbers them."""
+    return _condensation(view)[0]
 
 
 def has_two_covers(view, a):
     """Whether a's component has two or more covering components, by
     the two-cover test of the checkset."""
-    adj = _parent_lists(view)
-    count, comp = tarjan_scc(len(adj), adj)
-    cond_parents = condensation_edges(len(adj), adj, comp, count)
+    comp, cond_parents = _condensation(view)
     return _has_two_covers(cond_parents, comp[view.node(a)])
 
 
@@ -244,8 +241,8 @@ class TestMergedView:
     def test_f1_only_m2_edge_present(self, f1):
         view = merged_view(f1.o1, f1.o2, Alignment([f1.m2]))
         assert view.component_count == len(view.names)
-        adj = _parent_lists(view)
-        assert view.node(f1.cid("C1")) in adj[view.node(f1.cid("A2"))]
+        down = view.merged_child_lists()
+        assert view.node(f1.cid("A2")) in down[view.node(f1.cid("C1"))]
 
     def test_relation_edge_directions(self):
         o1 = build_ontology(1, ["s"])
@@ -493,8 +490,8 @@ def test_global_ids_are_name_order_and_round_trip(instance, seed):
                 assert onto.index[c.id] == local
                 assert view.node(c) == g and classes[g] == c
                 assert view.locate(g) == (onto.side, local)
-        # Every class is a member of exactly one component, and the
-        # parent lists and the child lists have the same components.
+        # Every class is a member of exactly one component, and
+        # extraction and `component_count` count the same components.
         comp = components(view)
         assert len(comp) == len(classes)
         assert sorted(set(comp)) == list(range(view.component_count))
@@ -502,12 +499,12 @@ def test_global_ids_are_name_order_and_round_trip(instance, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(generated_instances())
-def test_parent_lists_are_built_only_by_extraction(instance):
+def test_view_is_fixed_and_its_child_lists_match_the_oracle(instance):
     """The merged view holds no parent lists and no lazy state: its
     fields are the ones `__init__` sets, and queries leave them as they
     were; its mapping edges are each mapping's `Mapping.edges` by global
-    id.  The parent lists that fragment extraction builds are the
-    oracle's merged graph by global id, each list sorted and distinct."""
+    id.  Its merged child lists, which fragment extraction reads, are
+    the oracle's merged graph by global id, compared as sets."""
     o1, o2, align = instance
     assert MergedGraph.__slots__ == ("sides", "names", "glob", "down", "disjoint",
                                      "mapping_edges")
@@ -523,11 +520,10 @@ def test_parent_lists_are_built_only_by_extraction(instance):
     assert all(getattr(view, name) is f
                for name, f in zip(MergedGraph.__slots__, fields))
     assert view.mapping_edges == edges
-    ups = [set() for _ in view.names]
+    downs = [set() for _ in view.names]
     for sup, subs in _merged_adjacency(o1, o2, align).items():
-        for sub in subs:
-            ups[view.node(sub)].add(view.node(sup))
-    assert [list(ps) for ps in _parent_lists(view)] == [sorted(u) for u in ups]
+        downs[view.node(sup)].update(map(view.node, subs))
+    assert list(map(set, view.merged_child_lists())) == downs
 
 
 def test_ontology_keeps_only_its_six_fields(f1):

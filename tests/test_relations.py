@@ -30,7 +30,7 @@ from alignrepair import (
     extract_core_fragments,
     find_conflict_sets,
 )
-from alignrepair.fragments import _divergence_starts, _parent_lists
+from alignrepair.fragments import _divergence_starts
 
 from conftest import generated_instances
 
@@ -121,9 +121,7 @@ def test_checkset_and_endpoints_miss_conflicts_on_m(m_instance):
 def test_divergence_starts_and_endpoints_lose_nothing_on_m(m_instance):
     _, _, produced, analysis = m_instance
     fragments, full = analysis.fragments, analysis.conflicts
-    view = fragments.view
-    starts = _divergence_starts(_parent_lists(view), view)
-    found = search_from(fragments, starts, produced)
+    found = search_from(fragments, _divergence_starts(fragments.view), produced)
     assert keys(found) == keys(full)
     witness = {s.key: (s.witness_class, s.witness_pair) for s in full}
     moved = [s for s in found if (s.witness_class, s.witness_pair) != witness[s.key]]
