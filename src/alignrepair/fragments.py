@@ -118,43 +118,38 @@ def _minimal(leaves_first: Iterable[int], parents: Sequence[Sequence[int]],
     return kept
 
 
-def _has_two_covers(cond_parents: list[list[int]], c: int) -> bool:
+def _has_two_covers(parents: list[list[int]], height: list[int], c: int) -> bool:
     """Whether component `c` has two or more covering components.
 
-    A parent is a cover unless it lies above another parent.  Children
-    come before their parents, so only the first (lowest-id) parent can
-    lie below all the others, and `c` has one cover exactly when an
-    upward search from that parent reaches every other one.  The search
-    skips ids above the last parent, since nothing there leads back down
-    to a parent, and stops once the last other parent is reached.
+    A parent is a cover unless it lies above another parent.  Height
+    grows along every upward path, so every lowest parent is a cover, and
+    `c` has one cover exactly when an upward search from its one lowest
+    parent, kept to the highest parent's height, reaches all the others.
     """
-    ps = cond_parents[c]
-    if len(ps) < 2:
+    if len(parents[c]) < 2:
         return False
-    first, ceiling = ps[0], ps[-1]
-    others = set(ps[1:])
+    first, *others = sorted(parents[c], key=height.__getitem__)
+    if height[others[0]] == height[first]:
+        return True
+    ceiling = height[others[-1]]
+    targets = set(others)
     seen = {first}
     stack = [first]
     while stack:
-        for g in cond_parents[stack.pop()]:
-            if g <= ceiling and g not in seen:
+        for g in parents[stack.pop()]:
+            if height[g] <= ceiling and g not in seen:
                 seen.add(g)
-                if g in others:
-                    others.discard(g)
-                    if not others:
+                if g in targets:
+                    targets.discard(g)
+                    if not targets:
                         return False
                 stack.append(g)
     return True
 
 
-def _condensation(view: MergedGraph) -> tuple[list[int], list[list[int]]]:
-    """The component of every class, and every component's parents.
-
-    Tarjan on child lists numbers every component after its children,
-    so one pass over the merged child lists gives each component its
-    parents, all of higher id.  Two edges can join the same pair of
-    components, so each list is made distinct and ascending.
-    """
+def _condensation(view: MergedGraph) -> tuple[list[int], list[list[int]], list[int]]:
+    """Every class's component, and every component's distinct parents
+    and height, its longest path down.  Component ids put children first."""
     down = view.merged_child_lists()
     count, comp = tarjan_scc(len(down), down)
     parents: list[list[int]] = [[] for _ in range(count)]
@@ -164,16 +159,21 @@ def _condensation(view: MergedGraph) -> tuple[list[int], list[list[int]]]:
             cw = comp[w]
             if cw != cv:
                 parents[cw].append(cv)
-    return comp, [sorted(set(ps)) if len(ps) > 1 else ps for ps in parents]
+    parents = [list(set(ps)) if len(ps) > 1 else ps for ps in parents]
+    height = [0] * count
+    for c, ps in enumerate(parents):
+        h = height[c] + 1
+        for p in ps:
+            if height[p] < h:
+                height[p] = h
+    return comp, parents, height
 
 
 def _checkset_ids(view: MergedGraph) -> list[int]:
-    """The checkset as ascending global ids.  The minimal pass runs over
-    ascending component ids, children first, so a component with one
-    below is not searched."""
-    comp, parents = _condensation(view)
+    """The checkset as ascending global ids."""
+    comp, parents, height = _condensation(view)
     kept = set(_minimal(range(len(parents)), parents,
-                        partial(_has_two_covers, parents)))
+                        partial(_has_two_covers, parents, height)))
     return [g for g, c in enumerate(comp) if c in kept]
 
 
@@ -181,13 +181,12 @@ def _divergence_starts(view: MergedGraph) -> list[int]:
     """Conflict-search entry points beyond the checkset, as global ids.
 
     Any class where two upward walks can split has at least two distinct
-    out-neighbors in the merged graph; that property survives restriction
-    to any mapping subset, unlike multi-parenthood, which mapping edges
-    elsewhere can mask.  The minimal pass over each ontology's subclass
-    edges keeps the ontology-minimal candidates: one below another there
-    inherits all of its incoherences, so only the lower one is searched.
-    A class's out-neighbors are its ontology parents and its distinct
-    mapping heads, which lie on the other side.
+    out-neighbors in the merged graph, its ontology parents and mapping
+    heads; that property survives restriction to any mapping subset,
+    unlike multi-parenthood, which mapping edges elsewhere can mask.  The
+    minimal pass over each ontology's subclass edges keeps the
+    ontology-minimal candidates: one below another there inherits all of
+    its incoherences, so only the lower one is searched.
     """
     heads = Counter(sub for sub, _ in set(chain(*view.mapping_edges.values())))
     kept: list[int] = []

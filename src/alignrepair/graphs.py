@@ -26,10 +26,7 @@ def tarjan_scc(n: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     Component ids follow Tarjan's emission order: if a node of component
     x has an edge into a different component y, then y < x.  A pass
     over descending ids therefore meets every component before its
-    successors, and an ascending pass meets successors first.  Searches
-    start from the highest node id down: on child lists whose ids mostly
-    put parents first, as generated names do, that keeps component ids
-    near reverse node order and the checkset's upward searches short.
+    successors, and an ascending pass meets successors first.
     """
     UNVISITED = -1
     index = [UNVISITED] * n
@@ -40,7 +37,7 @@ def tarjan_scc(n: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     count = 0
     counter = 0
 
-    for root in range(n - 1, -1, -1):
+    for root in range(n):
         if index[root] != UNVISITED:
             continue
         index[root] = low[root] = counter

@@ -440,15 +440,13 @@ class MergedGraph:
         return set(chain.from_iterable(both))
 
     def merged_child_lists(self) -> list[list[int]]:
-        """The merged graph's child lists by global id: `down` plus the
-        mapping edges, sharing `down`'s list where a class heads none."""
+        """The merged graph's child lists by global id: `down` plus the mapping edges."""
         down, extra = self.down, self.child_lists()
         return [[*ds, *extra[g]] if g in extra else ds for g, ds in enumerate(down)]
 
     @property
     def component_count(self) -> int:
-        """Strongly connected components of the merged graph, counted on
-        each read over its child lists."""
+        """Strongly connected components of the merged graph, counted on each read."""
         return tarjan_scc(len(self.names), self.merged_child_lists())[0]
 
 

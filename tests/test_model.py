@@ -52,8 +52,8 @@ def components(view):
 def has_two_covers(view, a):
     """Whether a's component has two or more covering components, by
     the two-cover test of the checkset."""
-    comp, cond_parents = _condensation(view)
-    return _has_two_covers(cond_parents, comp[view.node(a)])
+    comp, parents, height = _condensation(view)
+    return _has_two_covers(parents, height, comp[view.node(a)])
 
 
 def brute_cover_count(o1, o2, align, a):
