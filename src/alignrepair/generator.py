@@ -12,9 +12,9 @@ mapping and pair counts, time grows linearly with the class count.
 
 Class names are zero-padded, so name order is index order and a node
 index is the class's local id: each side's names are made once, and
-every draw indexes its ontologies from int edges and the child lists
-its disjoint-pair sampler built, without building or resolving name
-pairs.  The reference check searches the merged view's cones by id.
+every draw indexes its ontologies from int edges, without building or
+resolving name pairs.  The reference check searches the merged view's
+cones by id.
 """
 
 from __future__ import annotations
@@ -60,6 +60,13 @@ class GeneratorParams:
             raise ValueError("counts must be nonnegative")
         if self.mapping_count > self.classes_per_side:
             raise ValueError("mapping_count cannot exceed classes_per_side")
+        # Side 1 takes the larger half of the pairs, each of two classes.
+        n, side1 = self.classes_per_side, (self.disjoint_pairs + 1) // 2
+        if side1 > n * (n - 1) // 2:
+            raise ValueError(
+                f"disjoint_pairs {self.disjoint_pairs} puts {side1} pairs on side 1, "
+                f"but {n} classes form at most {n * (n - 1) // 2}"
+            )
         if not 0.0 <= self.noise_rate <= 1.0:
             raise ValueError("noise_rate must be in [0, 1]")
         if self.max_depth < 1:
@@ -164,7 +171,7 @@ def _side_names(n: int, side: int) -> list[str]:
     order: index i is also the class's local id."""
     width = max(4, len(str(n - 1)))
     prefix = "a" if side == 1 else "b"
-    return [f"{prefix}{i:0{width}d}" for i in range(n)]
+    return [prefix + str(i).zfill(width) for i in range(n)]
 
 
 def _build_side(
@@ -184,8 +191,7 @@ def _build_side(
         children[parent].append(child)
     cone = cache(lambda v: reachable(children, v))
     pair_indices = _sample_disjoint_pairs(rng, n, children, cone, disjoint_count)
-    # The indexer orders and checks the ontology with these same lists.
-    ontology = _index_ontology(side, names, index, edges, pair_indices, children)
+    ontology = _index_ontology(side, names, index, edges, pair_indices)
     return _Side(ontology, cone, pair_indices)
 
 
@@ -266,7 +272,8 @@ def generate_instance(
 
     The reference alignment is redrawn until it is conflict-free against
     the generated hierarchies; the produced alignment is the reference
-    plus noise mappings and may be incoherent (that is the point).
+    plus noise mappings and may be incoherent (that is the point).  If
+    no draw succeeds, the error names the last draw's failure.
     """
     rng = random.Random(params.seed)
     disjoints_side1 = (params.disjoint_pairs + 1) // 2
@@ -280,7 +287,8 @@ def generate_instance(
                                 disjoints_side1)
             side2 = _build_side(rng, params, 2, names[1], indexes[1], parents,
                                 disjoints_side2)
-        except GeneratorError:
+        except GeneratorError as exc:
+            failure = str(exc)
             continue
         o1, o2 = side1.ontology, side2.ontology
         mapped = sorted(
@@ -298,7 +306,8 @@ def generate_instance(
             )
             produced = Alignment(list(reference) + noise)
             return o1, o2, produced, reference
+        failure = "the reference alignment was incoherent"
     raise GeneratorError(
-        f"no coherent reference alignment after {REDRAW_ATTEMPTS} draws "
+        f"no instance after {REDRAW_ATTEMPTS} draws; the last failed: {failure} "
         f"(params: {params})"
     )

@@ -251,7 +251,6 @@ def _index_ontology(
     index: dict[str, int],
     edges: Collection[tuple[int, int]],
     disjoint: Collection[tuple[int, int]],
-    children: list[list[int]] | None = None,
 ) -> Ontology:
     """The int half of :func:`build_ontology`: index and validate one
     ontology given as local ids.  `names` must be sorted, and `index`
@@ -259,27 +258,22 @@ def _index_ontology(
 
     `edges` holds distinct (child, parent) pairs and `disjoint` distinct
     (smaller, larger) pairs, each in any order.  One loop fills the
-    parent lists and, unless the caller passes the child lists of the
-    same edges as `children`, those too.  The child lists serve the
-    ordering and the coherence check and are then dropped.
+    parent and child lists.  The child lists serve the ordering and the
+    coherence check and are then dropped.
     """
     n = len(names)
     parents: list[list[int]] = [[] for _ in range(n)]
-    if children is None:
-        children = [[] for _ in range(n)]
-        for c, p in edges:
-            parents[c].append(p)
-            children[p].append(c)
-    else:
-        for c, p in edges:
-            parents[c].append(p)
+    children: list[list[int]] = [[] for _ in range(n)]
+    for c, p in edges:
+        parents[c].append(p)
+        children[p].append(c)
     for ps in parents:
         if len(ps) > 1:
             ps.sort()
     order = _roots_first_order(side, names, parents, children)
     pairs = tuple(sorted(disjoint))
     _check_coherent(names, children, pairs)
-    del children  # freed before the tuples below, unless the caller keeps them
+    del children  # freed before the tuples below
     return Ontology(side, names, index, order, tuple(map(tuple, parents)), pairs)
 
 

@@ -163,7 +163,7 @@ def generated_instances(draw):
     """(o1, o2, produced) of a small generator instance; parameter draws
     the generator cannot satisfy are rejected."""
     classes = draw(st.integers(2, 60))
-    params = GeneratorParams(
+    fields = (
         classes,
         int(classes * draw(st.floats(0.0, 1.0))),
         draw(st.integers(0, 6)),
@@ -173,10 +173,25 @@ def generated_instances(draw):
         draw(st.sampled_from([1.0, 1.15, 2.0, 3.0])),
     )
     try:
+        params = GeneratorParams(*fields)
+    except ValueError:  # more disjoint pairs than the classes form
+        assume(False)
+    try:
         o1, o2, produced, _ = generate_instance(params)
     except GeneratorError:
         assume(False)
     return o1, o2, produced
+
+
+def equivalence_only(alignment: Alignment) -> Alignment:
+    """ROADMAP's E transform: every relation becomes `=`, and of the
+    mappings between one (source, target) pair only the first, in
+    canonical order (the line order of a written TSV), is kept."""
+    first: dict[tuple[ClassId, ClassId], Mapping] = {}
+    for m in alignment:
+        first.setdefault((m.source, m.target), m)
+    return Alignment(Mapping(m.source, m.target, Relation.EQUIVALENCE, m.confidence)
+                     for m in first.values())
 
 
 def renamed_instance(o1, o2, alignment, seed: int):

@@ -31,9 +31,10 @@ from alignrepair import (
 )
 from alignrepair.cli import cli_dispatch
 
-from conftest import antichain, filter_list, mk_mapping, mk_set
+from conftest import antichain, equivalence_only, filter_list, mk_mapping, mk_set
 
 N_INSTANCES = 300
+E_INSTANCES = 100
 SUBSET_SAMPLES = 50
 ALL_SUBSETS_UP_TO = 10
 
@@ -52,6 +53,23 @@ def _params(i: int) -> GeneratorParams:
     )
 
 
+def _subsets(i: int, alignment: Alignment) -> list[frozenset]:
+    """The mapping subsets checked on instance i: all of them for a small
+    alignment, a seeded sample otherwise."""
+    maps = list(alignment)
+    if len(maps) <= ALL_SUBSETS_UP_TO:
+        return [
+            frozenset(c)
+            for r in range(len(maps) + 1)
+            for c in itertools.combinations(maps, r)
+        ]
+    rng = random.Random(95_000 + i)
+    return [
+        frozenset(m for m in maps if rng.random() < 0.5)
+        for _ in range(SUBSET_SAMPLES)
+    ]
+
+
 @pytest.fixture(scope="module")
 def batch():
     """(instance, fragments, conflicts, subsets) for the 300 shared runs."""
@@ -60,20 +78,8 @@ def batch():
         o1, o2, produced, reference = generate_instance(_params(i))
         analysis = analyze(o1, o2, produced)
         frags, conflicts = analysis.fragments, analysis.conflicts
-        maps = list(produced)
-        if len(maps) <= ALL_SUBSETS_UP_TO:
-            subsets = [
-                frozenset(c)
-                for r in range(len(maps) + 1)
-                for c in itertools.combinations(maps, r)
-            ]
-        else:
-            rng = random.Random(95_000 + i)
-            subsets = [
-                frozenset(m for m in maps if rng.random() < 0.5)
-                for _ in range(SUBSET_SAMPLES)
-            ]
-        out.append(((o1, o2, produced, reference), frags, conflicts, subsets))
+        out.append(((o1, o2, produced, reference), frags, conflicts,
+                    _subsets(i, produced)))
     return out
 
 
@@ -99,32 +105,50 @@ def test_criterion_1_fragment_detection_equivalence(batch):
     )
 
 
+def _check_sound_minimal_complete(o1, o2, conflicts, subsets) -> int:
+    """Assert that every set reproduces its witness and no proper subset
+    does, and that the sets flag exactly the incoherent subsets; returns
+    the number of sets."""
+    for s in conflicts:
+        a = s.witness_class
+        incoherent = exhaustive_incoherence(o1, o2, s.mappings)
+        assert a in incoherent, "emitted set fails to reproduce witness"
+        for m in s.mappings:
+            rest = exhaustive_incoherence(o1, o2, s.mappings - {m})
+            assert a not in rest, "proper subset still incoherent at witness"
+    contents = [frozenset(s.mappings) for s in conflicts]
+    for sub in subsets:
+        exact = len(exhaustive_incoherence(o1, o2, sub)) > 0
+        flagged = any(cs <= sub for cs in contents)
+        assert exact == flagged, "containment test disagrees with the oracle"
+    return len(conflicts)
+
+
 def test_criterion_2_conflict_sets_sound_minimal_complete(batch):
-    sound = minimal = 0
-    complete_checked = complete_ok = 0
+    sets = checked = 0
     for (o1, o2, _, _), _, conflicts, subsets in batch:
-        contents = [frozenset(s.mappings) for s in conflicts]
-        for s in conflicts:
-            a = s.witness_class
-            b, c = s.witness_pair
-            incoherent = exhaustive_incoherence(o1, o2, s.mappings)
-            assert a in incoherent, "emitted set fails to reproduce witness"
-            sound += 1
-            for m in s.mappings:
-                rest = exhaustive_incoherence(o1, o2, s.mappings - {m})
-                assert a not in rest, "proper subset still incoherent at witness"
-            minimal += 1
-        for sub in subsets:
-            complete_checked += 1
-            exact = len(exhaustive_incoherence(o1, o2, sub)) > 0
-            flagged = any(cs <= sub for cs in contents)
-            if exact == flagged:
-                complete_ok += 1
-    assert complete_ok == complete_checked
+        sets += _check_sound_minimal_complete(o1, o2, conflicts, subsets)
+        checked += len(subsets)
     print(
-        f"ACCEPTANCE 2 PASS: {sound} sets sound, {minimal} minimal, "
-        f"containment test {complete_ok}/{complete_checked}"
+        f"ACCEPTANCE 2 PASS: {sets} sets sound and minimal, "
+        f"containment test {checked}/{checked}"
     )
+
+
+def test_equivalence_only_copies_sound_minimal_complete_and_repaired():
+    """ROADMAP item 22's E transform of the first 100 batch instances:
+    criterion 2's checks hold, and the default repair is coherent."""
+    sets = 0
+    for i in range(E_INSTANCES):
+        o1, o2, produced, _ = generate_instance(_params(i))
+        aligned = equivalence_only(produced)
+        run = repair_alignment(o1, o2, aligned, RepairConfig())
+        sets += _check_sound_minimal_complete(
+            o1, o2, run.analysis.conflicts, _subsets(i, aligned)
+        )
+        assert exhaustive_incoherence(o1, o2, run.result.kept) == set()
+    print(f"E PASS: {sets} sets sound, minimal and complete over "
+          f"{E_INSTANCES} instances, every repair coherent")
 
 
 def test_criterion_3_repair_correct_across_config_grid(batch):

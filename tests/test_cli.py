@@ -6,7 +6,9 @@ import re
 
 import pytest
 
-from alignrepair import EnumerationCapExceeded, RepairResult, RepairStats, pipeline
+from alignrepair import (
+    EnumerationCapExceeded, RepairResult, RepairStats, generator, pipeline
+)
 from alignrepair.cli import cli_dispatch
 
 F1_ONTO1 = """\
@@ -337,6 +339,35 @@ class TestErrorsAndExitCodes:
         )
         assert status == 1
         assert "branching must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_impossible_pair_count_rejected_before_any_draw(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_draw(params):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(generator, "generate_instance", no_draw)
+        out = tmp_path / "instance"
+        status = cli_dispatch(
+            ["gen", "--classes", "10", "--mappings", "2", "--disjoints", "20000",
+             "--out-dir", str(out)]
+        )
+        assert status == 1
+        assert "10000 pairs on side 1, but 10 classes form at most 45" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_exhausted_draws_name_the_last_failure(self, tmp_path, capsys):
+        out = tmp_path / "instance"
+        status = cli_dispatch(
+            ["gen", "--classes", "5", "--mappings", "2", "--disjoints", "18",
+             "--out-dir", str(out)]
+        )
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "the last failed: could not place 9 disjoint pairs" in err
         assert not out.exists()
 
 
