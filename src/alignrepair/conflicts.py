@@ -129,7 +129,11 @@ def find_conflict_sets(
     contains a conflict found so far.  When a witness's set for one
     member of a pair settles, its union with each settled set for the
     other member is a conflict, and each mask keeps its smallest (start
-    class, pair index) witness.
+    class, pair index) witness.  A union not yet found is tested against
+    the found masks only when no bit of one set forms a found
+    two-mapping conflict with a bit of the other: such a conflict lies
+    inside the union and is not the union itself, so the union strictly
+    contains it, and the test would say so.
     `max_work` caps the steps of the call: every settled label set (an
     endpoint's own empty set aside) and every union spend one step of
     one shared budget; exhausting it raises EnumerationCapExceeded.  The
@@ -161,10 +165,13 @@ def find_conflict_sets(
 
     # settled[e][v]: the label sets of walks v -> e settled so far.  found
     # maps each conflict mask to its smallest (start, pair index) witness;
-    # by_low indexes the masks by their lowest bit (see contains_conflict).
+    # by_low indexes the masks by their lowest bit (see contains_conflict);
+    # pair_of[i] is the OR of the bits that form a found two-mapping
+    # conflict with bit i.
     settled: dict[int, dict[int, list[int]]] = {e: {} for e in ends}
     found: dict[int, tuple[int, int]] = {}
     by_low: dict[int, list[int]] = {}
+    pair_of = [0] * len(mappings)
 
     budget = max_work
     level = [(e, e, 0) for e in ends]
@@ -184,6 +191,7 @@ def find_conflict_sets(
                         f"the budget of {max_work} steps"
                     )
             if v in starts:
+                near = None  # pair_of over mask's bits, at the first new union
                 for pi, other in partners[e]:
                     for mb in settled[other].get(v, ()):
                         budget -= 1
@@ -196,9 +204,18 @@ def find_conflict_sets(
                         union = mask | mb
                         witness = found.get(union)
                         if witness is None:
-                            if contains_conflict(union, by_low):
+                            if near is None:
+                                near = 0
+                                for i in iter_bits(mask):
+                                    near |= pair_of[i]
+                            if near & mb or contains_conflict(union, by_low):
                                 continue  # never minimal
                             by_low.setdefault(union & -union, []).append(union)
+                            if union.bit_count() == 2:
+                                i, j = iter_bits(union)
+                                pair_of[i] |= 1 << j
+                                pair_of[j] |= 1 << i
+                                near |= (mask >> i & 1) << j | (mask >> j & 1) << i
                         if witness is None or (v, pi) < witness:
                             found[union] = (v, pi)
             for u in radj[v]:

@@ -12,9 +12,9 @@ mapping and pair counts, time grows linearly with the class count.
 
 Class names are zero-padded, so name order is index order and a node
 index is the class's local id: each side's names are made once, and
-every draw indexes its ontologies from int edges, without building or
-resolving name pairs.  The reference check searches the merged view's
-cones by id.
+every draw indexes its ontologies from the child lists its disjoint-pair
+sampler built, without building or resolving name pairs.  The reference
+check searches the merged view's cones by id.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def _build_side(
         children[parent].append(child)
     cone = cache(lambda v: reachable(children, v))
     pair_indices = _sample_disjoint_pairs(rng, n, children, cone, disjoint_count)
-    ontology = _index_ontology(side, names, index, edges, pair_indices)
+    ontology = _index_ontology(side, names, index, children, pair_indices)
     return _Side(ontology, cone, pair_indices)
 
 

@@ -237,43 +237,40 @@ def build_ontology(
         raise OntologyError(f"side must be 1 or 2, got {side!r}")
     names = sorted(set(classes))
     index = {name: i for i, name in enumerate(names)}
-    edges = set(_resolve_pairs(index, list(subclass_edges), "SUBCLASS",
-                               "subclass cycle: {!r} declared under itself"))
+    children: list[list[int]] = [[] for _ in names]
+    for c, p in set(_resolve_pairs(index, list(subclass_edges), "SUBCLASS",
+                                   "subclass cycle: {!r} declared under itself")):
+        children[p].append(c)
     disjoint = {(min(p), max(p)) for p in _resolve_pairs(
         index, list(disjointness), "DISJOINT", "class {!r} declared disjoint with itself"
     )}
-    return _index_ontology(side, names, index, edges, disjoint)
+    return _index_ontology(side, names, index, children, disjoint)
 
 
 def _index_ontology(
     side: int,
     names: list[str],
     index: dict[str, int],
-    edges: Collection[tuple[int, int]],
+    children: list[list[int]],
     disjoint: Collection[tuple[int, int]],
 ) -> Ontology:
     """The int half of :func:`build_ontology`: index and validate one
     ontology given as local ids.  `names` must be sorted, and `index`
-    must map each name to its position.
+    must map each name to its position, in name order.
 
-    `edges` holds distinct (child, parent) pairs and `disjoint` distinct
-    (smaller, larger) pairs, each in any order.  One loop fills the
-    parent and child lists.  The child lists serve the ordering and the
-    coherence check and are then dropped.
+    `children[p]` holds class p's distinct direct subclasses and
+    `disjoint` distinct (smaller, larger) pairs, each in any order.  The
+    parent lists, filled in id order, come out ascending.  The child
+    lists serve the ordering and the coherence check; the ontology does
+    not keep them.
     """
-    n = len(names)
-    parents: list[list[int]] = [[] for _ in range(n)]
-    children: list[list[int]] = [[] for _ in range(n)]
-    for c, p in edges:
-        parents[c].append(p)
-        children[p].append(c)
-    for ps in parents:
-        if len(ps) > 1:
-            ps.sort()
+    parents: list[list[int]] = [[] for _ in names]
+    for p, cs in zip(index.values(), children):
+        for c in cs:
+            parents[c].append(p)
     order = _roots_first_order(side, names, parents, children)
     pairs = tuple(sorted(disjoint))
     _check_coherent(names, children, pairs)
-    del children  # freed before the tuples below
     return Ontology(side, names, index, order, tuple(map(tuple, parents)), pairs)
 
 

@@ -326,6 +326,33 @@ def test_non_minimal_recorded_masks_are_dropped(params, minimal):
     assert conflicts == expected
 
 
+def test_two_mapping_precheck_spares_containment_tests(m_instance, monkeypatch):
+    """A union that holds a found two-mapping conflict, and is not that
+    conflict, skips `contains_conflict`.  The outputs cannot show the
+    precheck, so count the containment tests of one search: on ROADMAP
+    C2 it spares about 90% of them (849,168 without it), on M a few
+    (11,611 without it)."""
+    _, _, produced, analysis = m_instance
+    c2_params = GeneratorParams(10_000, 2_000, 100, 0.4, 5, 25, 2.0)
+    o1, o2, c2, _ = generate_instance(c2_params)
+    searches = [
+        (analysis.fragments, produced, 472, 11_302),
+        (extract_core_fragments(o1, o2, c2), c2, 552, 97_748),
+    ]
+    tests = 0
+
+    def counted(mask, by_low):
+        nonlocal tests
+        tests += 1
+        return contains_conflict(mask, by_low)
+
+    monkeypatch.setattr("alignrepair.conflicts.contains_conflict", counted)
+    for fragments, alignment, sets, expected in searches:
+        tests = 0
+        assert len(find_conflict_sets(fragments, (), alignment)) == sets
+        assert tests == expected
+
+
 def _engine_pruning(sets):
     """The family pruned by the rule `find_conflict_sets` applies to its
     recorded masks, then deduplicated by `ConflictList`."""

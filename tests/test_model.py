@@ -394,9 +394,10 @@ def test_coherence_check_matches_brute_closure(seed):
              .filter(lambda e: e[0] != e[1]), max_size=12))))
 def test_build_accepts_exactly_the_acyclic_digraphs(graph):
     """A digraph without self-edges is accepted iff no edge closes a
-    cycle in the brute closure; then `order` puts every parent before
-    its children, and otherwise the error names the smallest class on a
-    cycle."""
+    cycle in the brute closure; then each parent list holds the class's
+    distinct parents in ascending order, and `order` puts every parent
+    before its children.  Otherwise the error names the smallest class
+    on a cycle."""
     n, pairs = graph
     names = [f"c{i}" for i in range(n)]
     edges = [(names[a], names[b]) for a, b in pairs]
@@ -405,6 +406,10 @@ def test_build_accepts_exactly_the_acyclic_digraphs(graph):
     on_cycle = sorted(a for a, b in edges if a in closure[b])
     if not on_cycle:
         onto = build_ontology(1, names, edges)
+        # n <= 8, so names[i] sorts to local id i
+        assert onto.parents == tuple(
+            tuple(sorted({b for a, b in pairs if a == c})) for c in range(n)
+        )
         assert sorted(onto.order) == list(range(n))
         position = {v: i for i, v in enumerate(onto.order)}
         for child, ps in enumerate(onto.parents):
