@@ -53,6 +53,7 @@ _MODULES = {
     "precision_recall_fmeasure": "oracle",
     "repair": "greedy",
     "repair_alignment": "pipeline",
+    "repair_files": "pipeline",
     "write_alignment_tsv": "formats",
     "write_ontology_file": "formats",
 }

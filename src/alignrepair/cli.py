@@ -12,16 +12,16 @@ neither `dataclasses` nor `json`.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import sys
-import time
 from pathlib import Path
 from typing import NoReturn
 
 from .formats import (
+    load_inputs,
     parse_alignment_tsv,
-    parse_ontology_file,
     write_alignment_tsv,
     write_ontology_file,
 )
@@ -34,24 +34,26 @@ def _pct(part: int, total: int) -> float:
     return round(100.0 * part / total, 1) if total else 0.0
 
 
-def _load_inputs(args):
-    o1 = parse_ontology_file(Path(args.onto1).read_text(encoding="utf-8-sig"), side=1)
-    o2 = parse_ontology_file(Path(args.onto2).read_text(encoding="utf-8-sig"), side=2)
-    align = parse_alignment_tsv(Path(args.align).read_text(encoding="utf-8-sig"))
-    return o1, o2, align
+def _stdout():
+    """Standard output; None when the process started with it closed,
+    which this reports as the error a write would raise."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "standard output is closed")
+    return sys.stdout
 
 
-def _input_section(o1, o2, align) -> dict:
+def _input_section(view) -> dict:
+    o1, o2 = view.sides
     return {
         "classes_side1": len(o1),
         "classes_side2": len(o2),
-        "mappings": len(align),
-        "disjoint_pairs": len(o1.disjoint) + len(o2.disjoint),
+        "mappings": len(view.mapping_edges),
+        "disjoint_pairs": len(view.disjoint),
     }
 
 
-def _fragment_section(o1, o2, fragments) -> dict:
-    total = len(o1) + len(o2)
+def _fragment_section(fragments) -> dict:
+    total = len(fragments.view.names)
     return {
         "total_classes": total,
         "core_classes": len(fragments.core),
@@ -68,7 +70,7 @@ def _emit(report: dict, path: str | None) -> None:
     if path:
         Path(path).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        _stdout().write(text)
 
 
 def _cmd_repair(args) -> int:
@@ -77,17 +79,14 @@ def _cmd_repair(args) -> int:
         return 1
     from .conflicts import conflict_statistics
     from .greedy import RemovalCause, RepairConfig
-    from .pipeline import repair_alignment
+    from .pipeline import repair_files
 
-    start = time.perf_counter()
-    o1, o2, align = _load_inputs(args)
-    load_s = time.perf_counter() - start
     config = RepairConfig(
         epsilon=args.epsilon,
         search_depth=args.search_depth,
         use_clusters=not args.no_clusters,
     )
-    run = repair_alignment(o1, o2, align, config)
+    run = repair_files(args.onto1, args.onto2, args.align, config)
     analysis, result = run.analysis, run.result
     if run.incoherent_after:
         print(f"error: repair left {run.incoherent_after} incoherent classes",
@@ -99,8 +98,8 @@ def _cmd_repair(args) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "task": "repair",
-        "inputs": _input_section(o1, o2, align),
-        "fragments": _fragment_section(o1, o2, analysis.fragments),
+        "inputs": _input_section(analysis.fragments.view),
+        "fragments": _fragment_section(analysis.fragments),
         "conflicts": conflict_statistics(analysis.conflicts),
         "repair": {
             "removed": len(result.removed),
@@ -127,12 +126,12 @@ def _cmd_repair(args) -> int:
             _emit(report, args.report)
             written.append(args.report)
         _emit(report, None)
-        sys.stdout.flush()
+        _stdout().flush()
     except OSError:
         for path in written:
             Path(path).unlink()
         raise
-    for name, seconds in {"load": load_s, **run.phases}.items():
+    for name, seconds in run.phases.items():
         print(f"{name}: {seconds:.3f}s", file=sys.stderr)
     return 0
 
@@ -140,25 +139,23 @@ def _cmd_repair(args) -> int:
 def _cmd_check(args) -> int:
     from .model import merged_view
 
-    o1, o2, align = _load_inputs(args)
-    view = merged_view(o1, o2, align)
+    view = merged_view(*load_inputs(args.onto1, args.onto2, args.align))
     bad = sorted(view.incoherent_ids())
     # One write: with unbuffered output, each print would be a system call.
     lines = [str(len(bad)), *(view.names[g] for g in bad)]
-    sys.stdout.write("\n".join(lines) + "\n")
+    _stdout().write("\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_fragments(args) -> int:
     from .fragments import extract_core_fragments
 
-    o1, o2, align = _load_inputs(args)
-    fragments = extract_core_fragments(o1, o2, align)
+    fragments = extract_core_fragments(*load_inputs(args.onto1, args.onto2, args.align))
     report = {
         "schema_version": SCHEMA_VERSION,
         "task": "fragments",
-        "inputs": _input_section(o1, o2, align),
-        "fragments": _fragment_section(o1, o2, fragments),
+        "inputs": _input_section(fragments.view),
+        "fragments": _fragment_section(fragments),
     }
     _emit(report, None)
     return 0
@@ -168,13 +165,12 @@ def _cmd_conflicts(args) -> int:
     from .conflicts import conflict_statistics
     from .pipeline import analyze
 
-    o1, o2, align = _load_inputs(args)
-    conflicts = analyze(o1, o2, align).conflicts
+    analysis = analyze(*load_inputs(args.onto1, args.onto2, args.align))
     report = {
         "schema_version": SCHEMA_VERSION,
         "task": "conflicts",
-        "inputs": _input_section(o1, o2, align),
-        "conflicts": conflict_statistics(conflicts),
+        "inputs": _input_section(analysis.fragments.view),
+        "conflicts": conflict_statistics(analysis.conflicts),
     }
     _emit(report, None)
     return 0
@@ -311,16 +307,17 @@ def main() -> NoReturn:
     Every output file is closed when the command returns, so once the
     standard streams are flushed the process ends at once, without
     tearing down the interpreter object by object.  A failed flush
-    exits 1.
+    exits 1, with an error line unless the command already failed.
     """
     # The engine makes no reference cycles (tests/test_memory.py checks
     # it), so a one-shot process loses nothing by skipping cyclic GC.
     gc.disable()
     status = cli_dispatch(sys.argv[1:])
     try:
-        sys.stdout.flush()
+        _stdout().flush()
     except (OSError, ValueError) as exc:
-        print(f"error: standard output: {exc}", file=sys.stderr)
+        if status == 0:
+            print(f"error: standard output: {exc}", file=sys.stderr)
         status = 1
     try:
         sys.stderr.flush()

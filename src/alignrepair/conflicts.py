@@ -12,6 +12,7 @@ conflict (the second is the pruning rule of Reiter's hitting-set tree).
 
 A `ConflictList` holds each set as an int mask over its own mappings in
 key order; the clusters, the statistics and `greedy.py` read only these.
+It also carries the search's `SearchWork`, the counts its cap charges.
 """
 
 from __future__ import annotations
@@ -47,6 +48,18 @@ class ConflictSet:
         return f"ConflictSet({{{members}}} @ {self.witness_class.id})"
 
 
+@dataclass(frozen=True)
+class SearchWork:
+    """The work of one conflict search: label sets settled (an
+    endpoint's own empty set aside), unions formed, and unions pruned
+    because they hold a found conflict.  A step is one settled set or
+    one union; `max_work` caps `settled + unions`."""
+
+    settled: int = 0
+    unions: int = 0
+    pruned: int = 0
+
+
 class ConflictList:
     """Deduplicated, canonically ordered antichain of conflict sets.
 
@@ -56,11 +69,14 @@ class ConflictList:
     sets are ordered by key.  `mappings` is the union of their mappings
     in key order, and `masks` holds one int per set: bit i stands for
     `mappings[i]`.  Ascending bit tuples order the masks as keys do.
+    `work` is the search's ledger, all zeros for a list built by hand;
+    equality ignores it.
     """
 
-    __slots__ = ("sets", "mappings", "masks")
+    __slots__ = ("sets", "mappings", "masks", "work")
 
-    def __init__(self, sets: Iterable[ConflictSet] = ()):
+    def __init__(self, sets: Iterable[ConflictSet] = (),
+                 work: SearchWork = SearchWork()):
         by_key: dict[tuple, ConflictSet] = {}
         for s in sorted(
             sets, key=lambda s: (s.key, s.witness_class, s.witness_pair)
@@ -71,6 +87,7 @@ class ConflictList:
         bit = {k: i for i, k in enumerate(sorted(members))}
         self.mappings: tuple[Mapping, ...] = tuple(members[k] for k in bit)
         self.masks = tuple(sum(1 << bit[k] for k in s.key) for s in self.sets)
+        self.work = work
 
     def __iter__(self) -> Iterator[ConflictSet]:
         return iter(self.sets)
@@ -134,13 +151,12 @@ def find_conflict_sets(
     two-mapping conflict with a bit of the other: such a conflict lies
     inside the union and is not the union itself, so the union strictly
     contains it, and the test would say so.
-    `max_work` caps the steps of the call: every settled label set (an
-    endpoint's own empty set aside) and every union spend one step of
-    one shared budget; exhausting it raises EnumerationCapExceeded.  The
-    scans behind each step, a candidate's subset test against the node's
-    settled sets and its conflict test against the found masks, are not
-    charged, so the cap bounds steps, not time (the `find_conflict_sets`
-    FOUND entry in CHANGES.md; ROADMAP item 3(a)).
+    The list's `work` counts the steps (see `SearchWork`), and a step
+    past `max_work` raises EnumerationCapExceeded.  The scans behind
+    each step, a candidate's subset test against the node's settled sets
+    and its conflict test against the found masks, are not charged, so
+    the cap bounds steps, not time (the `find_conflict_sets` FOUND entry
+    in CHANGES.md; ROADMAP item 3(a)).
     """
     # The reverse core graph: the reduced edges carry no label, and each
     # mapping edge is labelled with the mapping's index.  Parallel edges
@@ -173,7 +189,7 @@ def find_conflict_sets(
     by_low: dict[int, list[int]] = {}
     pair_of = [0] * len(mappings)
 
-    budget = max_work
+    n_settled = n_unions = n_pruned = 0
     level = [(e, e, 0) for e in ends]
     while level:
         # Edges that add no new label extend `level` as it is walked.
@@ -184,8 +200,8 @@ def find_conflict_sets(
                 continue
             live.append(mask)
             if v != e:
-                budget -= 1
-                if budget < 0:
+                n_settled += 1
+                if n_settled + n_unions > max_work:
                     raise EnumerationCapExceeded(
                         f"label-set search into {name[e]} exhausts "
                         f"the budget of {max_work} steps"
@@ -194,8 +210,8 @@ def find_conflict_sets(
                 near = None  # pair_of over mask's bits, at the first new union
                 for pi, other in partners[e]:
                     for mb in settled[other].get(v, ()):
-                        budget -= 1
-                        if budget < 0:
+                        n_unions += 1
+                        if n_settled + n_unions > max_work:
                             a, b = pairs[pi]
                             raise EnumerationCapExceeded(
                                 f"witness ({name[v]}, {name[a]}|{name[b]}) exhausts "
@@ -209,6 +225,7 @@ def find_conflict_sets(
                                 for i in iter_bits(mask):
                                     near |= pair_of[i]
                             if near & mb or contains_conflict(union, by_low):
+                                n_pruned += 1
                                 continue  # never minimal
                             by_low.setdefault(union & -union, []).append(union)
                             if union.bit_count() == 2:
@@ -230,7 +247,7 @@ def find_conflict_sets(
     # A dropped set strictly contains a found conflict, and so does every
     # union with it: the minimal found masks are the minimal conflicts.
     at = view.class_at
-    return ConflictList(
+    minimal = (
         ConflictSet(
             mappings=frozenset(mappings[i] for i in iter_bits(mask)),
             witness_class=at(v),
@@ -239,6 +256,7 @@ def find_conflict_sets(
         for mask, (v, pi) in found.items()
         if not contains_conflict(mask, by_low)
     )
+    return ConflictList(minimal, SearchWork(n_settled, n_unions, n_pruned))
 
 
 def disjoint_conflict_clusters(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:

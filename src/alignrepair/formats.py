@@ -18,6 +18,8 @@ write(parse(write(x))) == write(x).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from .model import (
     Alignment,
     ClassId,
@@ -118,6 +120,18 @@ def parse_alignment_tsv(text: str) -> Alignment:
         seen.add(mapping.key)
         mappings.append(mapping)
     return Alignment(mappings)
+
+
+def load_inputs(onto1: str | Path, onto2: str | Path,
+                align: str | Path) -> tuple[Ontology, Ontology, Alignment]:
+    """Read and parse the side-1 and side-2 ontology files and the
+    alignment file.  A file may start with a UTF-8 BOM."""
+    def read(path: str | Path) -> str:
+        return Path(path).read_text(encoding="utf-8-sig")
+
+    o1 = parse_ontology_file(read(onto1), side=1)
+    o2 = parse_ontology_file(read(onto2), side=2)
+    return o1, o2, parse_alignment_tsv(read(align))
 
 
 def format_confidence(value: float) -> str:

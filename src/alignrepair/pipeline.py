@@ -1,13 +1,15 @@
 """The repair pipeline, wired up once: merged view, core fragments,
 conflict enumeration (`analyze`), then repair and verification
-(`repair_alignment`, which runs the whole chain)."""
+(`repair_alignment`, which runs the whole chain; `repair_files` parses
+its inputs first)."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .conflicts import ConflictList, find_conflict_sets
+from .formats import load_inputs
 from .fragments import CoreFragments, extract_core_fragments
 from .greedy import RepairConfig, RepairResult, repair
 from .model import Alignment, Ontology, merged_view
@@ -18,7 +20,8 @@ class Analysis:
     """Everything repair needs, plus the wall time of each phase.
 
     `phases` maps "merge", "fragments" and "conflicts", in that order, to
-    seconds; "merge" includes counting the incoherent classes.
+    seconds; "merge" includes counting the incoherent classes.  The
+    search's step counts are `conflicts.work`.
     """
 
     incoherent_before: int
@@ -34,7 +37,8 @@ class RepairRun:
     `incoherent_after` counts the incoherent classes that the kept
     mappings leave, on the analysis view, which `analysis.fragments`
     keeps.  `phases` maps "merge", "fragments", "conflicts", "repair"
-    and "verify", in that order, to seconds.
+    and "verify", in that order, to seconds; a run of `repair_files`
+    puts "load", the reading and parsing of its inputs, first.
     """
 
     analysis: Analysis
@@ -88,3 +92,14 @@ def repair_alignment(o1: Ontology, o2: Ontology, alignment: Alignment,
             "verify": done - repaired,
         },
     )
+
+
+def repair_files(onto1, onto2, align,
+                 config: RepairConfig = RepairConfig()) -> RepairRun:
+    """Read and parse the two ontology files and the alignment file in a
+    timed "load" phase, then run `repair_alignment` on them."""
+    start = time.perf_counter()
+    o1, o2, alignment = load_inputs(onto1, onto2, align)
+    loaded = time.perf_counter()
+    run = repair_alignment(o1, o2, alignment, config)
+    return replace(run, phases={"load": loaded - start, **run.phases})

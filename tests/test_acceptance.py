@@ -13,10 +13,12 @@ import resource
 import time
 
 import pytest
+from hypothesis import assume, event, given, settings
 
 from alignrepair import (
     Alignment,
     ConflictList,
+    EnumerationCapExceeded,
     GeneratorParams,
     RemovalCause,
     RepairConfig,
@@ -24,6 +26,7 @@ from alignrepair import (
     brute_force_min_hitting_set,
     exhaustive_incoherence,
     extract_core_fragments,
+    find_conflict_sets,
     fragments_incoherent,
     generate_instance,
     repair,
@@ -31,7 +34,14 @@ from alignrepair import (
 )
 from alignrepair.cli import cli_dispatch
 
-from conftest import antichain, equivalence_only, filter_list, mk_mapping, mk_set
+from conftest import (
+    antichain,
+    equivalence_only,
+    filter_list,
+    generated_instances,
+    mk_mapping,
+    mk_set,
+)
 
 N_INSTANCES = 300
 E_INSTANCES = 100
@@ -149,6 +159,40 @@ def test_equivalence_only_copies_sound_minimal_complete_and_repaired():
         assert exhaustive_incoherence(o1, o2, run.result.kept) == set()
     print(f"E PASS: {sets} sets sound, minimal and complete over "
           f"{E_INSTANCES} instances, every repair coherent")
+
+
+@settings(max_examples=200, deadline=None)
+@given(generated_instances())
+def test_equivalence_only_draws_sound_minimal_complete_and_repaired(instance):
+    """The E transform of Hypothesis draws, where the search finishes
+    within 20,000 steps: criterion 2's checks hold, and the default
+    repair is coherent.  Draws that trip the cap, like ROADMAP T, are
+    rejected and counted until item 24 repairs them."""
+    o1, o2, produced = instance
+    aligned = equivalence_only(produced)
+    frags = extract_core_fragments(o1, o2, aligned)
+    try:
+        conflicts = find_conflict_sets(frags, (), aligned, max_work=20_000)
+    except EnumerationCapExceeded:
+        event("enumeration cap trip")
+        assume(False)
+    _check_sound_minimal_complete(o1, o2, conflicts, _subsets(0, aligned))
+    assert exhaustive_incoherence(o1, o2, repair(conflicts, aligned).kept) == set()
+
+
+def test_roadmap_t_trips_the_default_cap():
+    """ROADMAP T, the smallest known cap trip (94 mappings), stops at a
+    witness's path pairs.  Item 24 turns this into a repair."""
+    params = GeneratorParams(55, 51, 2, 0.9235030947918336, 5944, 7, 3.0)
+    o1, o2, produced, _ = generate_instance(params)
+    aligned = equivalence_only(produced)
+    assert len(aligned) == 94
+    with pytest.raises(
+        EnumerationCapExceeded,
+        match=r"^witness \(a0020, b0014\|b0036\) exhausts the budget of "
+              r"1000000 steps with its path pairs$",
+    ):
+        analyze(o1, o2, aligned)
 
 
 def test_criterion_3_repair_correct_across_config_grid(batch):

@@ -10,6 +10,7 @@ from alignrepair import (
     EnumerationCapExceeded, RepairResult, RepairStats, generator, pipeline
 )
 from alignrepair.cli import cli_dispatch
+from alignrepair.formats import load_inputs
 
 F1_ONTO1 = """\
 CLASS A1
@@ -73,6 +74,16 @@ class TestRepairCommand:
         assert len(lines) == len(names)
         for name, line in zip(names, lines):
             assert re.fullmatch(rf"{name}: \d+\.\d{{3}}s", line), line
+
+    def test_library_times_the_load_first(self, f1_files):
+        """`repair_files`, which the command calls, is `repair_alignment`
+        on the parsed files with the parse timed as a "load" phase."""
+        paths = [f1_files / name for name in ("o1.txt", "o2.txt", "align.tsv")]
+        run = pipeline.repair_files(*paths)
+        direct = pipeline.repair_alignment(*load_inputs(*paths))
+        assert list(run.phases) == ["load", *direct.phases]
+        assert run.result.removed == direct.result.removed
+        assert run.analysis.conflicts == direct.analysis.conflicts
 
     def test_flags_forwarded(self, f1_files, capsys):
         out = f1_files / "repaired.tsv"

@@ -28,7 +28,11 @@ from alignrepair import (
     repair,
 )
 
-from alignrepair.conflicts import contains_conflict, disjoint_conflict_clusters
+from alignrepair.conflicts import (
+    SearchWork,
+    contains_conflict,
+    disjoint_conflict_clusters,
+)
 from alignrepair.generator import GeneratorParams, generate_instance
 from alignrepair.graphs import iter_bits
 
@@ -164,6 +168,16 @@ class TestFindConflictSets:
         ):
             _enumerate(o1, o2, Alignment(mappings), max_work=2)
 
+    def test_the_ledger_is_the_work_and_equality_ignores_it(self, two_routes):
+        # The steps of test_cap_bounds_the_total_work: 4 settled sets and
+        # 2 unions.  A list built from the same sets has an empty ledger.
+        o1, o2, mappings = two_routes
+        conflicts = _enumerate(o1, o2, Alignment(mappings))
+        assert conflicts.work == SearchWork(settled=4, unions=2, pruned=0)
+        rebuilt = ConflictList(conflicts)
+        assert rebuilt == conflicts
+        assert rebuilt.work == SearchWork(0, 0, 0)
+
     def test_noisy_instance_within_the_default_cap(self):
         # Run one endpoint at a time and without conflict pruning, the
         # label searches exhaust the default cap of 1,000,000 steps here.
@@ -177,6 +191,36 @@ class TestFindConflictSets:
             for m in s.mappings:
                 assert not exhaustive_incoherence(o1, o2, s.mappings - {m})
         assert not exhaustive_incoherence(o1, o2, repair(conflicts, align).kept)
+
+
+def test_the_ledger_on_s_and_m(m_instance):
+    """ROADMAP item 23's counts (settled / unions / pruned), as
+    `analyze` returns them on its conflict list."""
+    s = GeneratorParams(10_000, 200, 50, 0.25, 11, 60, 1.15)
+    o1, o2, produced, _ = generate_instance(s)
+    assert analyze(o1, o2, produced).conflicts.work == SearchWork(324, 19, 0)
+    assert m_instance[3].conflicts.work == SearchWork(9_168, 1_676, 314)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generated_instances())
+def test_the_cap_charges_exactly_the_ledger(instance):
+    """A cap of `settled + unions` steps lets the search finish with the
+    same list and the same ledger; one step less trips it."""
+    o1, o2, align = instance
+    frags = extract_core_fragments(o1, o2, align)
+    try:
+        conflicts = find_conflict_sets(frags, (), align, max_work=20_000)
+    except EnumerationCapExceeded:
+        assume(False)
+    work = conflicts.work
+    steps = work.settled + work.unions
+    again = find_conflict_sets(frags, (), align, max_work=steps)
+    assert again == conflicts
+    assert again.work == work
+    if steps:
+        with pytest.raises(EnumerationCapExceeded):
+            find_conflict_sets(frags, (), align, max_work=steps - 1)
 
 
 def _insert_minimal(masks, new):
@@ -331,13 +375,16 @@ def test_two_mapping_precheck_spares_containment_tests(m_instance, monkeypatch):
     conflict, skips `contains_conflict`.  The outputs cannot show the
     precheck, so count the containment tests of one search: on ROADMAP
     C2 it spares about 90% of them (849,168 without it), on M a few
-    (11,611 without it)."""
+    (11,611 without it).  C2's ledger is pinned with it: nearly every
+    union there holds a found conflict."""
     _, _, produced, analysis = m_instance
     c2_params = GeneratorParams(10_000, 2_000, 100, 0.4, 5, 25, 2.0)
     o1, o2, c2, _ = generate_instance(c2_params)
     searches = [
-        (analysis.fragments, produced, 472, 11_302),
-        (extract_core_fragments(o1, o2, c2), c2, 552, 97_748),
+        (analysis.fragments, produced, 472, 11_302,
+         SearchWork(9_168, 1_676, 314)),
+        (extract_core_fragments(o1, o2, c2), c2, 552, 97_748,
+         SearchWork(92_027, 753_098, 751_752)),
     ]
     tests = 0
 
@@ -347,10 +394,12 @@ def test_two_mapping_precheck_spares_containment_tests(m_instance, monkeypatch):
         return contains_conflict(mask, by_low)
 
     monkeypatch.setattr("alignrepair.conflicts.contains_conflict", counted)
-    for fragments, alignment, sets, expected in searches:
+    for fragments, alignment, sets, expected, work in searches:
         tests = 0
-        assert len(find_conflict_sets(fragments, (), alignment)) == sets
+        conflicts = find_conflict_sets(fragments, (), alignment)
+        assert len(conflicts) == sets
         assert tests == expected
+        assert conflicts.work == work
 
 
 def _engine_pruning(sets):

@@ -144,6 +144,25 @@ def test_repair_that_cannot_write_stdout_leaves_no_file(instance, tmp_path):
     assert not out.exists() and not report.exists()
 
 
+def test_closed_stdout_is_an_error_line_and_leaves_no_file(instance, tmp_path):
+    """A process started with descriptor 1 closed has no `sys.stdout`:
+    `repair` and `check` exit 1 with an error line, not a traceback, and
+    `repair` removes the files it wrote."""
+    out, report = tmp_path / "repaired.tsv", tmp_path / "report.json"
+    for argv in (["repair", *inputs(instance), "--out", str(out),
+                  "--report", str(report)],
+                 ["check", *inputs(instance)]):
+        run = subprocess.run(
+            [sys.executable, "-m", "alignrepair", *argv], env=ENV,
+            stderr=subprocess.PIPE, timeout=60, preexec_fn=lambda: os.close(1),
+        )
+        stderr = run.stderr.decode()
+        assert run.returncode == 1, stderr
+        assert stderr.startswith("error: ")
+        assert "Traceback" not in stderr
+    assert not out.exists() and not report.exists()
+
+
 @pytest.mark.parametrize("first", ["alignrepair.pipeline", "alignrepair.greedy",
                                    "alignrepair.repair"])
 def test_package_repair_is_the_function_after_any_import(first):
