@@ -4,6 +4,12 @@ Reports are JSON objects with stable key order so that repeated runs
 with the same inputs are byte-identical.  Phase wall times go to stderr
 only; they never enter report files.
 
+Each command writes nothing (`gen` only creates its directory): it
+returns its output files (path -> text, in write order), its
+standard-output text and its standard-error text, and `cli_dispatch`
+writes them.  A failed write
+removes the files written so far, so exit 1 leaves no output file.
+
 Each command imports the modules it runs when it runs, so a process
 loads only those: `check` loads `formats`, `model` and `graphs`, and
 neither `dataclasses` nor `json`.
@@ -63,20 +69,15 @@ def _fragment_section(fragments) -> dict:
     }
 
 
-def _emit(report: dict, path: str | None) -> None:
+def _json(data: dict) -> str:
     import json
 
-    text = json.dumps(report, indent=2) + "\n"
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
-        _stdout().write(text)
+    return json.dumps(data, indent=2) + "\n"
 
 
-def _cmd_repair(args) -> int:
+def _cmd_repair(args) -> tuple[dict, str, str]:
     if args.report and Path(args.report).resolve() == Path(args.out).resolve():
-        print("error: --out and --report name the same file", file=sys.stderr)
-        return 1
+        raise ValueError("--out and --report name the same file")
     from .conflicts import conflict_statistics
     from .greedy import RemovalCause, RepairConfig
     from .pipeline import repair_files
@@ -89,11 +90,8 @@ def _cmd_repair(args) -> int:
     run = repair_files(args.onto1, args.onto2, args.align, config)
     analysis, result = run.analysis, run.result
     if run.incoherent_after:
-        print(f"error: repair left {run.incoherent_after} incoherent classes",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"repair left {run.incoherent_after} incoherent classes")
 
-    Path(args.out).write_text(write_alignment_tsv(result.kept), encoding="utf-8")
     filtered = sum(1 for r in result.removed if r.cause is RemovalCause.FILTERED)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -119,35 +117,24 @@ def _cmd_repair(args) -> int:
             "use_clusters": config.use_clusters,
         },
     }
-    # A failed run leaves no output file, even when standard output fails.
-    written = [args.out]
-    try:
-        if args.report:
-            _emit(report, args.report)
-            written.append(args.report)
-        _emit(report, None)
-        _stdout().flush()
-    except OSError:
-        for path in written:
-            Path(path).unlink()
-        raise
-    for name, seconds in run.phases.items():
-        print(f"{name}: {seconds:.3f}s", file=sys.stderr)
-    return 0
+    text = _json(report)
+    files = {args.out: write_alignment_tsv(result.kept)}
+    if args.report:
+        files[args.report] = text
+    phases = "".join(f"{name}: {seconds:.3f}s\n" for name, seconds in run.phases.items())
+    return files, text, phases
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[dict, str, str]:
     from .model import merged_view
 
     view = merged_view(*load_inputs(args.onto1, args.onto2, args.align))
     bad = sorted(view.incoherent_ids())
-    # One write: with unbuffered output, each print would be a system call.
     lines = [str(len(bad)), *(view.names[g] for g in bad)]
-    _stdout().write("\n".join(lines) + "\n")
-    return 0
+    return {}, "\n".join(lines) + "\n", ""
 
 
-def _cmd_fragments(args) -> int:
+def _cmd_fragments(args) -> tuple[dict, str, str]:
     from .fragments import extract_core_fragments
 
     fragments = extract_core_fragments(*load_inputs(args.onto1, args.onto2, args.align))
@@ -157,11 +144,10 @@ def _cmd_fragments(args) -> int:
         "inputs": _input_section(fragments.view),
         "fragments": _fragment_section(fragments),
     }
-    _emit(report, None)
-    return 0
+    return {}, _json(report), ""
 
 
-def _cmd_conflicts(args) -> int:
+def _cmd_conflicts(args) -> tuple[dict, str, str]:
     from .conflicts import conflict_statistics
     from .pipeline import analyze
 
@@ -172,11 +158,10 @@ def _cmd_conflicts(args) -> int:
         "inputs": _input_section(analysis.fragments.view),
         "conflicts": conflict_statistics(analysis.conflicts),
     }
-    _emit(report, None)
-    return 0
+    return {}, _json(report), ""
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[dict, str, str]:
     from .oracle import precision_recall_fmeasure
 
     produced = parse_alignment_tsv(Path(args.produced).read_text(encoding="utf-8-sig"))
@@ -191,12 +176,10 @@ def _cmd_eval(args) -> int:
         "recall": round(ev.recall, 6),
         "f_measure": round(ev.f_measure, 6),
     }
-    _emit(report, None)
-    return 0
+    return {}, _json(report), ""
 
 
-def _cmd_gen(args) -> int:
-    import json
+def _cmd_gen(args) -> tuple[dict, str, str]:
     from dataclasses import asdict
 
     from .generator import GeneratorParams, generate_instance
@@ -213,21 +196,20 @@ def _cmd_gen(args) -> int:
     o1, o2, produced, reference = generate_instance(params)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "onto1.txt").write_text(write_ontology_file(o1), encoding="utf-8")
-    (out / "onto2.txt").write_text(write_ontology_file(o2), encoding="utf-8")
-    (out / "produced.tsv").write_text(write_alignment_tsv(produced), encoding="utf-8")
-    (out / "reference.tsv").write_text(write_alignment_tsv(reference), encoding="utf-8")
+    files = {
+        out / "onto1.txt": write_ontology_file(o1),
+        out / "onto2.txt": write_ontology_file(o2),
+        out / "produced.tsv": write_alignment_tsv(produced),
+        out / "reference.tsv": write_alignment_tsv(reference),
+    }
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "task": "gen",
         "params": asdict(params),
-        "files": ["onto1.txt", "onto2.txt", "produced.tsv", "reference.tsv"],
+        "files": [path.name for path in files],
     }
-    (out / "params.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"wrote instance to {out}")
-    return 0
+    files[out / "params.json"] = _json(manifest)
+    return files, f"wrote instance to {out}\n", ""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -294,17 +276,29 @@ def cli_dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    written = []
     try:
-        return args.func(args)
+        files, out, err = args.func(args)
+        for path, text in files.items():
+            with open(path, "w", encoding="utf-8") as f:
+                written.append(path)  # opened, so ours to remove if the write fails
+                f.write(text)
+        stdout = _stdout()
+        stdout.write(out)
+        stdout.flush()
     except (ValueError, OSError, GeneratorError, EnumerationCapExceeded) as exc:
+        for path in written:
+            os.unlink(path)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    sys.stderr.write(err)
+    return 0
 
 
 def main() -> NoReturn:
     """Run the command in `sys.argv` and end the process with its status.
 
-    Every output file is closed when the command returns, so once the
+    Every output file is closed when `cli_dispatch` returns, so once the
     standard streams are flushed the process ends at once, without
     tearing down the interpreter object by object.  A failed flush
     exits 1, with an error line unless the command already failed.

@@ -4,10 +4,12 @@ caller in the engine; and the public methods of the engine's classes,
 each of which must keep a reader outside the tests."""
 
 import ast
+import shlex
 from collections import Counter
 from pathlib import Path
 
 import alignrepair
+from alignrepair.cli import cli_dispatch
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -36,11 +38,11 @@ def test_every_graph_primitive_is_called_from_another_module():
     assert sorted(defined - called) == []
 
 
-def readme_library_block() -> str:
-    """The Python block under README's "Library use" heading."""
+def readme_block(heading: str, language: str) -> str:
+    """The first `language` code block under README's `heading`."""
     readme = (REPO / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Library use", 1)[1]
-    return section.split("```python\n", 1)[1].split("```", 1)[0]
+    section = readme.split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
 
 
 def _references(tree: ast.AST) -> Counter:
@@ -59,7 +61,7 @@ def _reader_counts() -> Counter:
     package = Path(alignrepair.__file__).parent
     paths = [*package.glob("*.py"), *(REPO / "perfbench").glob("*.py")]
     sources = [path.read_text(encoding="utf-8") for path in paths]
-    sources.append(readme_library_block())
+    sources.append(readme_block("Library use", "python"))
     return sum((_references(ast.parse(text)) for text in sources), Counter())
 
 
@@ -112,5 +114,23 @@ def test_every_exported_function_has_a_reader():
 
 
 def test_readme_library_example_prints_what_its_comments_say(capsys):
-    exec(compile(readme_library_block(), "README.md", "exec"), {})
+    exec(compile(readme_block("Library use", "python"), "README.md", "exec"), {})
     assert capsys.readouterr().out == "2\n['C1 > A2']\n"
+
+
+def test_readme_command_line_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    """Each command of the shell block exits 0, and the one commented
+    `# prints X` prints X."""
+    monkeypatch.chdir(tmp_path)
+    run = []
+    for line in readme_block("Command line", "sh").replace("\\\n", " ").splitlines():
+        command, _, prints = line.partition("# prints ")
+        program, *argv = shlex.split(command)
+        assert program == "alignrepair"
+        assert cli_dispatch(argv) == 0, line
+        out = capsys.readouterr().out
+        if prints:
+            assert out == prints + "\n", line
+        run.append((argv[0], prints))
+    assert run == [("gen", ""), ("check", ""), ("repair", ""), ("check", "0"),
+                   ("eval", "")]

@@ -370,6 +370,20 @@ class TestErrorsAndExitCodes:
         )
         assert not out.exists()
 
+    def test_gen_that_cannot_write_a_file_leaves_none(self, tmp_path, capsys):
+        """`params.json` is written last; when it cannot be, the four
+        instance files written before it are removed."""
+        out = tmp_path / "instance"
+        (out / "params.json").mkdir(parents=True)
+        status = cli_dispatch(
+            ["gen", "--classes", "20", "--mappings", "5", "--out-dir", str(out)]
+        )
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert list(out.rglob("*")) == [out / "params.json"]
+
     def test_exhausted_draws_name_the_last_failure(self, tmp_path, capsys):
         out = tmp_path / "instance"
         status = cli_dispatch(

@@ -146,21 +146,28 @@ def test_repair_that_cannot_write_stdout_leaves_no_file(instance, tmp_path):
 
 def test_closed_stdout_is_an_error_line_and_leaves_no_file(instance, tmp_path):
     """A process started with descriptor 1 closed has no `sys.stdout`:
-    `repair` and `check` exit 1 with an error line, not a traceback, and
-    `repair` removes the files it wrote."""
+    every command exits 1 with one error line, not a traceback, and
+    `repair` and `gen` remove the files they wrote."""
     out, report = tmp_path / "repaired.tsv", tmp_path / "report.json"
+    gen = tmp_path / "gen"
     for argv in (["repair", *inputs(instance), "--out", str(out),
                   "--report", str(report)],
-                 ["check", *inputs(instance)]):
+                 ["check", *inputs(instance)],
+                 ["fragments", *inputs(instance)],
+                 ["conflicts", *inputs(instance)],
+                 ["eval", "--produced", str(instance / "produced.tsv"),
+                  "--reference", str(instance / "reference.tsv")],
+                 [*GEN_ARGS, "--out-dir", str(gen)]):
         run = subprocess.run(
             [sys.executable, "-m", "alignrepair", *argv], env=ENV,
             stderr=subprocess.PIPE, timeout=60, preexec_fn=lambda: os.close(1),
         )
         stderr = run.stderr.decode()
         assert run.returncode == 1, stderr
-        assert stderr.startswith("error: ")
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
         assert "Traceback" not in stderr
     assert not out.exists() and not report.exists()
+    assert [p for p in gen.rglob("*") if p.is_file()] == []
 
 
 @pytest.mark.parametrize("first", ["alignrepair.pipeline", "alignrepair.greedy",
