@@ -1,7 +1,8 @@
 """Command-line surface: repair, check, fragments, conflicts, eval, gen.
 
 Reports are JSON objects with stable key order so that repeated runs
-with the same inputs are byte-identical.  Phase wall times go to stderr
+with the same inputs are byte-identical; `_report` builds every one.
+Every input file is read by `formats`.  Phase wall times go to stderr
 only; they never enter report files.
 
 Each command writes nothing (`gen` only creates its directory): it
@@ -26,8 +27,8 @@ from pathlib import Path
 from typing import NoReturn
 
 from .formats import (
+    load_alignment,
     load_inputs,
-    parse_alignment_tsv,
     write_alignment_tsv,
     write_ontology_file,
 )
@@ -69,15 +70,20 @@ def _fragment_section(fragments) -> dict:
     }
 
 
-def _json(data: dict) -> str:
+def _report(task: str, **sections) -> str:
+    """One JSON document: `schema_version`, `task`, then `sections` in
+    the order given."""
     import json
 
-    return json.dumps(data, indent=2) + "\n"
+    document = {"schema_version": SCHEMA_VERSION, "task": task, **sections}
+    return json.dumps(document, indent=2) + "\n"
 
 
 def _cmd_repair(args) -> tuple[dict, str, str]:
     if args.report and Path(args.report).resolve() == Path(args.out).resolve():
         raise ValueError("--out and --report name the same file")
+    from dataclasses import asdict
+
     from .conflicts import conflict_statistics
     from .greedy import RemovalCause, RepairConfig
     from .pipeline import repair_files
@@ -93,13 +99,12 @@ def _cmd_repair(args) -> tuple[dict, str, str]:
         raise ValueError(f"repair left {run.incoherent_after} incoherent classes")
 
     filtered = sum(1 for r in result.removed if r.cause is RemovalCause.FILTERED)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "task": "repair",
-        "inputs": _input_section(analysis.fragments.view),
-        "fragments": _fragment_section(analysis.fragments),
-        "conflicts": conflict_statistics(analysis.conflicts),
-        "repair": {
+    text = _report(
+        "repair",
+        inputs=_input_section(analysis.fragments.view),
+        fragments=_fragment_section(analysis.fragments),
+        conflicts=conflict_statistics(analysis.conflicts),
+        repair={
             "removed": len(result.removed),
             "removed_filtered": filtered,
             "removed_greedy": len(result.removed) - filtered,
@@ -107,17 +112,9 @@ def _cmd_repair(args) -> tuple[dict, str, str]:
             "clusters_processed": result.stats.clusters_processed,
             "lookahead_tiebreaks": result.stats.lookahead_tiebreaks,
         },
-        "incoherent": {
-            "before": analysis.incoherent_before,
-            "after": run.incoherent_after,
-        },
-        "config": {
-            "epsilon": config.epsilon,
-            "search_depth": config.search_depth,
-            "use_clusters": config.use_clusters,
-        },
-    }
-    text = _json(report)
+        incoherent={"before": analysis.incoherent_before, "after": run.incoherent_after},
+        config=asdict(config),
+    )
     files = {args.out: write_alignment_tsv(result.kept)}
     if args.report:
         files[args.report] = text
@@ -138,13 +135,8 @@ def _cmd_fragments(args) -> tuple[dict, str, str]:
     from .fragments import extract_core_fragments
 
     fragments = extract_core_fragments(*load_inputs(args.onto1, args.onto2, args.align))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "task": "fragments",
-        "inputs": _input_section(fragments.view),
-        "fragments": _fragment_section(fragments),
-    }
-    return {}, _json(report), ""
+    return {}, _report("fragments", inputs=_input_section(fragments.view),
+                       fragments=_fragment_section(fragments)), ""
 
 
 def _cmd_conflicts(args) -> tuple[dict, str, str]:
@@ -152,31 +144,23 @@ def _cmd_conflicts(args) -> tuple[dict, str, str]:
     from .pipeline import analyze
 
     analysis = analyze(*load_inputs(args.onto1, args.onto2, args.align))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "task": "conflicts",
-        "inputs": _input_section(analysis.fragments.view),
-        "conflicts": conflict_statistics(analysis.conflicts),
-    }
-    return {}, _json(report), ""
+    return {}, _report("conflicts", inputs=_input_section(analysis.fragments.view),
+                       conflicts=conflict_statistics(analysis.conflicts)), ""
 
 
 def _cmd_eval(args) -> tuple[dict, str, str]:
     from .oracle import precision_recall_fmeasure
 
-    produced = parse_alignment_tsv(Path(args.produced).read_text(encoding="utf-8-sig"))
-    reference = parse_alignment_tsv(Path(args.reference).read_text(encoding="utf-8-sig"))
+    produced, reference = load_alignment(args.produced), load_alignment(args.reference)
     ev = precision_recall_fmeasure(produced, reference)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "task": "eval",
-        "produced_mappings": len(produced),
-        "reference_mappings": len(reference),
-        "precision": round(ev.precision, 6),
-        "recall": round(ev.recall, 6),
-        "f_measure": round(ev.f_measure, 6),
-    }
-    return {}, _json(report), ""
+    return {}, _report(
+        "eval",
+        produced_mappings=len(produced),
+        reference_mappings=len(reference),
+        precision=round(ev.precision, 6),
+        recall=round(ev.recall, 6),
+        f_measure=round(ev.f_measure, 6),
+    ), ""
 
 
 def _cmd_gen(args) -> tuple[dict, str, str]:
@@ -202,13 +186,8 @@ def _cmd_gen(args) -> tuple[dict, str, str]:
         out / "produced.tsv": write_alignment_tsv(produced),
         out / "reference.tsv": write_alignment_tsv(reference),
     }
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "task": "gen",
-        "params": asdict(params),
-        "files": [path.name for path in files],
-    }
-    files[out / "params.json"] = _json(manifest)
+    files[out / "params.json"] = _report(
+        "gen", params=asdict(params), files=[path.name for path in files])
     return files, f"wrote instance to {out}\n", ""
 
 
@@ -280,9 +259,9 @@ def cli_dispatch(argv: list[str]) -> int:
     try:
         files, out, err = args.func(args)
         for path, text in files.items():
-            with open(path, "w", encoding="utf-8") as f:
+            with open(path, "wb") as f:  # UTF-8, with "\n" line ends everywhere
                 written.append(path)  # opened, so ours to remove if the write fails
-                f.write(text)
+                f.write(text.encode())
         stdout = _stdout()
         stdout.write(out)
         stdout.flush()

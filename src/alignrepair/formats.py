@@ -24,6 +24,7 @@ from .model import (
     Alignment,
     ClassId,
     Mapping,
+    ModelError,
     Ontology,
     Relation,
     build_ontology,
@@ -122,16 +123,31 @@ def parse_alignment_tsv(text: str) -> Alignment:
     return Alignment(mappings)
 
 
+def _read(path: str | Path, parse, *args):
+    """Read `path` as UTF-8, dropping a leading BOM, and parse its text
+    with `parse(text, *args)`.  An error in the file is raised again,
+    with the same type, its message prefixed by the path as given."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8-sig"), *args)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    except (FormatError, ModelError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def load_inputs(onto1: str | Path, onto2: str | Path,
                 align: str | Path) -> tuple[Ontology, Ontology, Alignment]:
     """Read and parse the side-1 and side-2 ontology files and the
-    alignment file.  A file may start with a UTF-8 BOM."""
-    def read(path: str | Path) -> str:
-        return Path(path).read_text(encoding="utf-8-sig")
+    alignment file.  A file may start with a UTF-8 BOM.  An error in a
+    file starts with its path."""
+    return (_read(onto1, parse_ontology_file, 1),
+            _read(onto2, parse_ontology_file, 2),
+            _read(align, parse_alignment_tsv))
 
-    o1 = parse_ontology_file(read(onto1), side=1)
-    o2 = parse_ontology_file(read(onto2), side=2)
-    return o1, o2, parse_alignment_tsv(read(align))
+
+def load_alignment(path: str | Path) -> Alignment:
+    """Read and parse one alignment file, as `load_inputs` does."""
+    return _read(path, parse_alignment_tsv)
 
 
 def format_confidence(value: float) -> str:

@@ -9,7 +9,7 @@ import pytest
 from alignrepair import (
     EnumerationCapExceeded, RepairResult, RepairStats, generator, pipeline
 )
-from alignrepair.cli import cli_dispatch
+from alignrepair.cli import SCHEMA_VERSION, cli_dispatch
 from alignrepair.formats import load_inputs
 
 F1_ONTO1 = """\
@@ -422,3 +422,25 @@ class TestByteDeterminism:
                 )
             )
         assert blobs[0] == blobs[1]
+
+
+def test_every_document_opens_with_schema_version_and_task(f1_files, capsys):
+    """The repair report, the fragments, conflicts and eval reports on
+    standard output, and gen's params.json."""
+    report, gen = f1_files / "report.json", f1_files / "gen"
+    documents = {}
+    for argv in (["repair", *_inputs(f1_files), "--out", str(f1_files / "r.tsv"),
+                  "--report", str(report)],
+                 ["fragments", *_inputs(f1_files)],
+                 ["conflicts", *_inputs(f1_files)],
+                 ["eval", "--produced", str(f1_files / "align.tsv"),
+                  "--reference", str(f1_files / "align.tsv")],
+                 ["gen", "--classes", "20", "--mappings", "5", "--disjoints", "2",
+                  "--out-dir", str(gen)]):
+        assert cli_dispatch(argv) == 0
+        documents[argv[0]] = capsys.readouterr().out
+    documents["repair"] = report.read_text()
+    documents["gen"] = (gen / "params.json").read_text()
+    for task, text in documents.items():
+        first_two = list(json.loads(text).items())[:2]
+        assert first_two == [("schema_version", SCHEMA_VERSION), ("task", task)], task

@@ -58,6 +58,8 @@ GOLDEN = {
             "83d522c49818e81b4629f50213af4d5b24c4edcbc4857d8e235b489e788d886b",
         "conflicts":
             "a95efa8a7be803dcce06aa00b44802f8bb03f1f5dee444349bf25958332c4afa",
+        "eval":
+            "46c1ee66db0a5262024667c5e73930912d02c1554c1bb7130c9b3e07c7165c6c",
     },
     "deep": {
         "onto1.txt":
@@ -84,6 +86,8 @@ GOLDEN = {
             "dd4d5028ce14e48c8917bcebccdcd7f7f4b851b3cf5abd9483fd0b17436d2e60",
         "conflicts":
             "402371c1d3c9e5c32a4525914cd463a4517b2f1c8546cf1166394e76c80e8799",
+        "eval":
+            "0f2779a6c0dac31d768bba7bdae728ad732630f6588f771a3520aa0ed10b31bd",
     },
 }
 
@@ -186,7 +190,8 @@ def _sha(data: bytes) -> str:
 
 
 def _outputs(d, gen_args, capsys) -> dict[str, str]:
-    """sha256 of every generated file and of every command's output."""
+    """sha256 of every generated file and of every command's output;
+    "eval" scores the repaired alignment against the reference."""
     assert cli_dispatch(["gen", *gen_args, "--out-dir", str(d)]) == 0
     capsys.readouterr()
     out = {
@@ -194,7 +199,11 @@ def _outputs(d, gen_args, capsys) -> dict[str, str]:
         for name in ("onto1.txt", "onto2.txt", "produced.tsv",
                      "reference.tsv", "params.json")
     }
-    return {**out, **_command_outputs(d, capsys)}
+    out.update(_command_outputs(d, capsys))
+    assert cli_dispatch(["eval", "--produced", str(d / "repair.tsv"),
+                         "--reference", str(d / "reference.tsv")]) == 0
+    out["eval"] = _sha(capsys.readouterr().out.encode())
+    return out
 
 
 def _command_outputs(d, capsys) -> dict[str, str]:

@@ -110,7 +110,44 @@ def test_bad_input_exits_1_with_an_error_line(tmp_path):
     run = python("-m", "alignrepair", "check", *inputs(tmp_path))
     assert run.returncode == 1
     assert run.stdout == b""
-    assert run.stderr.decode() == "error: undeclared class 'b' in SUBCLASS a b\n"
+    assert run.stderr.decode() == (
+        f"error: {tmp_path / 'onto1.txt'}: undeclared class 'b' in SUBCLASS a b\n")
+
+
+# One fault per input: a model error, a format error, a byte that is not
+# UTF-8, and a format error in eval's reference.
+BAD_INPUT = {
+    "onto1.txt": b"SUBCLASS a1 nowhere\n",
+    "onto2.txt": b"FOO\n",
+    "produced.tsv": b"caf\xe9\tb\t=\n",
+    "reference.tsv": b"one field\n",
+}
+FLAG = {"onto1.txt": "--onto1", "onto2.txt": "--onto2", "produced.tsv": "--align"}
+
+
+@pytest.mark.parametrize("command, bad", [
+    *((command, name) for command in ("check", "fragments", "conflicts", "repair")
+      for name in FLAG),
+    ("eval", "produced.tsv"), ("eval", "reference.tsv"),
+])
+def test_every_input_error_names_its_file(instance, tmp_path, command, bad):
+    for name in BAD_INPUT:
+        (tmp_path / name).write_bytes((instance / name).read_bytes())
+    with open(tmp_path / bad, "ab") as f:
+        f.write(BAD_INPUT[bad])
+    if command == "eval":
+        argv = ["--produced", str(tmp_path / "produced.tsv"),
+                "--reference", str(tmp_path / "reference.tsv")]
+    else:
+        argv = [arg for name, flag in FLAG.items() for arg in (flag, str(tmp_path / name))]
+    if command == "repair":
+        argv += ["--out", str(tmp_path / "repaired.tsv")]
+    run = python("-m", "alignrepair", command, *argv)
+    stderr = run.stderr.decode()
+    assert run.returncode == 1, stderr
+    assert stderr.startswith(f"error: {tmp_path / bad}: ") and stderr.count("\n") == 1, stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "repaired.tsv").exists()
 
 
 def test_help_exits_0():
