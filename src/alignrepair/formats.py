@@ -82,7 +82,7 @@ def parse_alignment_tsv(text: str) -> Alignment:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
-        fields = raw.rstrip("\n").split("\t")
+        fields = raw.split("\t")
         if len(fields) not in (3, 4):
             raise FormatError(
                 f"line {lineno}: expected 3 or 4 tab-separated fields, "

@@ -31,7 +31,6 @@ def tarjan_scc(n: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     UNVISITED = -1
     index = [UNVISITED] * n
     low = [0] * n
-    on_stack = bytearray(n)
     stack: list[int] = []
     comp = [UNVISITED] * n
     count = 0
@@ -43,7 +42,6 @@ def tarjan_scc(n: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = 1
         # Each frame keeps the iterator over its node's remaining edges.
         work = [(root, iter(adj[root]))]
         while work:
@@ -53,17 +51,16 @@ def tarjan_scc(n: int, adj: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = 1
                     work.append((w, iter(adj[w])))
                     break
-                if on_stack[w] and index[w] < low[v]:
+                # a visited node is on the stack until its component is set
+                if comp[w] < 0 and index[w] < low[v]:
                     low[v] = index[w]
             else:
                 work.pop()
                 if low[v] == index[v]:
                     while True:
                         w = stack.pop()
-                        on_stack[w] = 0
                         comp[w] = count
                         if w == v:
                             break

@@ -238,11 +238,11 @@ def build_ontology(
     names = sorted(set(classes))
     index = {name: i for i, name in enumerate(names)}
     children: list[list[int]] = [[] for _ in names]
-    for c, p in set(_resolve_pairs(index, list(subclass_edges), "SUBCLASS",
+    for c, p in set(_resolve_pairs(index, subclass_edges, "SUBCLASS",
                                    "subclass cycle: {!r} declared under itself")):
         children[p].append(c)
     disjoint = {(min(p), max(p)) for p in _resolve_pairs(
-        index, list(disjointness), "DISJOINT", "class {!r} declared disjoint with itself"
+        index, disjointness, "DISJOINT", "class {!r} declared disjoint with itself"
     )}
     return _index_ontology(side, names, index, children, disjoint)
 
@@ -300,24 +300,21 @@ def _roots_first_order(
 
 
 def _resolve_pairs(
-    index: dict[str, int], pairs: list[tuple[str, str]], keyword: str, same: str
+    index: dict[str, int], pairs: Iterable[tuple[str, str]], keyword: str, same: str
 ) -> list[tuple[int, int]]:
-    """Local ids of every (a, b) line.  On a bad line the lines are
-    scanned again in input order, and the first one raises: an undeclared
-    class names the line, a class paired with itself fills in `same`."""
-    try:
-        resolved = [(index[a], index[b]) for a, b in pairs]
-        if all(ia != ib for ia, ib in resolved):
-            return resolved
-    except KeyError:
-        pass
+    """Local ids of every (a, b) line, read once in input order.  The
+    first bad line raises: an undeclared class names the line, a class
+    paired with itself fills in `same`."""
+    resolved = []
     for a, b in pairs:
-        for name in (a, b):
-            if name not in index:
-                raise OntologyError(f"undeclared class {name!r} in {keyword} {a} {b}")
-        if a == b:
+        ia, ib = index.get(a), index.get(b)
+        if ia is None or ib is None:
+            name = a if ia is None else b
+            raise OntologyError(f"undeclared class {name!r} in {keyword} {a} {b}")
+        if ia == ib:
             raise OntologyError(same.format(a))
-    raise AssertionError("unreachable: some line failed to resolve")
+        resolved.append((ia, ib))
+    return resolved
 
 
 def _check_coherent(

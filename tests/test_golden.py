@@ -23,6 +23,7 @@ from alignrepair import (
 from alignrepair.cli import cli_dispatch
 
 from conftest import renamed_instance
+from scale_runs import Run, run
 
 INSTANCES = {
     "bushy": ["--classes", "400", "--mappings", "120", "--disjoints", "8",
@@ -312,3 +313,13 @@ def test_roadmap_l_matches_golden_hashes(tmp_path, capsys, monkeypatch):
     assert _repair_shas(tmp_path, gen_args, [], capsys) == (tsv_sha, report_sha)
     [analysis] = analyses
     assert _rows_sha(analysis) == rows_sha
+
+
+def test_scale_runner_on_bushy(tmp_path):
+    """`tests/scale_runs.py`, which only CI runs at scale, on the bushy
+    instance: `gen` and `repair` as children, the golden hashes and
+    both `check` runs."""
+    golden = GOLDEN["bushy"]
+    row = Run(INSTANCES["bushy"], (golden["repair.tsv"], golden["repair.json"]),
+              check=True)
+    run("bushy", row, tmp_path / "bushy")

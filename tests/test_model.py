@@ -119,6 +119,26 @@ class TestBuildOntology:
                 build_ontology(1, ["A", "B"], edges, disjoint)
             assert str(info.value) == message
 
+    def test_one_shot_iterables_build_the_same_ontology(self):
+        """Each argument is read once, so one-shot iterators build what
+        lists do, and the first bad line still names the error."""
+        classes, edges = ["A", "B", "C"], [("B", "A"), ("C", "A")]
+        disjoint = [("B", "C")]
+        from_lists = build_ontology(1, classes, edges, disjoint)
+        from_iters = build_ontology(1, iter(classes), iter(edges), iter(disjoint))
+        assert all(getattr(from_iters, name) == getattr(from_lists, name)
+                   for name in Ontology.__slots__)
+        cases = [
+            ([("A", "A"), ("A", "Z")], [], "subclass cycle: 'A' declared under itself"),
+            ([("A", "Z"), ("A", "A")], [], "undeclared class 'Z' in SUBCLASS A Z"),
+            ([], [("B", "B"), ("Z", "B")], "class 'B' declared disjoint with itself"),
+            ([], [("Z", "B"), ("B", "B")], "undeclared class 'Z' in DISJOINT Z B"),
+        ]
+        for edges, disjoint, message in cases:
+            with pytest.raises(OntologyError) as info:
+                build_ontology(1, iter(["A", "B"]), iter(edges), iter(disjoint))
+            assert str(info.value) == message
+
     def test_self_disjoint_rejected(self):
         with pytest.raises(OntologyError, match="disjoint with itself"):
             build_ontology(1, ["A"], [], [("A", "A")])
