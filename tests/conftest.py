@@ -1,5 +1,5 @@
 """Shared fixtures: the three canonical instances used across the suite,
-and ROADMAP M.
+and ROADMAP M from the instance table (`tests/instances.py`).
 
 F1: two tiny ontologies joined by an equivalence and a subsumption whose
     combination is incoherent.
@@ -35,6 +35,8 @@ from alignrepair import (
 )
 from alignrepair.conflicts import disjoint_conflict_clusters
 from alignrepair.greedy import filter_conflicts
+
+from instances import INSTANCES
 
 
 def mk_mapping(i: int, confidence: float = 1.0,
@@ -127,13 +129,10 @@ def f3():
     )
 
 
-M = GeneratorParams(10_000, 2_000, 50, 0.4, 21, 25, 2.0)
-
-
 @pytest.fixture(scope="session")
 def m_instance():
     """(o1, o2, produced, analysis) of M."""
-    o1, o2, produced, _ = generate_instance(M)
+    o1, o2, produced, _ = generate_instance(GeneratorParams(*INSTANCES["M"].fields))
     return o1, o2, produced, analyze(o1, o2, produced)
 
 

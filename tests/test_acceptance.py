@@ -34,6 +34,7 @@ from alignrepair import (
 )
 from alignrepair.cli import cli_dispatch
 
+import conftest
 from conftest import (
     antichain,
     equivalence_only,
@@ -42,6 +43,7 @@ from conftest import (
     mk_mapping,
     mk_set,
 )
+from instances import INSTANCES, gen_args
 
 N_INSTANCES = 300
 E_INSTANCES = 100
@@ -182,17 +184,15 @@ def test_equivalence_only_draws_sound_minimal_complete_and_repaired(instance):
 
 def test_roadmap_t_trips_the_default_cap():
     """ROADMAP T, the smallest known cap trip (94 mappings), stops at a
-    witness's path pairs.  Item 24 turns this into a repair."""
-    params = GeneratorParams(55, 51, 2, 0.9235030947918336, 5944, 7, 3.0)
-    o1, o2, produced, _ = generate_instance(params)
-    aligned = equivalence_only(produced)
+    witness's path pairs: the table row's error line.  Item 24 turns
+    this into a repair."""
+    row = INSTANCES["T"]
+    o1, o2, produced, _ = generate_instance(GeneratorParams(*row.fields))
+    aligned = getattr(conftest, row.transform)(produced)
     assert len(aligned) == 94
-    with pytest.raises(
-        EnumerationCapExceeded,
-        match=r"^witness \(a0020, b0014\|b0036\) exhausts the budget of "
-              r"1000000 steps with its path pairs$",
-    ):
+    with pytest.raises(EnumerationCapExceeded) as trip:
         analyze(o1, o2, aligned)
+    assert f"error: {trip.value}" == row.expect
 
 
 def test_criterion_3_repair_correct_across_config_grid(batch):
@@ -281,21 +281,12 @@ def test_criterion_5_filter_rule_bit_exact(f2):
 
 
 def test_criterion_6_fragment_reduction_at_scale():
-    params = GeneratorParams(
-        classes_per_side=10_000,
-        mapping_count=200,
-        disjoint_pairs=50,
-        noise_rate=0.25,
-        seed=11,
-        max_depth=60,
-        branching=1.15,
-    )
-    o1, o2, produced, _ = generate_instance(params)
+    o1, o2, produced, _ = generate_instance(GeneratorParams(*INSTANCES["S"].fields))
     start = time.perf_counter()
     frags = extract_core_fragments(o1, o2, produced)
     elapsed = time.perf_counter() - start
     total = len(o1) + len(o2)
-    core_pct = 100 * len(frags.core_classes) / total
+    core_pct = 100 * len(frags.core) / total
     checkset_pct = 100 * len(frags.checkset) / total
     assert core_pct < 20, f"core fragments {core_pct:.1f}%"
     assert checkset_pct < 15, f"checkset {checkset_pct:.1f}%"
@@ -307,16 +298,7 @@ def test_criterion_6_fragment_reduction_at_scale():
 
 
 def test_criterion_7_engineering_budget():
-    params = GeneratorParams(
-        classes_per_side=10_000,
-        mapping_count=2_000,
-        disjoint_pairs=50,
-        noise_rate=0.4,
-        seed=21,
-        max_depth=25,
-        branching=2.0,
-    )
-    o1, o2, produced, _ = generate_instance(params)
+    o1, o2, produced, _ = generate_instance(GeneratorParams(*INSTANCES["M"].fields))
     start = time.perf_counter()
     run = repair_alignment(o1, o2, produced, RepairConfig())
     elapsed = time.perf_counter() - start
@@ -339,8 +321,7 @@ def test_criterion_8_cli_pipeline_byte_determinism(tmp_path):
     for run in ("first", "second"):
         d = tmp_path / run
         assert cli_dispatch(
-            ["gen", "--classes", "60", "--mappings", "15", "--disjoints", "4",
-             "--noise", "0.4", "--seed", "29", "--out-dir", str(d)]
+            ["gen", *gen_args(INSTANCES["readme"]), "--out-dir", str(d)]
         ) == 0
         assert cli_dispatch(
             ["repair",

@@ -46,6 +46,7 @@ from conftest import (
     mk_mapping,
     mk_set,
 )
+from instances import INSTANCES
 
 
 def _enumerate(o1, o2, align, **kw):
@@ -196,8 +197,7 @@ class TestFindConflictSets:
 def test_the_ledger_on_s_and_m(m_instance):
     """ROADMAP item 23's counts (settled / unions / pruned), as
     `analyze` returns them on its conflict list."""
-    s = GeneratorParams(10_000, 200, 50, 0.25, 11, 60, 1.15)
-    o1, o2, produced, _ = generate_instance(s)
+    o1, o2, produced, _ = generate_instance(GeneratorParams(*INSTANCES["S"].fields))
     assert analyze(o1, o2, produced).conflicts.work == SearchWork(324, 19, 0)
     assert m_instance[3].conflicts.work == SearchWork(9_168, 1_676, 314)
 
@@ -378,8 +378,7 @@ def test_two_mapping_precheck_spares_containment_tests(m_instance, monkeypatch):
     (11,611 without it).  C2's ledger is pinned with it: nearly every
     union there holds a found conflict."""
     _, _, produced, analysis = m_instance
-    c2_params = GeneratorParams(10_000, 2_000, 100, 0.4, 5, 25, 2.0)
-    o1, o2, c2, _ = generate_instance(c2_params)
+    o1, o2, c2, _ = generate_instance(GeneratorParams(*INSTANCES["C2"].fields))
     searches = [
         (analysis.fragments, produced, 472, 11_302,
          SearchWork(9_168, 1_676, 314)),

@@ -32,6 +32,7 @@ from alignrepair.generator import (
 from alignrepair.graphs import reachable
 
 from conftest import generated_instances
+from instances import INSTANCES
 
 
 class TestDeterminism:
@@ -271,12 +272,9 @@ def _assert_string_path_matches(onto):
 
 
 # The instances of tests/test_golden.py.
-@pytest.mark.parametrize("params", [
-    GeneratorParams(400, 120, 8, 0.4, 3),
-    GeneratorParams(300, 80, 6, 0.3, 7, 30, 1.15),
-], ids=["bushy", "deep"])
-def test_int_path_matches_string_path_on_golden_instances(params):
-    o1, o2, _, _ = generate_instance(params)
+@pytest.mark.parametrize("name", ["bushy", "deep"])
+def test_int_path_matches_string_path_on_golden_instances(name):
+    o1, o2, _, _ = generate_instance(GeneratorParams(*INSTANCES[name].fields))
     for onto in (o1, o2):
         _assert_string_path_matches(onto)
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 from alignrepair.cli import cli_dispatch
 
+from instances import INSTANCES, gen_args
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -15,8 +17,7 @@ def test_traced_counters_match_the_cli_report(tmp_path, capsys, monkeypatch):
     traced = importlib.import_module("traced")
     inst = tmp_path / "inst"
     assert cli_dispatch(
-        ["gen", "--classes", "60", "--mappings", "15", "--disjoints", "4",
-         "--noise", "0.4", "--seed", "29", "--out-dir", str(inst)]
+        ["gen", *gen_args(INSTANCES["readme"]), "--out-dir", str(inst)]
     ) == 0
     inputs = [
         "--onto1", str(inst / "onto1.txt"),
