@@ -156,6 +156,24 @@ def test_help_exits_0():
     assert run.stdout.decode().startswith("usage: alignrepair")
 
 
+def test_console_script_is_cli_main():
+    """The installed `alignrepair` runs what `python -m alignrepair` runs;
+    CI starts the installed script once.  Read as text: Python 3.10 has no
+    `tomllib`."""
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'alignrepair = "alignrepair.cli:main"'
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.PytestUnraisableExceptionWarning)
+def test_an_unclosed_file_fails_its_test(tmp_path):
+    """pyproject.toml's `filterwarnings` make an unclosed file fail the
+    test that leaked it; without them this test passes, and strict xfail
+    fails."""
+    (tmp_path / "f.txt").write_text("x", encoding="utf-8")
+    assert open(tmp_path / "f.txt", encoding="utf-8").read() == "x"
+
+
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 def test_failed_stdout_flush_exits_1(instance):
     with open("/dev/full", "wb") as full:
