@@ -31,6 +31,7 @@ from alignrepair import (
     Relation,
     analyze,
     build_ontology,
+    exhaustive_incoherence,
     generate_instance,
 )
 from alignrepair.conflicts import disjoint_conflict_clusters
@@ -218,6 +219,22 @@ def renamed_instance(o1, o2, alignment, seed: int):
     )
 
 
+def random_alignment(rng: random.Random, o1, o2, draws: int) -> Alignment:
+    """`draws` seeded mapping draws between o1 and o2; a draw that repeats
+    an earlier (source, target, relation) is dropped."""
+    mappings = []
+    seen = set()
+    for _ in range(draws):
+        s = rng.choice(o1.classes)
+        t = rng.choice(o2.classes)
+        rel = rng.choice(list(Relation))
+        if (s.id, t.id, rel.value) in seen:
+            continue
+        seen.add((s.id, t.id, rel.value))
+        mappings.append(Mapping(s, t, rel, round(rng.random(), 3)))
+    return Alignment(mappings)
+
+
 def core_pairs(fragments) -> list[tuple[ClassId, ClassId]]:
     """The fragments' disjoint pairs as ClassIds, from their global ids."""
     at = fragments.view.class_at
@@ -227,6 +244,29 @@ def core_pairs(fragments) -> list[tuple[ClassId, ClassId]]:
 def checkset_classes(fragments) -> tuple[ClassId, ...]:
     """The fragments' checkset as ClassIds, from its global ids."""
     return tuple(map(fragments.view.class_at, fragments.checkset))
+
+
+def check_sound_minimal_complete(o1, o2, conflicts, subsets) -> int:
+    """The conflict-list oracle check: assert that every set reproduces
+    its witness and no proper subset does, that no set contains another,
+    and that the sets flag exactly the incoherent subsets; returns the
+    number of sets.  Every source of conflict sets is tested through it."""
+    for s in conflicts:
+        a = s.witness_class
+        incoherent = exhaustive_incoherence(o1, o2, s.mappings)
+        assert a in incoherent, "emitted set fails to reproduce witness"
+        for m in s.mappings:
+            rest = exhaustive_incoherence(o1, o2, s.mappings - {m})
+            assert a not in rest, "proper subset still incoherent at witness"
+    contents = [frozenset(s.mappings) for s in conflicts]
+    for x in contents:
+        for y in contents:
+            assert not x < y, "antichain violated"
+    for sub in subsets:
+        exact = len(exhaustive_incoherence(o1, o2, sub)) > 0
+        flagged = any(cs <= sub for cs in contents)
+        assert exact == flagged, "containment test disagrees with the oracle"
+    return len(conflicts)
 
 
 # -- brute-force oracles ---------------------------------------------------

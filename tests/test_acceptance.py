@@ -37,6 +37,7 @@ from alignrepair.cli import cli_dispatch
 import conftest
 from conftest import (
     antichain,
+    check_sound_minimal_complete,
     equivalence_only,
     filter_list,
     generated_instances,
@@ -117,29 +118,10 @@ def test_criterion_1_fragment_detection_equivalence(batch):
     )
 
 
-def _check_sound_minimal_complete(o1, o2, conflicts, subsets) -> int:
-    """Assert that every set reproduces its witness and no proper subset
-    does, and that the sets flag exactly the incoherent subsets; returns
-    the number of sets."""
-    for s in conflicts:
-        a = s.witness_class
-        incoherent = exhaustive_incoherence(o1, o2, s.mappings)
-        assert a in incoherent, "emitted set fails to reproduce witness"
-        for m in s.mappings:
-            rest = exhaustive_incoherence(o1, o2, s.mappings - {m})
-            assert a not in rest, "proper subset still incoherent at witness"
-    contents = [frozenset(s.mappings) for s in conflicts]
-    for sub in subsets:
-        exact = len(exhaustive_incoherence(o1, o2, sub)) > 0
-        flagged = any(cs <= sub for cs in contents)
-        assert exact == flagged, "containment test disagrees with the oracle"
-    return len(conflicts)
-
-
 def test_criterion_2_conflict_sets_sound_minimal_complete(batch):
     sets = checked = 0
     for (o1, o2, _, _), _, conflicts, subsets in batch:
-        sets += _check_sound_minimal_complete(o1, o2, conflicts, subsets)
+        sets += check_sound_minimal_complete(o1, o2, conflicts, subsets)
         checked += len(subsets)
     print(
         f"ACCEPTANCE 2 PASS: {sets} sets sound and minimal, "
@@ -155,7 +137,7 @@ def test_equivalence_only_copies_sound_minimal_complete_and_repaired():
         o1, o2, produced, _ = generate_instance(_params(i))
         aligned = equivalence_only(produced)
         run = repair_alignment(o1, o2, aligned, RepairConfig())
-        sets += _check_sound_minimal_complete(
+        sets += check_sound_minimal_complete(
             o1, o2, run.analysis.conflicts, _subsets(i, aligned)
         )
         assert exhaustive_incoherence(o1, o2, run.result.kept) == set()
@@ -178,7 +160,7 @@ def test_equivalence_only_draws_sound_minimal_complete_and_repaired(instance):
     except EnumerationCapExceeded:
         event("enumeration cap trip")
         assume(False)
-    _check_sound_minimal_complete(o1, o2, conflicts, _subsets(0, aligned))
+    check_sound_minimal_complete(o1, o2, conflicts, _subsets(0, aligned))
     assert exhaustive_incoherence(o1, o2, repair(conflicts, aligned).kept) == set()
 
 

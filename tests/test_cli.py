@@ -1,5 +1,5 @@
-"""CLI surface: subcommands end to end on real files, exit codes, and
-byte-stable reports."""
+"""CLI surface: subcommands end to end on real files, and exit codes.
+Byte determinism of gen + repair is acceptance criterion 8."""
 
 import json
 import re
@@ -190,42 +190,6 @@ class TestByteOrderMark:
         assert (data["precision"], data["recall"], data["f_measure"]) == (1.0, 1.0, 1.0)
 
 
-class TestGenCommand:
-    def test_writes_instance_files(self, tmp_path, capsys):
-        out = tmp_path / "inst"
-        status = cli_dispatch(
-            ["gen", "--classes", "30", "--mappings", "10", "--disjoints", "2",
-             "--noise", "0.3", "--seed", "7", "--out-dir", str(out)]
-        )
-        assert status == 0
-        for name in ("onto1.txt", "onto2.txt", "produced.tsv",
-                     "reference.tsv", "params.json"):
-            assert (out / name).exists()
-
-    def test_gen_then_repair_then_check_is_clean(self, tmp_path, capsys):
-        out = tmp_path / "inst"
-        cli_dispatch(
-            ["gen", "--classes", "40", "--mappings", "12", "--disjoints", "3",
-             "--noise", "0.4", "--seed", "3", "--out-dir", str(out)]
-        )
-        repaired = tmp_path / "repaired.tsv"
-        status = cli_dispatch(
-            ["repair", "--onto1", str(out / "onto1.txt"),
-             "--onto2", str(out / "onto2.txt"),
-             "--align", str(out / "produced.tsv"),
-             "--out", str(repaired)]
-        )
-        assert status == 0
-        capsys.readouterr()
-        status = cli_dispatch(
-            ["check", "--onto1", str(out / "onto1.txt"),
-             "--onto2", str(out / "onto2.txt"),
-             "--align", str(repaired)]
-        )
-        assert status == 0
-        assert capsys.readouterr().out.splitlines()[0] == "0"
-
-
 class TestErrorsAndExitCodes:
     def test_missing_file_is_error_not_crash(self, tmp_path, capsys):
         status = cli_dispatch(
@@ -239,18 +203,6 @@ class TestErrorsAndExitCodes:
     def test_unknown_flag_is_usage_error(self, f1_files, capsys):
         status = cli_dispatch(["check", *_inputs(f1_files), "--frobnicate"])
         assert status == 2
-
-    def test_semantic_error_reported(self, tmp_path, capsys):
-        (tmp_path / "o1.txt").write_text("CLASS a\nSUBCLASS a b\n")
-        (tmp_path / "o2.txt").write_text("CLASS z\n")
-        (tmp_path / "al.tsv").write_text("")
-        status = cli_dispatch(
-            ["check", "--onto1", str(tmp_path / "o1.txt"),
-             "--onto2", str(tmp_path / "o2.txt"),
-             "--align", str(tmp_path / "al.tsv")]
-        )
-        assert status == 1
-        assert "undeclared" in capsys.readouterr().err
 
     def test_enumeration_cap_is_error_not_crash(self, f1_files, capsys, monkeypatch):
         def over_budget(*args, **kwargs):
@@ -394,34 +346,6 @@ class TestErrorsAndExitCodes:
         err = capsys.readouterr().err
         assert "the last failed: could not place 9 disjoint pairs" in err
         assert not out.exists()
-
-
-class TestByteDeterminism:
-    def test_two_identical_pipelines_byte_identical(self, tmp_path, capsys):
-        blobs = []
-        for run in ("one", "two"):
-            d = tmp_path / run
-            cli_dispatch(
-                ["gen", "--classes", "35", "--mappings", "12", "--disjoints",
-                 "3", "--noise", "0.4", "--seed", "17", "--out-dir", str(d)]
-            )
-            repaired = d / "repaired.tsv"
-            report = d / "report.json"
-            cli_dispatch(
-                ["repair", "--onto1", str(d / "onto1.txt"),
-                 "--onto2", str(d / "onto2.txt"),
-                 "--align", str(d / "produced.tsv"),
-                 "--out", str(repaired), "--report", str(report)]
-            )
-            blobs.append(
-                tuple(
-                    (d / n).read_bytes()
-                    for n in ("onto1.txt", "onto2.txt", "produced.tsv",
-                              "reference.tsv", "params.json",
-                              "repaired.tsv", "report.json")
-                )
-            )
-        assert blobs[0] == blobs[1]
 
 
 def test_every_document_opens_with_schema_version_and_task(f1_files, capsys):

@@ -39,12 +39,15 @@ from alignrepair.graphs import iter_bits
 from conftest import (
     PAIR,
     antichain,
+    brute_reachable,
+    check_sound_minimal_complete,
     checkset_classes,
     clusters_of,
     core_pairs,
     generated_instances,
     mk_mapping,
     mk_set,
+    random_alignment,
 )
 from instances import INSTANCES
 
@@ -521,21 +524,9 @@ class TestCountIncoherentClasses:
 
 
 def _valid_disjoints(rng, names, edges, want):
-    """Pairs with provably disjoint descendant cones (keeps the build valid)."""
-    down = {}
-    for child, parent in edges:
-        down.setdefault(parent, []).append(child)
-
-    def cone(x):
-        seen, stack = {x}, [x]
-        while stack:
-            u = stack.pop()
-            for v in down.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
+    """Pairs with no common subclass (keeps the build valid)."""
+    closure = brute_reachable(edges)
+    ancestors = [closure.get(v, {v}) for v in names]
     pairs = []
     for _ in range(want * 20):
         if len(pairs) >= want:
@@ -543,7 +534,7 @@ def _valid_disjoints(rng, names, edges, want):
         x, y = rng.sample(names, 2)
         if (x, y) in pairs or (y, x) in pairs:
             continue
-        if cone(x) & cone(y):
+        if any({x, y} <= up for up in ancestors):
             continue
         pairs.append((x, y))
     return pairs
@@ -567,54 +558,21 @@ def _random_instance(rng: random.Random):
     o2 = build_ontology(
         2, names2, edges2, _valid_disjoints(rng, names2, edges2, rng.randint(0, 1))
     )
-    mappings = []
-    seen = set()
-    for _ in range(rng.randint(2, 9)):
-        s = rng.choice(o1.classes)
-        t = rng.choice(o2.classes)
-        rel = rng.choice(list(Relation))
-        if (s.id, t.id, rel.value) in seen:
-            continue
-        seen.add((s.id, t.id, rel.value))
-        mappings.append(Mapping(s, t, rel, round(rng.random(), 3)))
-    return o1, o2, Alignment(mappings)
+    return o1, o2, random_alignment(rng, o1, o2, rng.randint(2, 9))
 
 
 def test_soundness_minimality_completeness_small_instances():
-    instances = 0
     nonempty = 0
     for seed in range(60):
-        rng = random.Random(900 + seed)
-        o1, o2, align = _random_instance(rng)
-        conflicts = _enumerate(o1, o2, align)
-        instances += 1
-        if len(conflicts):
-            nonempty += 1
-
-        for s in conflicts:
-            a = s.witness_class
-            b, c = s.witness_pair
-            incoherent = exhaustive_incoherence(o1, o2, s.mappings)
-            assert a in incoherent, "witness must be incoherent under its set"
-            for m in s.mappings:
-                smaller = exhaustive_incoherence(o1, o2, s.mappings - {m})
-                assert a not in smaller, "proper subset reproduces the witness"
-
-        contents = [frozenset(s.mappings) for s in conflicts]
-        for x in contents:
-            for y in contents:
-                assert x == y or not x < y, "antichain violated"
-
+        o1, o2, align = _random_instance(random.Random(900 + seed))
         maps = list(align)
         subsets = [
-            set(c)
+            frozenset(c)
             for r in range(len(maps) + 1)
             for c in itertools.combinations(maps, r)
         ]
-        for sub in subsets:
-            exact = len(exhaustive_incoherence(o1, o2, sub)) > 0
-            flagged = any(s <= sub for s in contents)
-            assert exact == flagged, "completeness mismatch"
+        if check_sound_minimal_complete(o1, o2, _enumerate(o1, o2, align), subsets):
+            nonempty += 1
     assert nonempty >= 10, f"too few conflicting instances ({nonempty})"
 
 

@@ -16,6 +16,7 @@ from alignrepair import (
     Alignment,
     CoreFragments,
     Mapping,
+    OntologyError,
     Relation,
     analyze,
     build_ontology,
@@ -39,6 +40,7 @@ from conftest import (
     core_pairs,
     generated_instances,
     merged_edge_list,
+    random_alignment,
     renamed_instance,
 )
 
@@ -207,20 +209,10 @@ def _random_instance(rng: random.Random):
         disjoint1.append((names1[x], names1[y]))
     try:
         o1 = build_ontology(1, names1, edges1, disjoint1)
-    except Exception:
+    except OntologyError:
         o1 = build_ontology(1, names1, edges1, [])
     o2 = build_ontology(2, names2, edges2, [])
-    mappings = []
-    seen = set()
-    for _ in range(rng.randint(1, 7)):
-        s = rng.choice(o1.classes)
-        t = rng.choice(o2.classes)
-        rel = rng.choice(list(Relation))
-        if (s.id, t.id, rel.value) in seen:
-            continue
-        seen.add((s.id, t.id, rel.value))
-        mappings.append(Mapping(s, t, rel, round(rng.random(), 3)))
-    return o1, o2, Alignment(mappings)
+    return o1, o2, random_alignment(rng, o1, o2, rng.randint(1, 7))
 
 
 def test_start_classes_witness_every_incoherent_subset():

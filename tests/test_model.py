@@ -32,6 +32,7 @@ from conftest import (
     brute_entails,
     brute_reachable,
     generated_instances,
+    random_alignment,
     renamed_instance,
 )
 
@@ -361,17 +362,7 @@ def _random_instance(rng: random.Random):
               if rng.random() < 0.8]
     o1 = build_ontology(1, names1, edges1)
     o2 = build_ontology(2, names2, edges2)
-    mappings = []
-    seen = set()
-    for _ in range(rng.randint(0, 8)):
-        s = rng.choice(o1.classes)
-        t = rng.choice(o2.classes)
-        rel = rng.choice(list(Relation))
-        if (s.id, t.id, rel.value) in seen:
-            continue
-        seen.add((s.id, t.id, rel.value))
-        mappings.append(Mapping(s, t, rel, round(rng.random(), 3)))
-    return o1, o2, Alignment(mappings)
+    return o1, o2, random_alignment(rng, o1, o2, rng.randint(0, 8))
 
 
 @settings(max_examples=60, deadline=None)
